@@ -10,8 +10,11 @@
 // across changes; the bench_smoke ctest target validates the file.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <string>
 
 #include "cudasim/control.hpp"
 #include "cudasim/cuda_runtime.h"
@@ -141,6 +144,52 @@ void BM_MonitorUpdateTraced(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MonitorUpdateTraced);
+
+/// The other half of a traced event: the rank-finalize flush of a filled
+/// default-size ring (2^16 records) to its JSONL file.  `ns_per_record` is
+/// the ledger row; the file lives in the temp directory, so the figure is
+/// the encoding and write(2) cost, not the disk's.
+void BM_TraceFlush(benchmark::State& state) {
+  ipm::TraceRing ring(16);
+  const ipm::NameId names[] = {
+      ipm::intern_name("MPI_Allreduce"), ipm::intern_name("cudaMemcpy(D2H)"),
+      ipm::intern_name("@CUDA_EXEC:bench_kernel"), ipm::intern_name("@CUDA_HOST_IDLE")};
+  const ipm::TraceKind kinds[] = {ipm::TraceKind::kHost, ipm::TraceKind::kHost,
+                                  ipm::TraceKind::kKernel, ipm::TraceKind::kIdle};
+  simx::Xoshiro256 rng(3);
+  double t = 0.0;
+  for (std::size_t i = 0; i < ring.capacity(); ++i) {
+    ipm::TraceRecord r;
+    r.t0 = t;
+    r.dur = rng.uniform(1e-6, 1e-4);
+    t += r.dur + rng.uniform(0.0, 1e-5);
+    r.name = names[i % 4];
+    r.kind = kinds[i % 4];
+    r.region = static_cast<std::uint32_t>(rng.uniform_u64(2));
+    r.bytes = rng.uniform_u64(1u << 20);
+    r.select = static_cast<std::int32_t>(i % 3);
+    ring.push(r);
+  }
+  ipm::RankProfile p;
+  p.hostname = "bench";
+  p.stop = t;
+  p.regions = {"ipm_global", "step"};
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "ipm_bm_trace_flush.rank0.jsonl";
+  using Clock = std::chrono::steady_clock;
+  double ns = 0.0;
+  for (auto _ : state) {
+    const Clock::time_point t0 = Clock::now();
+    ipm::write_trace_file(path.string(), ring, p);
+    ns += std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+  }
+  std::filesystem::remove(path);
+  state.counters["ns_per_record"] = benchmark::Counter(
+      ns / static_cast<double>(ring.size()), benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ring.size()));
+}
+BENCHMARK(BM_TraceFlush)->Unit(benchmark::kMillisecond);
 
 /// Live-telemetry variant of the prepared-key path: snapshot publishing is
 /// armed (IPM_SNAPSHOT), so every table hit pays the per-slot epoch bump

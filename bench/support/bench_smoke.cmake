@@ -95,6 +95,7 @@ foreach(required
     BM_MonitorUpdate
     BM_MonitorUpdatePrepared
     BM_MonitorUpdateTraced
+    BM_TraceFlush
     BM_MonitorUpdateLive
     BM_InternName
     BM_NameOf

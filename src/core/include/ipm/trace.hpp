@@ -12,10 +12,10 @@
 //
 // One ring per rank, written only by the owning rank thread (the monitor
 // is thread-local), so pushes are wait-free single-producer appends; the
-// ring is drained once, at rank finalize, on the same thread.  At flush
-// the records are resolved (NameId -> string, region id -> name) and
-// written to a per-rank JSONL file that `ipm_parse --trace` merges into a
-// single Chrome-tracing JSON.
+// ring is drained once, at rank finalize, on the same thread: the flush
+// streams the records straight into a per-rank JSONL file, resolving names
+// and regions to strings on the way, and `ipm_parse --trace` merges the
+// files into a single Chrome-tracing JSON.
 #pragma once
 
 #include <atomic>
@@ -27,6 +27,8 @@
 #include "ipm/key.hpp"
 
 namespace ipm {
+
+struct RankProfile;
 
 /// Lane classification of a trace record.  Host API calls, device kernel
 /// intervals and host-idle probes render on different timeline lanes; a
@@ -101,8 +103,8 @@ class TraceRing {
 
 // --- flushed form ------------------------------------------------------------
 
-/// A resolved span: names and regions as strings, so a trace file is
-/// meaningful outside the producing process (NameIds are process-local).
+/// A span read back from a trace file: names and regions as strings, since
+/// NameIds are process-local.
 struct TraceSpan {
   std::string name;
   std::string region;
@@ -126,19 +128,20 @@ struct RankTrace {
   std::vector<TraceSpan> spans;
 };
 
-/// Resolve the ring into a RankTrace (NameId -> string via name_of,
-/// region id -> name via `regions`).  Not for the hot path.
-[[nodiscard]] RankTrace resolve_trace(const TraceRing& ring,
-                                      const std::vector<std::string>& regions);
-
 /// Per-rank trace file path: "<prefix>.rank<N>.jsonl".
 [[nodiscard]] std::string trace_file_path(const std::string& prefix, int rank);
 
-/// Write / read one rank's trace file.  Format: line 1 is a header object
-/// {"ipm_trace":1,"rank":..,"host":..,"start":..,"stop":..,"drops":..},
-/// then one JSON object per span.  Throws std::runtime_error on I/O errors
-/// or malformed input.
-void write_trace_file(const std::string& path, const RankTrace& trace);
+/// Write `ring` as rank `p`'s trace file (`p` supplies rank, host,
+/// start/stop and the region names).  Format: line 1 is a header object
+/// {"ipm_trace":1,"rank":..,"host":..,"start":..,"stop":..,"drops":..,
+/// "spans":..}, then one JSON object per span, doubles as %.17g.  The
+/// records stream through one bounded buffer; every write and the close
+/// are checked, so a full disk throws std::runtime_error.
+void write_trace_file(const std::string& path, const TraceRing& ring,
+                      const RankProfile& p);
+
+/// Read one rank's trace file.  Throws std::runtime_error on I/O errors or
+/// malformed input.
 [[nodiscard]] RankTrace read_trace_file(const std::string& path);
 
 }  // namespace ipm

@@ -330,18 +330,13 @@ std::string trace_prefix(const Config& cfg) {
   return "ipm_trace";
 }
 
-/// Resolve + write the rank's ring at finalize; records the file (and the
-/// flushed/dropped counts) in the profile so the XML log references it.
-/// A failed flush loses the timeline, never the profile.
+/// Write the rank's ring at finalize; records the file in the profile so
+/// the XML log references it.  A failed flush loses the timeline (and the
+/// reference), never the profile.
 void flush_trace(Monitor& m, RankProfile& p) {
   const std::string path = trace_file_path(trace_prefix(m.config()), p.rank);
   try {
-    RankTrace t = resolve_trace(*m.trace_ring(), p.regions);
-    t.rank = p.rank;
-    t.hostname = p.hostname;
-    t.start = p.start;
-    t.stop = p.stop;
-    write_trace_file(path, t);
+    write_trace_file(path, *m.trace_ring(), p);
     p.trace_file = path;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ipm: trace flush failed: %s\n", e.what());

@@ -1,11 +1,17 @@
 #include "ipm/trace.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include <fcntl.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <fstream>
+#include <stdexcept>
+#include <utility>
+
+#include "ipm/monitor.hpp"
+#include "simcommon/jsonl.hpp"
 #include "simcommon/str.hpp"
 
 namespace ipm {
@@ -14,6 +20,50 @@ namespace {
 
 constexpr unsigned kMinLog2 = 4;
 constexpr unsigned kMaxLog2 = 24;  // 16M records ≈ 768 MB: the sane ceiling
+
+/// The flush buffer is written out once it holds this much, so a flush
+/// needs at most this plus one line of memory however long the trace.
+constexpr std::size_t kFlushBytes = 64u << 10;
+
+/// Output file whose every write and the close are checked: a full disk
+/// fails the flush instead of leaving a silently truncated file (an
+/// ofstream reports the last buffer's write error only to its destructor).
+class OutFile {
+ public:
+  explicit OutFile(const std::string& path)
+      : path_(path),
+        fd_(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666)) {
+    if (fd_ < 0) fail("cannot open");
+  }
+  ~OutFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  OutFile(const OutFile&) = delete;
+  OutFile& operator=(const OutFile&) = delete;
+
+  void write(std::string_view buf) {
+    while (!buf.empty()) {
+      const ssize_t n = ::write(fd_, buf.data(), buf.size());
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) fail("write failed for");
+      buf.remove_prefix(static_cast<std::size_t>(n));
+    }
+  }
+
+  void close() {
+    if (::close(std::exchange(fd_, -1)) != 0) fail("close failed for");
+  }
+
+ private:
+  [[noreturn]] void fail(const char* what) const {
+    const std::string reason = std::strerror(errno);  // before anything resets errno
+    throw std::runtime_error(std::string("ipm: ") + what + " trace file '" + path_ +
+                             "': " + reason);
+  }
+
+  std::string path_;
+  int fd_;
+};
 
 const char* kind_str(TraceKind k) {
   switch (k) {
@@ -31,27 +81,6 @@ TraceKind kind_from(const std::string& s) {
   return TraceKind::kHost;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // names never need these
-    out += c;
-  }
-  return out;
-}
-
-std::string json_unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) ++i;
-    out += s[i];
-  }
-  return out;
-}
-
 /// Minimal field extraction from one flat JSON object line *we* wrote
 /// (fixed key set, no nesting).  Returns false when the key is absent.
 bool find_field(const std::string& line, const char* key, std::string& out) {
@@ -62,11 +91,11 @@ bool find_field(const std::string& line, const char* key, std::string& out) {
   while (pos < line.size() && line[pos] == ' ') ++pos;
   if (pos >= line.size()) return false;
   if (line[pos] == '"') {
-    // String value: scan to the closing unescaped quote.
+    // String value: scan to the closing quote, stepping over escapes.
     std::size_t end = pos + 1;
-    while (end < line.size() && !(line[end] == '"' && line[end - 1] != '\\')) ++end;
+    while (end < line.size() && line[end] != '"') end += line[end] == '\\' ? 2 : 1;
     if (end >= line.size()) return false;
-    out = json_unescape(std::string_view(line).substr(pos + 1, end - pos - 1));
+    out = simx::json_unescape(std::string_view(line).substr(pos + 1, end - pos - 1));
   } else {
     std::size_t end = pos;
     while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
@@ -93,59 +122,52 @@ TraceRing::TraceRing(unsigned log2_records) {
   slots_ = std::make_unique<TraceRecord[]>(cap_);
 }
 
-RankTrace resolve_trace(const TraceRing& ring, const std::vector<std::string>& regions) {
-  RankTrace t;
-  t.drops = ring.drops();
-  const std::size_t n = ring.size();
-  t.spans.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const TraceRecord& r = ring[i];
-    TraceSpan s;
-    s.name = name_of(r.name);
-    s.region = r.region < regions.size() ? regions[r.region] : "ipm_global";
-    s.t0 = r.t0;
-    s.dur = r.dur;
-    s.bytes = r.bytes;
-    s.select = r.select;
-    s.err = r.err;
-    s.kind = r.kind;
-    t.spans.push_back(std::move(s));
-  }
-  return t;
-}
-
 std::string trace_file_path(const std::string& prefix, int rank) {
   return simx::strprintf("%s.rank%d.jsonl", prefix.c_str(), rank);
 }
 
-void write_trace_file(const std::string& path, const RankTrace& trace) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("ipm: cannot open trace file '" + path + "'");
-  // %.17g round-trips doubles, keeping the flushed trace conservation-exact
-  // with the in-memory ring (the oracle tests rely on this).
-  out << simx::strprintf(
-      "{\"ipm_trace\":1,\"rank\":%d,\"host\":\"%s\",\"start\":%.17g,\"stop\":%.17g,"
-      "\"drops\":%llu,\"spans\":%zu}\n",
-      trace.rank, json_escape(trace.hostname).c_str(), trace.start, trace.stop,
-      static_cast<unsigned long long>(trace.drops), trace.spans.size());
-  for (const TraceSpan& s : trace.spans) {
+void write_trace_file(const std::string& path, const TraceRing& ring,
+                      const RankProfile& p) {
+  OutFile file(path);
+  const std::size_t n = ring.size();
+  std::string buf;
+  buf.reserve(kFlushBytes + 1024);
+  simx::JsonlWriter w(buf);
+  w.lit("{\"ipm_trace\":1,\"rank\":").num(p.rank).lit(",\"host\":").str(p.hostname);
+  w.lit(",\"start\":").num(p.start).lit(",\"stop\":").num(p.stop);
+  w.lit(",\"drops\":").num(ring.drops()).lit(",\"spans\":").num(n).lit("}\n");
+  // Names and regions are escaped once each, as the quoted strings the span
+  // lines splice in.
+  const auto quoted = [](std::string_view s) {
+    std::string q;
+    simx::JsonlWriter(q).str(s);
+    return q;
+  };
+  std::vector<std::string> regions;
+  for (const std::string& r : p.regions) regions.push_back(quoted(r));
+  const std::string global = quoted("ipm_global");
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < n; ++i) {
+    const TraceRecord& r = ring[i];
+    if (r.name >= names.size()) names.resize(r.name + std::size_t{1});
+    std::string& name = names[r.name];
+    if (name.empty()) name = quoted(name_of(r.name));
+    // %.17g round-trips doubles, keeping the flushed trace conservation-exact
+    // with the in-memory ring (the oracle tests rely on this).
+    w.lit("{\"t0\":").num(r.t0).lit(",\"dur\":").num(r.dur).lit(",\"name\":").lit(name);
+    w.lit(",\"region\":").lit(r.region < regions.size() ? regions[r.region] : global);
+    w.lit(",\"bytes\":").num(r.bytes).lit(",\"select\":").num(r.select);
     // The err field is written only for failed calls, keeping the common
     // (successful) line format byte-identical to pre-error-tagging traces.
-    if (s.err != 0) {
-      out << simx::strprintf(
-          "{\"t0\":%.17g,\"dur\":%.17g,\"name\":\"%s\",\"region\":\"%s\",\"bytes\":%llu,"
-          "\"select\":%d,\"err\":%d,\"kind\":\"%s\"}\n",
-          s.t0, s.dur, json_escape(s.name).c_str(), json_escape(s.region).c_str(),
-          static_cast<unsigned long long>(s.bytes), s.select, s.err, kind_str(s.kind));
-    } else {
-      out << simx::strprintf(
-          "{\"t0\":%.17g,\"dur\":%.17g,\"name\":\"%s\",\"region\":\"%s\",\"bytes\":%llu,"
-          "\"select\":%d,\"kind\":\"%s\"}\n",
-          s.t0, s.dur, json_escape(s.name).c_str(), json_escape(s.region).c_str(),
-          static_cast<unsigned long long>(s.bytes), s.select, kind_str(s.kind));
+    if (r.err != 0) w.lit(",\"err\":").num(r.err);
+    w.lit(",\"kind\":\"").lit(kind_str(r.kind)).lit("\"}\n");
+    if (buf.size() >= kFlushBytes) {
+      file.write(buf);
+      buf.clear();
     }
   }
-  if (!out) throw std::runtime_error("ipm: write failed for trace file '" + path + "'");
+  file.write(buf);
+  file.close();
 }
 
 RankTrace read_trace_file(const std::string& path) {

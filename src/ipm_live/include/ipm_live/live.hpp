@@ -21,8 +21,9 @@
 // publish order) reproduces the finalize RankProfile bit-exactly — counts
 // and bytes by exact integer arithmetic, tsum by construction: each
 // published dtsum is nudged (std::nextafter) until prev + dtsum rounds to
-// exactly the captured running total, and the publisher mirrors the
-// consumer's fold.  A full channel therefore never loses data: the sample
+// exactly the captured running total (where no double does, a zero-count
+// correction delta for the same key follows), and the publisher mirrors
+// the consumer's fold.  A full channel therefore never loses data: the sample
 // is skipped, a drop is counted, and the *next* successful capture
 // coalesces the skipped window; the finalize flush bypasses the channel
 // entirely.

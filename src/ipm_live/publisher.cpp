@@ -13,12 +13,11 @@ namespace ipm::live {
 
 namespace {
 
-/// Smallest-effort delta such that prev + d rounds to exactly cur.  The
-/// naive fl(cur - prev) can miss by an ulp (the subtraction rounds); the
-/// interval of reals rounding to cur has width ~ulp(cur) while candidate
-/// deltas near cur - prev are spaced ulp(cur - prev) <= ulp(cur) apart
-/// (0 <= prev <= cur for a monotone non-negative fold), so a representable
-/// solution always exists and one-ulp steps cannot jump over it.
+/// Delta d, searched in one-ulp steps from fl(cur - prev), such that
+/// prev + d rounds to exactly cur.  The naive fl(cur - prev) can miss by an
+/// ulp (the subtraction rounds).  Usually a nearby d lands, but not always:
+/// when cur's rounding interval holds no prev + d the search gives up next
+/// to cur, and capture() appends a correction delta.
 double conserved_delta(double prev, double cur) noexcept {
   double d = cur - prev;
   for (int i = 0; i < 64 && prev + d != cur; ++i) {
@@ -123,7 +122,20 @@ void LivePublisher::capture(bool final_flush) noexcept {
     d.dbytes = c.bytes - mir.bytes;
     d.dtsum = conserved_delta(mir.tsum, c.tsum);
     d.dflops = c.flops - mir.flops;
-    s.deltas.push_back(std::move(d));
+    s.deltas.push_back(d);
+    // Next to a rounding tie no delta lands at all (prev = 0x1p-53,
+    // cur = 1 + 0x1p-52: d = 1 lands on 1, the next double on 1 + 0x1p-51).
+    // A zero-count correction for the same key then closes the gap: the
+    // landed value is adjacent to cur, so cur - landed is exact and a
+    // consumer folding both deltas in order holds cur.
+    const double landed = mir.tsum + d.dtsum;
+    if (landed != c.tsum) {
+      d.dcount = 0;
+      d.dbytes = 0;
+      d.dtsum = c.tsum - landed;
+      d.dflops = 0.0;
+      s.deltas.push_back(std::move(d));
+    }
   }
   if (s.deltas.empty() && s.ddev_flops == 0.0 && s.ddev_bytes == 0.0) {
     adapt_cadence(m, t1, /*published=*/true);

@@ -12,58 +12,12 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "simcommon/jsonl.hpp"
 #include "simcommon/str.hpp"
 
 namespace ipm::live {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          out += simx::strprintf("\\u%04x", ch);
-        } else {
-          out += ch;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'r': out += '\r'; break;
-      case 'u':
-        if (i + 4 < s.size()) {
-          out += static_cast<char>(
-              std::strtoul(std::string(s.substr(i + 1, 4)).c_str(), nullptr, 16));
-          i += 4;
-        }
-        break;
-      default: out += s[i];
-    }
-  }
-  return out;
-}
 
 /// End index (one past) of the JSON value starting at `i`.  String-aware
 /// and bracket-counting, so names containing ',' '}' '[' survive.
@@ -159,7 +113,7 @@ std::uint64_t int_field(std::string_view obj, std::string_view key) {
 std::string str_field(std::string_view obj, std::string_view key) {
   std::string_view v = object_field(obj, key);
   if (v.size() >= 2 && v.front() == '"') v = v.substr(1, v.size() - 2);
-  return json_unescape(v);
+  return simx::json_unescape(v);
 }
 
 const std::string& delta_name(const KeyDelta& d) {
@@ -181,69 +135,69 @@ std::string timeseries_path(const Config& cfg) {
 }
 
 std::string timeseries_header_line(const std::string& command, double interval) {
-  return simx::strprintf("{\"ipm_timeseries\":1,\"command\":\"%s\",\"interval\":%.17g}",
-                         json_escape(command).c_str(), interval);
+  std::string out;
+  simx::JsonlWriter w(out);
+  w.lit("{\"ipm_timeseries\":1,\"command\":").str(command);
+  w.lit(",\"interval\":").num(interval).lit("}");
+  return out;
 }
 
 std::string sample_line(const Sample& s) {
-  std::string out = simx::strprintf(
-      "{\"type\":\"sample\",\"rank\":%d,\"seq\":%llu,\"t0\":%.17g,\"t1\":%.17g,"
-      "\"final\":%d",
-      s.rank, static_cast<unsigned long long>(s.seq), s.t0, s.t1,
-      s.final_flush ? 1 : 0);
-  if (s.ddev_flops != 0.0) out += simx::strprintf(",\"gf\":%.17g", s.ddev_flops);
-  if (s.ddev_bytes != 0.0) out += simx::strprintf(",\"gb\":%.17g", s.ddev_bytes);
-  out += ",\"regions\":[";
+  std::string out;
+  out.reserve(160 + 24 * s.regions.size() + 96 * s.deltas.size());
+  simx::JsonlWriter w(out);
+  w.lit("{\"type\":\"sample\",\"rank\":").num(s.rank).lit(",\"seq\":").num(s.seq);
+  w.lit(",\"t0\":").num(s.t0).lit(",\"t1\":").num(s.t1);
+  w.lit(",\"final\":").num(s.final_flush ? 1 : 0);
+  if (s.ddev_flops != 0.0) w.lit(",\"gf\":").num(s.ddev_flops);
+  if (s.ddev_bytes != 0.0) w.lit(",\"gb\":").num(s.ddev_bytes);
+  w.lit(",\"regions\":[");
   for (std::size_t i = 0; i < s.regions.size(); ++i) {
-    if (i != 0) out += ',';
-    out += '"';
-    out += json_escape(s.regions[i]);
-    out += '"';
+    if (i != 0) w.lit(",");
+    w.str(s.regions[i]);
   }
-  out += "],\"deltas\":[";
+  w.lit("],\"deltas\":[");
   for (std::size_t i = 0; i < s.deltas.size(); ++i) {
     const KeyDelta& d = s.deltas[i];
-    if (i != 0) out += ',';
-    out += simx::strprintf(
-        "{\"n\":\"%s\",\"r\":%u,\"s\":%d,\"c\":%llu,\"b\":%llu,\"t\":%.17g",
-        json_escape(delta_name(d)).c_str(), d.region, d.select,
-        static_cast<unsigned long long>(d.dcount),
-        static_cast<unsigned long long>(d.dbytes), d.dtsum);
-    if (d.dflops != 0.0) out += simx::strprintf(",\"f\":%.17g", d.dflops);
-    out += '}';
+    if (i != 0) w.lit(",");
+    w.lit("{\"n\":").str(delta_name(d)).lit(",\"r\":").num(d.region);
+    w.lit(",\"s\":").num(d.select).lit(",\"c\":").num(d.dcount);
+    w.lit(",\"b\":").num(d.dbytes).lit(",\"t\":").num(d.dtsum);
+    if (d.dflops != 0.0) w.lit(",\"f\":").num(d.dflops);
+    w.lit("}");
   }
-  out += "]}";
+  w.lit("]}");
   return out;
 }
 
 std::string point_line(const ClusterPoint& p) {
-  std::string out = simx::strprintf(
-      "{\"type\":\"point\",\"k\":%llu,\"t0\":%.17g,\"t1\":%.17g,\"ranks\":%d,"
-      "\"ranks_live\":%d,\"samples\":%llu,\"devents\":%llu,"
-      "\"mpi_s\":%.17g,\"cuda_s\":%.17g,\"gpu_s\":%.17g,\"idle_s\":%.17g,"
-      "\"blas_s\":%.17g,\"fft_s\":%.17g,\"mpi_bytes\":%llu,\"cuda_bytes\":%llu,"
-      "\"flops\":%.17g",
-      static_cast<unsigned long long>(p.k), p.t0, p.t1, p.ranks, p.ranks_live,
-      static_cast<unsigned long long>(p.samples),
-      static_cast<unsigned long long>(p.devents), p.mpi_s, p.cuda_s, p.gpu_s,
-      p.idle_s, p.blas_s, p.fft_s, static_cast<unsigned long long>(p.mpi_bytes),
-      static_cast<unsigned long long>(p.cuda_bytes), p.flops);
-  if (p.dev_flops != 0.0) out += simx::strprintf(",\"devflops\":%.17g", p.dev_flops);
-  if (p.dev_bytes != 0.0) out += simx::strprintf(",\"devbytes\":%.17g", p.dev_bytes);
-  out += ",\"regions\":[";
+  std::string out;
+  out.reserve(400 + 48 * p.region_flops.size());
+  simx::JsonlWriter w(out);
+  w.lit("{\"type\":\"point\",\"k\":").num(p.k).lit(",\"t0\":").num(p.t0);
+  w.lit(",\"t1\":").num(p.t1).lit(",\"ranks\":").num(p.ranks);
+  w.lit(",\"ranks_live\":").num(p.ranks_live).lit(",\"samples\":").num(p.samples);
+  w.lit(",\"devents\":").num(p.devents).lit(",\"mpi_s\":").num(p.mpi_s);
+  w.lit(",\"cuda_s\":").num(p.cuda_s).lit(",\"gpu_s\":").num(p.gpu_s);
+  w.lit(",\"idle_s\":").num(p.idle_s).lit(",\"blas_s\":").num(p.blas_s);
+  w.lit(",\"fft_s\":").num(p.fft_s).lit(",\"mpi_bytes\":").num(p.mpi_bytes);
+  w.lit(",\"cuda_bytes\":").num(p.cuda_bytes).lit(",\"flops\":").num(p.flops);
+  if (p.dev_flops != 0.0) w.lit(",\"devflops\":").num(p.dev_flops);
+  if (p.dev_bytes != 0.0) w.lit(",\"devbytes\":").num(p.dev_bytes);
+  w.lit(",\"regions\":[");
   for (std::size_t i = 0; i < p.region_flops.size(); ++i) {
-    if (i != 0) out += ',';
-    out += simx::strprintf("{\"name\":\"%s\",\"flops\":%.17g}",
-                           json_escape(p.region_flops[i].first).c_str(),
-                           p.region_flops[i].second);
+    if (i != 0) w.lit(",");
+    w.lit("{\"name\":").str(p.region_flops[i].first);
+    w.lit(",\"flops\":").num(p.region_flops[i].second).lit("}");
   }
-  out += "]}";
+  w.lit("]}");
   return out;
 }
 
 std::string end_line(std::uint64_t intervals) {
-  return simx::strprintf("{\"type\":\"end\",\"intervals\":%llu}",
-                         static_cast<unsigned long long>(intervals));
+  std::string out;
+  simx::JsonlWriter(out).lit("{\"type\":\"end\",\"intervals\":").num(intervals).lit("}");
+  return out;
 }
 
 bool parse_timeseries_line(const std::string& line, TimeSeries& ts) {
@@ -266,7 +220,7 @@ bool parse_timeseries_line(const std::string& line, TimeSeries& ts) {
     for (const std::string_view r : array_items(object_field(line, "regions"))) {
       std::string_view v = r;
       if (v.size() >= 2 && v.front() == '"') v = v.substr(1, v.size() - 2);
-      s.regions.push_back(json_unescape(v));
+      s.regions.push_back(simx::json_unescape(v));
     }
     for (const std::string_view dv : array_items(object_field(line, "deltas"))) {
       KeyDelta d;
@@ -351,7 +305,7 @@ bool parse_sample_line(std::string_view line, Sample& out) {
     }
     if (p >= end) return false;
     const std::string_view body(start, static_cast<std::size_t>(p - start));
-    s = escaped ? json_unescape(body) : std::string(body);
+    s = escaped ? simx::json_unescape(body) : std::string(body);
     ++p;
     return true;
   };

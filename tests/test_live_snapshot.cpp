@@ -245,6 +245,44 @@ TEST(LiveSnapshot, FullChannelDropsAreCoalescedNotLost) {
   // to check the accounting path end to end instead.
 }
 
+/// No double d lands 0x1p-53 + d on 1 + 0x1p-52: both candidates round a
+/// tie to even (d = 1 lands on 1, the next double on 1 + 0x1p-51).  The
+/// publisher must still conserve, in memory and through the sample lines.
+TEST(LiveSnapshot, UnlandableDeltaIsClosedByCorrection) {
+  simx::reset_default_context();
+  ipm::Config cfg;
+  cfg.snapshot_interval = 1e6;  // captures only when the test asks
+  cfg.timeseries_path = ::testing::TempDir() + "/live_ulp_timeseries.jsonl";
+  ipm::job_begin(cfg, "./live_ulp");
+  ipm::live::collector_stop();
+  ipm::Monitor* mon = ipm::monitor();
+  ASSERT_NE(mon, nullptr);
+  ASSERT_TRUE(mon->live());
+
+  const ipm::NameId n = ipm::intern_name("ulp_evt");
+  mon->update(n, 0x1p-53);
+  ipm::live::capture(*mon);
+  mon->update(n, 1.0);  // tsum 0x1p-53 + 1 rounds to 1
+  mon->update(n, 0x1p-52);
+  ipm::live::capture(*mon);
+  const std::vector<ipm::live::Sample> samples = ipm::live::drain(*mon);
+  const ipm::RankProfile p = mon->snapshot();
+  ASSERT_EQ(p.events.size(), 1u);
+  ASSERT_EQ(p.events[0].tsum, 1.0 + 0x1p-52);
+  ASSERT_EQ(samples.size(), 2u);
+  ASSERT_EQ(samples[1].deltas.size(), 2u);
+  EXPECT_EQ(samples[1].deltas[1].dcount, 0u);  // the correction carries no call
+  expect_conserved(p, fold_samples(samples));
+
+  std::vector<ipm::live::Sample> parsed(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::string line = ipm::live::sample_line(samples[i]);
+    ASSERT_TRUE(ipm::live::parse_sample_line(line, parsed[i])) << line;
+  }
+  expect_conserved(p, fold_samples(parsed));
+  ipm::job_end();
+}
+
 /// Drop/sample counters travel monitor -> RankProfile -> XML -> parse.
 TEST(LiveSnapshot, DropAccountingReachesProfileAndXml) {
   simx::reset_default_context();

@@ -4,8 +4,10 @@
 // sub-lanes, host-idle spans, and lifecycle markers — structurally valid
 // and with non-overlapping spans per lane.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <sstream>
@@ -54,15 +56,20 @@ void chrome_rank_body(int) {
 
 class ChromeTraceTest : public ::testing::Test {
  protected:
+  // gtest_discover_tests runs every case as its own process, each of which
+  // runs this setup, so the files are per process: under `ctest -j` a
+  // shared path would be rewritten while another process reads it.
   static void SetUpTestSuite() {
     cusim::Topology topo;
     topo.timing.init_cost = 0.0;
     cusim::configure(topo);
+    const std::string base =
+        ::testing::TempDir() + "/chrome." + std::to_string(::getpid());
     ipm::Config cfg;
     cfg.trace = true;
     cfg.trace_log2_records = 12;
-    cfg.trace_path = ::testing::TempDir() + "/chrome_trace";
-    cfg.log_path = ::testing::TempDir() + "/chrome_profile.xml";
+    cfg.trace_path = base + "_trace";
+    cfg.log_path = base + "_profile.xml";
     ipm::job_begin(cfg, "./chrome");
     mpisim::ClusterConfig cluster;
     cluster.ranks = kRanks;
@@ -72,12 +79,18 @@ class ChromeTraceTest : public ::testing::Test {
     ipm::write_xml_file(cfg.log_path, *job_);
     traces_ = new std::vector<ipm::RankTrace>(
         ipm_parse::load_job_traces(ipm::parse_xml_file(cfg.log_path), ""));
+    std::remove(cfg.log_path.c_str());
+    for (const ipm::RankProfile& r : job_->ranks) std::remove(r.trace_file.c_str());
   }
   static void TearDownTestSuite() {
     delete job_;
     delete traces_;
     job_ = nullptr;
     traces_ = nullptr;
+  }
+  void SetUp() override {
+    ASSERT_NE(job_, nullptr) << "suite setup failed";
+    ASSERT_NE(traces_, nullptr) << "suite setup failed";
   }
   static ipm::JobProfile* job_;
   static std::vector<ipm::RankTrace>* traces_;

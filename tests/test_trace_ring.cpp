@@ -3,8 +3,15 @@
 // that a saturated ring degrades the *timeline* only — hash-table profiles,
 // XML logs, and banners stay complete, with the drops reported.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <bit>
+#include <cfloat>
 #include <cstdio>
+#include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "cudasim/control.hpp"
 #include "ipm/report.hpp"
@@ -68,50 +75,108 @@ TEST(TraceRing, ClearForgetsRecordsAndDrops) {
   EXPECT_TRUE(ring.push(rec(0.0, 1.0, name)));
 }
 
+/// printf("%.17g") reference for the writer's byte-identity checks.
+std::string g17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+std::vector<std::string> file_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> out;
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  return out;
+}
+
 TEST(TraceFile, RoundTripsExactly) {
-  ipm::RankTrace t;
-  t.rank = 3;
-  t.hostname = "dirac03";
-  t.start = 0.125;
-  t.stop = 17.000000000000004;  // not representable in few digits: %.17g must hold it
-  t.drops = 7;
-  ipm::TraceSpan s;
-  s.name = "MPI_Allreduce";
-  s.region = "solve \"quoted\"";
-  s.t0 = 1.0000000000000002;
-  s.dur = 3.0000000000000004e-6;
-  s.bytes = 8000;
-  s.select = -1;
-  s.kind = ipm::TraceKind::kHost;
-  t.spans.push_back(s);
-  s.name = "@CUDA_EXEC:dgemm";
-  s.kind = ipm::TraceKind::kKernel;
-  s.select = 2;
-  t.spans.push_back(s);
-  s.kind = ipm::TraceKind::kIdle;
-  s.name = "@CUDA_HOST_IDLE";
-  t.spans.push_back(s);
-  s.kind = ipm::TraceKind::kMarker;
-  s.dur = 0.0;
-  t.spans.push_back(s);
+  ipm::RankProfile p;
+  p.rank = 3;
+  p.hostname = "dirac03";
+  p.start = 0.125;
+  p.stop = 17.000000000000004;  // not representable in few digits: %.17g must hold it
+  p.regions = {"ipm_global", "solve \"quoted\" C:\\"};
+  ipm::TraceRing ring(6);
+  ipm::TraceRecord r;
+  r.name = ipm::intern_name("MPI_Allreduce");
+  r.region = 1;
+  r.t0 = 1.0000000000000002;
+  r.dur = 3.0000000000000004e-6;
+  r.bytes = 8000;
+  r.select = -1;
+  ring.push(r);
+  r.err = 2;  // a failed call: the only line shape with "err"
+  ring.push(r);
+  r.err = 0;
+  r.name = ipm::intern_name("@CUDA_EXEC:dgemm");
+  r.kind = ipm::TraceKind::kKernel;
+  r.select = 2;
+  ring.push(r);
+  r.kind = ipm::TraceKind::kIdle;
+  r.name = ipm::intern_name("@CUDA_HOST_IDLE");
+  ring.push(r);
+  r.kind = ipm::TraceKind::kMarker;
+  r.dur = 0.0;
+  r.region = 9;  // unknown region id: written as the global region
+  ring.push(r);
+  // %.17g edge values: the line bytes match printf, the reader gets the bits back.
+  const double edges[] = {0.0,  -0.0, std::numeric_limits<double>::denorm_min(),
+                          DBL_MAX, 0.1, 1e16, 1e17, 3.0, -42.0, 123456789.0};
+  r.kind = ipm::TraceKind::kHost;
+  r.region = 0;
+  for (const double v : edges) {
+    r.t0 = v;
+    r.dur = v;
+    ring.push(r);
+  }
+  constexpr std::size_t kFixed = 5;
 
   const std::string path = ::testing::TempDir() + "/roundtrip.rank3.jsonl";
-  ipm::write_trace_file(path, t);
+  ipm::write_trace_file(path, ring, p);
+  const std::vector<std::string> lines = file_lines(path);
+  ASSERT_EQ(lines.size(), ring.size() + 1);
+  EXPECT_EQ(lines[0],
+            R"({"ipm_trace":1,"rank":3,"host":"dirac03","start":0.125,)"
+            R"("stop":17.000000000000004,"drops":0,"spans":15})");
+  EXPECT_EQ(lines[1],
+            R"({"t0":1.0000000000000002,"dur":3.0000000000000005e-06,)"
+            R"("name":"MPI_Allreduce","region":"solve \"quoted\" C:\\",)"
+            R"("bytes":8000,"select":-1,"kind":"host"})");
+  EXPECT_EQ(lines[2],
+            R"({"t0":1.0000000000000002,"dur":3.0000000000000005e-06,)"
+            R"("name":"MPI_Allreduce","region":"solve \"quoted\" C:\\",)"
+            R"("bytes":8000,"select":-1,"err":2,"kind":"host"})");
+  EXPECT_EQ(lines[5],
+            R"({"t0":1.0000000000000002,"dur":0,"name":"@CUDA_HOST_IDLE",)"
+            R"("region":"ipm_global","bytes":8000,"select":2,"kind":"marker"})");
+  for (std::size_t i = 0; i < std::size(edges); ++i) {
+    const std::string v = g17(edges[i]);
+    EXPECT_EQ(lines[kFixed + 1 + i],
+              "{\"t0\":" + v + ",\"dur\":" + v +
+                  R"(,"name":"@CUDA_HOST_IDLE","region":"ipm_global",)"
+                  R"("bytes":8000,"select":2,"kind":"host"})");
+  }
+
   const ipm::RankTrace back = ipm::read_trace_file(path);
-  EXPECT_EQ(back.rank, t.rank);
-  EXPECT_EQ(back.hostname, t.hostname);
-  EXPECT_DOUBLE_EQ(back.start, t.start);
-  EXPECT_EQ(back.stop, t.stop);  // bit-exact, not just close
-  EXPECT_EQ(back.drops, t.drops);
-  ASSERT_EQ(back.spans.size(), t.spans.size());
-  for (std::size_t i = 0; i < t.spans.size(); ++i) {
-    EXPECT_EQ(back.spans[i].name, t.spans[i].name) << i;
-    EXPECT_EQ(back.spans[i].region, t.spans[i].region) << i;
-    EXPECT_EQ(back.spans[i].t0, t.spans[i].t0) << i;
-    EXPECT_EQ(back.spans[i].dur, t.spans[i].dur) << i;
-    EXPECT_EQ(back.spans[i].bytes, t.spans[i].bytes) << i;
-    EXPECT_EQ(back.spans[i].select, t.spans[i].select) << i;
-    EXPECT_EQ(back.spans[i].kind, t.spans[i].kind) << i;
+  EXPECT_EQ(back.rank, p.rank);
+  EXPECT_EQ(back.hostname, p.hostname);
+  EXPECT_DOUBLE_EQ(back.start, p.start);
+  EXPECT_EQ(back.stop, p.stop);  // bit-exact, not just close
+  EXPECT_EQ(back.drops, 0u);
+  ASSERT_EQ(back.spans.size(), ring.size());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const ipm::TraceRecord& want = ring[i];
+    const ipm::TraceSpan& got = back.spans[i];
+    EXPECT_EQ(got.name, ipm::name_of(want.name)) << i;
+    const bool known = want.region < p.regions.size();
+    EXPECT_EQ(got.region, known ? p.regions[want.region] : "ipm_global") << i;
+    EXPECT_EQ(bits(got.t0), bits(want.t0)) << i;
+    EXPECT_EQ(bits(got.dur), bits(want.dur)) << i;
+    EXPECT_EQ(got.bytes, want.bytes) << i;
+    EXPECT_EQ(got.select, want.select) << i;
+    EXPECT_EQ(got.err, want.err) << i;
+    EXPECT_EQ(got.kind, want.kind) << i;
   }
 }
 
@@ -126,8 +191,20 @@ TEST(TraceFile, PathFormatAndErrors) {
     std::fclose(f);
   }
   EXPECT_THROW((void)ipm::read_trace_file(bogus), std::runtime_error);
-  ipm::RankTrace t;
-  EXPECT_THROW(ipm::write_trace_file("/nonexistent_dir/x.jsonl", t), std::runtime_error);
+  const ipm::TraceRing ring(4);
+  const ipm::RankProfile p;
+  EXPECT_THROW(ipm::write_trace_file("/nonexistent_dir/x.jsonl", ring, p),
+               std::runtime_error);
+}
+
+TEST(TraceFile, FullDiskFailsTheFlush) {
+  // A trace far smaller than any stream buffer: the write error surfaces
+  // only at the final flush, which must still be checked.
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "/dev/full not available";
+  ipm::TraceRing ring(4);
+  ring.push(rec(0.0, 1.0, ipm::intern_name("full_disk_event")));
+  const ipm::RankProfile p;
+  EXPECT_THROW(ipm::write_trace_file("/dev/full", ring, p), std::runtime_error);
 }
 
 // --- end-to-end saturation: profile unharmed, drops reported ----------------

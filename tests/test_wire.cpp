@@ -3,8 +3,11 @@
 // hello/welcome payload helpers, and aggregator address parsing (net.hpp).
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -275,13 +278,89 @@ void expect_samples_equal(const ipm::live::Sample& a, const ipm::live::Sample& b
   }
 }
 
+/// printf("%.17g") reference for the writer's byte-identity checks.
+std::string g17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// Pinned byte for byte: the optional gf/gb/f fields and a name holding
+/// '"' and '\\'.
+ipm::live::Sample golden_sample() {
+  ipm::live::Sample s;
+  s.rank = 1;
+  s.seq = 7;
+  s.t0 = 0.5;
+  s.t1 = 0.75;
+  s.final_flush = true;
+  s.ddev_flops = 2.5e9;
+  s.ddev_bytes = 0.1;
+  s.regions = {"ipm_global", "solve"};
+  ipm::live::KeyDelta d;
+  d.name_str = "say \"hi\" C:\\";
+  d.region = 1;
+  d.select = -1;
+  d.dcount = 3;
+  d.dbytes = 4096;
+  d.dtsum = 1.0000000000000002;
+  d.dflops = 6e9;
+  s.deltas.push_back(d);
+  d = {};
+  d.name_str = "MPI_Send";
+  d.select = 2;
+  d.dcount = 1;
+  d.dtsum = 3e-6;
+  s.deltas.push_back(d);
+  return s;
+}
+
+constexpr const char* kGoldenSampleLine =
+    R"({"type":"sample","rank":1,"seq":7,"t0":0.5,"t1":0.75,"final":1,"gf":2500000000,)"
+    R"("gb":0.10000000000000001,"regions":["ipm_global","solve"],"deltas":[)"
+    R"({"n":"say \"hi\" C:\\","r":1,"s":-1,"c":3,"b":4096,)"
+    R"("t":1.0000000000000002,"f":6000000000},)"
+    R"({"n":"MPI_Send","r":0,"s":2,"c":1,"b":0,"t":3.0000000000000001e-06}]})";
+
+/// %.17g edge values, one zero-count delta each, spanned by t0..t1.
+const double kEdges[] = {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                         DBL_MAX, 0.1, 1e16, 1e17, 3.0, -42.0, 123456789.0};
+
+ipm::live::Sample edge_sample() {
+  ipm::live::Sample s;
+  s.t0 = kEdges[0];
+  s.t1 = kEdges[std::size(kEdges) - 1];
+  for (const double v : kEdges) {
+    ipm::live::KeyDelta d;
+    d.name_str = "e";
+    d.dtsum = v;
+    s.deltas.push_back(d);
+  }
+  return s;
+}
+
+std::string edge_line() {
+  std::string want = R"({"type":"sample","rank":0,"seq":0,"t0":)" + g17(kEdges[0]) +
+                     R"(,"t1":)" + g17(kEdges[std::size(kEdges) - 1]) +
+                     R"(,"final":0,"regions":[],"deltas":[)";
+  for (std::size_t i = 0; i < std::size(kEdges); ++i) {
+    if (i != 0) want += ',';
+    want += R"({"n":"e","r":0,"s":0,"c":0,"b":0,"t":)" + g17(kEdges[i]) + "}";
+  }
+  return want + "]}";
+}
+
 /// Round-trip property: serialize -> fast parse AND serialize -> frame
 /// encode -> decode -> fast parse both reproduce every field bit-exactly,
-/// for randomized samples covering the serializer's whole surface.
+/// for a golden sample, the %.17g edge values and randomized samples
+/// covering the serializer's whole surface.
 TEST(Wire, SampleRoundTripProperty) {
+  std::vector<ipm::live::Sample> inputs = {golden_sample(), edge_sample()};
+  EXPECT_EQ(ipm::live::sample_line(inputs[0]), kGoldenSampleLine);
+  EXPECT_EQ(ipm::live::sample_line(inputs[1]), edge_line());
   std::mt19937_64 rng(20260809u);
-  for (int iter = 0; iter < 300; ++iter) {
-    const ipm::live::Sample s = random_sample(rng);
+  for (int iter = 0; iter < 300; ++iter) inputs.push_back(random_sample(rng));
+  for (const ipm::live::Sample& s : inputs) {
     const std::string line = ipm::live::sample_line(s);
 
     ipm::live::Sample fast;
