@@ -15,12 +15,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "cudasim/control.hpp"
 #include "cudasim/cuda_runtime.h"
 #include "cudasim/kernel.hpp"
 #include "ipm/hashtable.hpp"
 #include "ipm/monitor.hpp"
+#include "ipm_live/live.hpp"
 #include "simcommon/clock.hpp"
 #include "simcommon/rng.hpp"
 #include "support/harness.hpp"
@@ -146,7 +148,7 @@ void BM_MonitorUpdateTraced(benchmark::State& state) {
 BENCHMARK(BM_MonitorUpdateTraced);
 
 /// The other half of a traced event: the rank-finalize flush of a filled
-/// default-size ring (2^16 records) to its JSONL file.  `ns_per_record` is
+/// default-size ring (2^16 records) to its trace file.  `ns_per_record` is
 /// the ledger row; the file lives in the temp directory, so the figure is
 /// the encoding and write(2) cost, not the disk's.
 void BM_TraceFlush(benchmark::State& state) {
@@ -175,7 +177,7 @@ void BM_TraceFlush(benchmark::State& state) {
   p.stop = t;
   p.regions = {"ipm_global", "step"};
   const std::filesystem::path path =
-      std::filesystem::temp_directory_path() / "ipm_bm_trace_flush.rank0.jsonl";
+      std::filesystem::temp_directory_path() / "ipm_bm_trace_flush.rank0.ipmt";
   using Clock = std::chrono::steady_clock;
   double ns = 0.0;
   for (auto _ : state) {
@@ -212,6 +214,39 @@ void BM_MonitorUpdateLive(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MonitorUpdateLive);
+
+/// One live capture on the owning thread: the slot-order fold of an armed
+/// default-size table (8192 slots) holding 64 signatures, every one changed
+/// since the previous capture, into a published delta sample.  The loop
+/// drains the channel itself, as the collector would; `ns_per_capture`
+/// times the capture alone.
+void BM_LiveCapture(benchmark::State& state) {
+  simx::reset_default_context();
+  ipm::Config cfg;
+  cfg.snapshot_interval = 3600.0;  // captures only when the loop asks
+  cfg.timeseries_path =
+      (std::filesystem::temp_directory_path() / "ipm_bm_live_capture.jsonl").string();
+  ipm::job_begin(cfg, "bench");
+  ipm::live::collector_stop();
+  ipm::Monitor* mon = ipm::monitor();
+  std::vector<ipm::PreparedKey> keys;
+  for (int i = 0; i < 64; ++i) {
+    keys.push_back(ipm::prepare_key("bench_live_capture_" + std::to_string(i)));
+  }
+  using Clock = std::chrono::steady_clock;
+  double ns = 0.0;
+  for (auto _ : state) {
+    for (const ipm::PreparedKey& k : keys) mon->update(k, 1e-6, 4096, 0);
+    const Clock::time_point t0 = Clock::now();
+    ipm::live::capture(*mon);
+    ns += std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
+    benchmark::DoNotOptimize(ipm::live::drain(*mon));
+  }
+  ipm::job_end();
+  std::filesystem::remove(cfg.timeseries_path);
+  state.counters["ns_per_capture"] = benchmark::Counter(ns, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LiveCapture);
 
 /// Interning read path: re-interning an existing name (lock-free snapshot
 /// lookup; this is what dynamically named call sites pay per call).

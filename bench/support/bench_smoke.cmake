@@ -97,6 +97,7 @@ foreach(required
     BM_MonitorUpdateTraced
     BM_TraceFlush
     BM_MonitorUpdateLive
+    BM_LiveCapture
     BM_InternName
     BM_NameOf
     BM_WrappedCudaCall)

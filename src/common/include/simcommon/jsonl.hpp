@@ -1,5 +1,5 @@
-// JSONL line writer: the one encoder behind the hot JSONL lines (the
-// per-rank trace flush, live sample and cluster-point lines).  It appends
+// JSONL line writer: the one encoder behind the hot JSONL lines (live
+// sample and cluster-point lines) and the Chrome-trace strings.  It appends
 // fields to a caller-owned std::string without temporaries: integers via
 // std::to_chars, doubles via std::to_chars(general, 17) — byte for byte
 // what printf("%.17g") prints, so every double round-trips bit-exactly —

@@ -104,14 +104,24 @@ class PerfHashTable {
   [[nodiscard]] bool read_live_slot(std::size_t i, EventKey& key,
                                     EventStats& st) const noexcept;
 
-  /// Visit every occupied slot via consistent live reads;
-  /// fn(slot_index, key, stats).  Safe from a concurrent reader thread once
-  /// live snapshots are enabled.
+  /// Visit every occupied slot via consistent live reads, in slot-index
+  /// order; fn(slot_index, key, stats).  Safe from a concurrent reader
+  /// thread once live snapshots are enabled.
   template <typename Fn>
   void for_each_live(Fn&& fn) const {
+    // Pairs with enable_live_snapshots(): tags stored before it are visible.
+    (void)epochs_.load(std::memory_order_acquire);
+    auto* self = const_cast<PerfHashTable*>(this);  // atomic_ref needs non-const
     EventKey key;
     EventStats st;
     for (std::size_t i = 0; i <= mask_; ++i) {
+      // A tag never returns to empty while a reader may be attached, so one
+      // relaxed byte load skips an empty slot without its seqlock read; a
+      // slot filled meanwhile is seen by the next pass.
+      if (std::atomic_ref<std::uint8_t>(self->tags_[i]).load(std::memory_order_relaxed) ==
+          kEmpty) {
+        continue;
+      }
       if (read_live_slot(i, key, st)) fn(i, key, st);
     }
   }

@@ -58,12 +58,12 @@ struct Config {
   bool report_at_exit = false;
   /// Per-rank event tracing (trace.hpp): every monitored event additionally
   /// appends a timestamped record to a bounded ring, flushed to a per-rank
-  /// JSONL file at finalize and referenced from the XML log.
+  /// binary trace file at finalize and referenced from the XML log.
   bool trace = false;
   /// Ring holds 2^trace_log2_records records per rank (drops counted beyond).
   unsigned trace_log2_records = 16;
   /// Trace file prefix ("" derives from log_path, or "ipm_trace"); rank N
-  /// flushes to "<prefix>.rank<N>.jsonl".
+  /// flushes to "<prefix>.rank<N>.ipmt" (view with `ipm_parse --trace`).
   std::string trace_path;
   /// Fault-injection spec installed into faultsim at job_begin (see
   /// faultsim/fault.hpp for the grammar), e.g.

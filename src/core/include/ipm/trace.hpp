@@ -13,9 +13,9 @@
 // One ring per rank, written only by the owning rank thread (the monitor
 // is thread-local), so pushes are wait-free single-producer appends; the
 // ring is drained once, at rank finalize, on the same thread: the flush
-// streams the records straight into a per-rank JSONL file, resolving names
-// and regions to strings on the way, and `ipm_parse --trace` merges the
-// files into a single Chrome-tracing JSON.
+// streams the records straight into a per-rank binary file of fixed-width
+// records (names and regions go once each into tables at its head), and
+// `ipm_parse --trace` merges the files into a single Chrome-tracing JSON.
 #pragma once
 
 #include <atomic>
@@ -118,7 +118,7 @@ struct TraceSpan {
   [[nodiscard]] double t1() const noexcept { return t0 + dur; }
 };
 
-/// One rank's flushed trace (the content of one per-rank JSONL file).
+/// One rank's flushed trace (the content of one per-rank trace file).
 struct RankTrace {
   int rank = 0;
   std::string hostname;
@@ -128,20 +128,29 @@ struct RankTrace {
   std::vector<TraceSpan> spans;
 };
 
-/// Per-rank trace file path: "<prefix>.rank<N>.jsonl".
+/// Per-rank trace file path: "<prefix>.rank<N>.ipmt".
 [[nodiscard]] std::string trace_file_path(const std::string& prefix, int rank);
 
 /// Write `ring` as rank `p`'s trace file (`p` supplies rank, host,
-/// start/stop and the region names).  Format: line 1 is a header object
-/// {"ipm_trace":1,"rank":..,"host":..,"start":..,"stop":..,"drops":..,
-/// "spans":..}, then one JSON object per span, doubles as %.17g.  The
-/// records stream through one bounded buffer; every write and the close
-/// are checked, so a full disk throws std::runtime_error.
+/// start/stop and the region names).  Format, every integer little-endian
+/// and every string a u32 byte length then its bytes:
+///   "IPMTRACE", u32 version (1), i32 rank, host, f64 start, f64 stop,
+///   u64 drops, u64 spans; u32 count + the region names, then
+///   "ipm_global" for any region id past them; u32 count + the names the
+///   ring references; then `spans` records of 41 bytes each:
+///   f64 t0, f64 dur, u32 name index, u32 region index, u64 bytes,
+///   i32 select, i32 err, u8 kind.
+/// Doubles are stored as their IEEE-754 bits, so the round-trip is
+/// bit-exact.  The records stream through one bounded buffer; every write
+/// and the close are checked, so a full disk throws std::runtime_error.
 void write_trace_file(const std::string& path, const TraceRing& ring,
                       const RankProfile& p);
 
-/// Read one rank's trace file.  Throws std::runtime_error on I/O errors or
-/// malformed input.
+/// Read one rank's trace file.  Throws std::runtime_error when the file
+/// cannot be read or is not a well-formed trace: wrong magic or version, a
+/// length or count running past the end, a span count that disagrees with
+/// the file size, an unknown span kind, or a name or region index outside
+/// its table.
 [[nodiscard]] RankTrace read_trace_file(const std::string& path);
 
 }  // namespace ipm

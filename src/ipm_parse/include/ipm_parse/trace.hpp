@@ -1,7 +1,7 @@
 // Trace merging and timeline rendering (the ipm_parse side of trace.hpp).
 //
-// Each rank flushed its ring to a per-rank JSONL file referenced from the
-// XML log's <task trace="..."> attribute.  This module loads those files
+// Each rank flushed its ring to a per-rank binary trace file referenced
+// from the XML log's <task trace="..."> attribute.  This module loads those files
 // and merges them into a single Chrome-tracing JSON (chrome://tracing /
 // Perfetto: one process lane per rank, one thread lane per stream) and an
 // ASCII timeline summary for terminal-only triage.

@@ -5,6 +5,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "simcommon/jsonl.hpp"
 #include "simcommon/str.hpp"
 
 namespace ipm_parse {
@@ -13,14 +14,10 @@ namespace {
 
 using simx::strprintf;
 
-std::string json_escape(const std::string& s) {
+/// `s` as a quoted JSON string, control characters escaped.
+std::string quoted(std::string_view s) {
   std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;
-    out += c;
-  }
+  simx::JsonlWriter(out).str(s);
   return out;
 }
 
@@ -77,9 +74,8 @@ void write_chrome_trace(std::ostream& os, const std::vector<ipm::RankTrace>& tra
   };
   for (const ipm::RankTrace& t : traces) {
     emit(strprintf(
-        "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\","
-        "\"args\":{\"name\":\"rank %d (%s)\"}}",
-        t.rank, t.rank, json_escape(t.hostname).c_str()));
+        "{\"ph\":\"M\",\"pid\":%d,\"name\":\"process_name\",\"args\":{\"name\":%s}}",
+        t.rank, quoted(strprintf("rank %d (%s)", t.rank, t.hostname.c_str())).c_str()));
     // Stable viewer ordering: spans sorted by lane then start time.
     std::vector<const ipm::TraceSpan*> spans;
     spans.reserve(t.spans.size());
@@ -95,8 +91,8 @@ void write_chrome_trace(std::ostream& os, const std::vector<ipm::RankTrace>& tra
       if (s->kind == ipm::TraceKind::kMarker) {
         emit(strprintf(
             "{\"ph\":\"i\",\"pid\":%d,\"tid\":\"%s\",\"ts\":%.3f,"
-            "\"name\":\"%s\",\"s\":\"t\"}",
-            t.rank, lane.c_str(), s->t0 * 1e6, json_escape(s->name).c_str()));
+            "\"name\":%s,\"s\":\"t\"}",
+            t.rank, lane.c_str(), s->t0 * 1e6, quoted(s->name).c_str()));
         continue;
       }
       // Failed calls carry their raw error code; a distinct category makes
@@ -104,20 +100,20 @@ void write_chrome_trace(std::ostream& os, const std::vector<ipm::RankTrace>& tra
       if (s->err != 0) {
         emit(strprintf(
             "{\"ph\":\"X\",\"pid\":%d,\"tid\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,"
-            "\"name\":\"%s\",\"cat\":\"%s,error\","
-            "\"args\":{\"region\":\"%s\",\"bytes\":%llu,\"select\":%d,\"err\":%d}}",
+            "\"name\":%s,\"cat\":\"%s,error\","
+            "\"args\":{\"region\":%s,\"bytes\":%llu,\"select\":%d,\"err\":%d}}",
             t.rank, lane.c_str(), s->t0 * 1e6, s->dur * 1e6,
-            json_escape(s->name).c_str(), kind_cat(s->kind),
-            json_escape(s->region).c_str(), static_cast<unsigned long long>(s->bytes),
+            quoted(s->name).c_str(), kind_cat(s->kind),
+            quoted(s->region).c_str(), static_cast<unsigned long long>(s->bytes),
             s->select, s->err));
       } else {
         emit(strprintf(
             "{\"ph\":\"X\",\"pid\":%d,\"tid\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,"
-            "\"name\":\"%s\",\"cat\":\"%s\","
-            "\"args\":{\"region\":\"%s\",\"bytes\":%llu,\"select\":%d}}",
+            "\"name\":%s,\"cat\":\"%s\","
+            "\"args\":{\"region\":%s,\"bytes\":%llu,\"select\":%d}}",
             t.rank, lane.c_str(), s->t0 * 1e6, s->dur * 1e6,
-            json_escape(s->name).c_str(), kind_cat(s->kind),
-            json_escape(s->region).c_str(), static_cast<unsigned long long>(s->bytes),
+            quoted(s->name).c_str(), kind_cat(s->kind),
+            quoted(s->region).c_str(), static_cast<unsigned long long>(s->bytes),
             s->select));
       }
     }

@@ -1,5 +1,5 @@
 // Golden/validity tests for the merged Chrome trace: the XML log +
-// per-rank JSONL files round-trip through ipm_parse::load_job_traces into
+// per-rank trace files round-trip through ipm_parse::load_job_traces into
 // one trace-viewer document with per-rank process lanes, per-stream kernel
 // sub-lanes, host-idle spans, and lifecycle markers — structurally valid
 // and with non-overlapping spans per lane.
@@ -113,8 +113,8 @@ TEST_F(ChromeTraceTest, DocumentIsStructurallyValid) {
   const std::string doc = ss.str();
   ASSERT_FALSE(doc.empty());
   EXPECT_EQ(doc.front(), '{');
-  // Balanced braces/brackets (cheap well-formedness proxy; names contain
-  // neither thanks to json_escape).
+  // Balanced braces/brackets (cheap well-formedness proxy; the names in
+  // this run contain neither).
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '{'), std::count(doc.begin(), doc.end(), '}'));
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '['), std::count(doc.begin(), doc.end(), ']'));
   EXPECT_NE(doc.find("\"traceEvents\":["), std::string::npos);
@@ -213,6 +213,22 @@ TEST_F(ChromeTraceTest, TimelineRendersEveryRank) {
   }
   EXPECT_NE(out.find("gpu.strm0"), std::string::npos);
   EXPECT_NE(out.find("K"), std::string::npos);
+}
+
+TEST_F(ChromeTraceTest, ControlCharactersAreEscaped) {
+  ipm::RankTrace t;
+  t.hostname = "host\"1\"";
+  ipm::TraceSpan s;
+  s.name = "MPI_Send\\x";
+  s.region = "a\tb";
+  s.dur = 1e-6;
+  t.spans.push_back(s);
+  std::ostringstream ss;
+  ipm_parse::write_chrome_trace(ss, {t});
+  const std::string doc = ss.str();
+  EXPECT_NE(doc.find(R"x("args":{"name":"rank 0 (host\"1\")"})x"), std::string::npos) << doc;
+  EXPECT_NE(doc.find(R"("name":"MPI_Send\\x")"), std::string::npos) << doc;
+  EXPECT_NE(doc.find(R"("region":"a\tb")"), std::string::npos) << doc;
 }
 
 TEST_F(ChromeTraceTest, ChromeFileWriteFailsLoudly) {

@@ -7,9 +7,10 @@
 
 #include <bit>
 #include <cfloat>
-#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -75,18 +76,13 @@ TEST(TraceRing, ClearForgetsRecordsAndDrops) {
   EXPECT_TRUE(ring.push(rec(0.0, 1.0, name)));
 }
 
-/// printf("%.17g") reference for the writer's byte-identity checks.
-std::string g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-std::vector<std::string> file_lines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> out;
-  for (std::string line; std::getline(in, line);) out.push_back(line);
-  return out;
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 TEST(TraceFile, RoundTripsExactly) {
@@ -94,7 +90,7 @@ TEST(TraceFile, RoundTripsExactly) {
   p.rank = 3;
   p.hostname = "dirac03";
   p.start = 0.125;
-  p.stop = 17.000000000000004;  // not representable in few digits: %.17g must hold it
+  p.stop = 17.000000000000004;  // not representable in few digits
   p.regions = {"ipm_global", "solve \"quoted\" C:\\"};
   ipm::TraceRing ring(6);
   ipm::TraceRecord r;
@@ -105,7 +101,7 @@ TEST(TraceFile, RoundTripsExactly) {
   r.bytes = 8000;
   r.select = -1;
   ring.push(r);
-  r.err = 2;  // a failed call: the only line shape with "err"
+  r.err = 2;  // a failed call
   ring.push(r);
   r.err = 0;
   r.name = ipm::intern_name("@CUDA_EXEC:dgemm");
@@ -117,11 +113,13 @@ TEST(TraceFile, RoundTripsExactly) {
   ring.push(r);
   r.kind = ipm::TraceKind::kMarker;
   r.dur = 0.0;
-  r.region = 9;  // unknown region id: written as the global region
+  r.region = 9;  // unknown region id: read back as the global region
   ring.push(r);
-  // %.17g edge values: the line bytes match printf, the reader gets the bits back.
-  const double edges[] = {0.0,  -0.0, std::numeric_limits<double>::denorm_min(),
-                          DBL_MAX, 0.1, 1e16, 1e17, 3.0, -42.0, 123456789.0};
+  // Edge values travel as their bits, NaN payload and signed zero included.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double edges[] = {0.0,     -0.0, std::numeric_limits<double>::denorm_min(),
+                          DBL_MAX, 0.1,  1e16, 1e17, 3.0, -42.0, 123456789.0, kInf, -kInf,
+                          std::bit_cast<double>(std::uint64_t{0x7ff4'0000'dead'beef})};
   r.kind = ipm::TraceKind::kHost;
   r.region = 0;
   for (const double v : edges) {
@@ -129,42 +127,20 @@ TEST(TraceFile, RoundTripsExactly) {
     r.dur = v;
     ring.push(r);
   }
-  constexpr std::size_t kFixed = 5;
 
-  const std::string path = ::testing::TempDir() + "/roundtrip.rank3.jsonl";
+  const std::string path = ::testing::TempDir() + "/roundtrip.rank3.ipmt";
   ipm::write_trace_file(path, ring, p);
-  const std::vector<std::string> lines = file_lines(path);
-  ASSERT_EQ(lines.size(), ring.size() + 1);
-  EXPECT_EQ(lines[0],
-            R"({"ipm_trace":1,"rank":3,"host":"dirac03","start":0.125,)"
-            R"("stop":17.000000000000004,"drops":0,"spans":15})");
-  EXPECT_EQ(lines[1],
-            R"({"t0":1.0000000000000002,"dur":3.0000000000000005e-06,)"
-            R"("name":"MPI_Allreduce","region":"solve \"quoted\" C:\\",)"
-            R"("bytes":8000,"select":-1,"kind":"host"})");
-  EXPECT_EQ(lines[2],
-            R"({"t0":1.0000000000000002,"dur":3.0000000000000005e-06,)"
-            R"("name":"MPI_Allreduce","region":"solve \"quoted\" C:\\",)"
-            R"("bytes":8000,"select":-1,"err":2,"kind":"host"})");
-  EXPECT_EQ(lines[5],
-            R"({"t0":1.0000000000000002,"dur":0,"name":"@CUDA_HOST_IDLE",)"
-            R"("region":"ipm_global","bytes":8000,"select":2,"kind":"marker"})");
-  for (std::size_t i = 0; i < std::size(edges); ++i) {
-    const std::string v = g17(edges[i]);
-    EXPECT_EQ(lines[kFixed + 1 + i],
-              "{\"t0\":" + v + ",\"dur\":" + v +
-                  R"(,"name":"@CUDA_HOST_IDLE","region":"ipm_global",)"
-                  R"("bytes":8000,"select":2,"kind":"host"})");
-  }
+  const std::string bytes = file_bytes(path);
+  EXPECT_EQ(bytes.substr(0, 12), std::string("IPMTRACE\x01\0\0\0", 12));  // magic, version 1
 
   const ipm::RankTrace back = ipm::read_trace_file(path);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   EXPECT_EQ(back.rank, p.rank);
   EXPECT_EQ(back.hostname, p.hostname);
-  EXPECT_DOUBLE_EQ(back.start, p.start);
-  EXPECT_EQ(back.stop, p.stop);  // bit-exact, not just close
+  EXPECT_EQ(bits(back.start), bits(p.start));
+  EXPECT_EQ(bits(back.stop), bits(p.stop));
   EXPECT_EQ(back.drops, 0u);
   ASSERT_EQ(back.spans.size(), ring.size());
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (std::size_t i = 0; i < ring.size(); ++i) {
     const ipm::TraceRecord& want = ring[i];
     const ipm::TraceSpan& got = back.spans[i];
@@ -181,20 +157,136 @@ TEST(TraceFile, RoundTripsExactly) {
 }
 
 TEST(TraceFile, PathFormatAndErrors) {
-  EXPECT_EQ(ipm::trace_file_path("run_trace", 12), "run_trace.rank12.jsonl");
-  EXPECT_THROW((void)ipm::read_trace_file("/nonexistent/trace.jsonl"), std::runtime_error);
-  const std::string bogus = ::testing::TempDir() + "/bogus.jsonl";
-  {
-    std::FILE* f = std::fopen(bogus.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("{\"not_a_trace\":true}\n", f);
-    std::fclose(f);
+  EXPECT_EQ(ipm::trace_file_path("run_trace", 12), "run_trace.rank12.ipmt");
+  EXPECT_THROW((void)ipm::read_trace_file("/nonexistent/trace.ipmt"), std::runtime_error);
+  // A trace from the retired JSONL writer is not read as one.
+  const std::string jsonl = ::testing::TempDir() + "/old.rank3.jsonl";
+  write_bytes(jsonl,
+              R"({"ipm_trace":1,"rank":3,"host":"dirac03","start":0.125,)"
+              R"("stop":17.000000000000004,"drops":0,"spans":1})"
+              "\n"
+              R"({"t0":1.0000000000000002,"dur":3.0000000000000005e-06,)"
+              R"("name":"MPI_Allreduce","region":"ipm_global",)"
+              R"("bytes":8000,"select":-1,"kind":"host"})"
+              "\n");
+  try {
+    (void)ipm::read_trace_file(jsonl);
+    ADD_FAILURE() << "a JSONL trace was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not an IPM trace file"), std::string::npos)
+        << e.what();
   }
-  EXPECT_THROW((void)ipm::read_trace_file(bogus), std::runtime_error);
   const ipm::TraceRing ring(4);
   const ipm::RankProfile p;
-  EXPECT_THROW(ipm::write_trace_file("/nonexistent_dir/x.jsonl", ring, p),
+  EXPECT_THROW(ipm::write_trace_file("/nonexistent_dir/x.ipmt", ring, p),
                std::runtime_error);
+}
+
+// --- reader rejection wall: the file is outside input -----------------------
+
+/// Two records over a three-region (two named + the global fallback),
+/// one-name table; see write_trace_file for the layout the offsets below
+/// follow.
+std::string valid_trace(const std::string& path) {
+  ipm::RankProfile p;
+  p.rank = 1;
+  p.hostname = "node";
+  p.regions = {"ipm_global", "step"};
+  ipm::TraceRing ring(4);
+  ipm::TraceRecord r = rec(0.5, 0.25, ipm::intern_name("wall_event"));
+  ring.push(r);
+  r.region = 1;
+  r.kind = ipm::TraceKind::kKernel;
+  ring.push(r);
+  ipm::write_trace_file(path, ring, p);
+  return file_bytes(path);
+}
+
+constexpr std::size_t kRecordBytes = 41;
+constexpr std::size_t kHostLenAt = 16;   // magic 8, version 4, rank 4
+constexpr std::size_t kSpansAt = 48;     // + host (4 + 4), start, stop, drops
+constexpr std::size_t kRegionsAt = 56;   // u32 region count
+
+void put_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) bytes[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/// read_trace_file must reject `bytes` with a runtime_error naming `what`.
+void expect_rejected(const std::string& path, const std::string& bytes,
+                     const std::string& what) {
+  write_bytes(path, bytes);
+  try {
+    (void)ipm::read_trace_file(path);
+    ADD_FAILURE() << "accepted a corrupt trace (" << what << ")";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(TraceFile, ReaderRejectsTruncationAtEveryOffset) {
+  const std::string path = ::testing::TempDir() + "/wall.rank1.ipmt";
+  const std::string bytes = valid_trace(path);
+  ASSERT_EQ(ipm::read_trace_file(path).spans.size(), 2u);
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    write_bytes(path, bytes.substr(0, len));
+    EXPECT_THROW((void)ipm::read_trace_file(path), std::runtime_error) << "length " << len;
+  }
+}
+
+TEST(TraceFile, ReaderRejectsCorruptFields) {
+  const std::string path = ::testing::TempDir() + "/wall_fields.rank1.ipmt";
+  const std::string good = valid_trace(path);
+  const std::size_t records = good.size() - 2 * kRecordBytes;
+  ASSERT_EQ(good.substr(kHostLenAt + 4, 4), "node");
+  ASSERT_EQ(good[kSpansAt], 2);
+  ASSERT_EQ(good[kRegionsAt], 3);
+
+  std::string b = good;
+  b[0] = 'X';
+  expect_rejected(path, b, "not an IPM trace file");
+  b = good;
+  b[8] = 2;
+  expect_rejected(path, b, "version 2");
+  b = good;
+  b[kSpansAt] = 3;
+  expect_rejected(path, b, "spans its header counts");
+  b = good;
+  for (std::size_t i = 0; i < 8; ++i) b[kSpansAt + i] = '\xff';  // 2^64 - 1 spans
+  expect_rejected(path, b, "spans its header counts");
+  b = good;
+  put_u32(b, kHostLenAt, 0xFFFFFFFFu);
+  expect_rejected(path, b, "truncated");
+  b = good;
+  put_u32(b, kRegionsAt, 0xFFFFFFFFu);  // must fail before reserving 4G entries
+  expect_rejected(path, b, "truncated");
+  b = good;
+  b[records + kRecordBytes - 1] = 4;  // kind of record 0 past kMarker
+  expect_rejected(path, b, "unknown kind 4");
+  b = good;
+  put_u32(b, records + 16, 1);  // name index of record 0: the table holds one
+  expect_rejected(path, b, "not in its tables");
+  b = good;
+  put_u32(b, records + 20, 3);  // region index of record 0: the table holds three
+  expect_rejected(path, b, "not in its tables");
+}
+
+TEST(TraceFile, ReaderSurvivesRandomBitFlips) {
+  const std::string path = ::testing::TempDir() + "/wall_flips.rank1.ipmt";
+  const std::string good = valid_trace(path);
+  std::mt19937_64 rng(5u);
+  int rejected = 0;
+  for (int iter = 0; iter < 500; ++iter) {
+    std::string b = good;
+    const std::size_t pos = rng() % b.size();
+    b[pos] = static_cast<char>(b[pos] ^ (1 << (rng() % 8)));
+    write_bytes(path, b);
+    try {
+      (void)ipm::read_trace_file(path);  // a flipped t0 bit is still a trace
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 100);  // the flips do reach the checked fields
 }
 
 TEST(TraceFile, FullDiskFailsTheFlush) {
