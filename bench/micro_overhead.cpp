@@ -90,21 +90,22 @@ void BM_HashTableFindMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_HashTableFindMiss);
 
-/// Monitor::update by NameId: the stage-1 name mix is recomputed per call.
+/// Monitor::record with the key prepared per call from a NameId: the
+/// stage-1 name mix is recomputed every time (a dynamically named site).
 void BM_MonitorUpdate(benchmark::State& state) {
   simx::reset_default_context();
   ipm::job_begin(ipm::Config{}, "bench");
   ipm::Monitor* mon = ipm::monitor();
   const ipm::NameId name = ipm::intern_name("bench_monitor");
   for (auto _ : state) {
-    mon->update(name, 1e-6, 4096, 0);
+    mon->record(ipm::prepare_key(name), 0, 0.0, 1e-6, 4096, 0);
   }
   ipm::job_end();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MonitorUpdate);
 
-/// Monitor::update by PreparedKey: only bytes/region/select folded per call
+/// Monitor::record by PreparedKey: only bytes/region/select folded per call
 /// (the path the generated wrappers use).
 void BM_MonitorUpdatePrepared(benchmark::State& state) {
   simx::reset_default_context();
@@ -112,16 +113,16 @@ void BM_MonitorUpdatePrepared(benchmark::State& state) {
   ipm::Monitor* mon = ipm::monitor();
   const ipm::PreparedKey key = ipm::prepare_key("bench_monitor_prepared");
   for (auto _ : state) {
-    mon->update(key, 1e-6, 4096, 0);
+    mon->record(key, 0, 0.0, 1e-6, 4096, 0);
   }
   ipm::job_end();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MonitorUpdatePrepared);
 
-/// Traced variant of the prepared-key path: hash-table update plus one
-/// trace-ring append per event (the cost of Config::trace on the hot
-/// path).  Acceptance: <= 2x BM_MonitorUpdatePrepared.
+/// Traced variant of the prepared-key path: the same record() call now
+/// also appends one trace-ring record (the cost of Config::trace on the
+/// hot path).  Acceptance: <= 2x BM_MonitorUpdatePrepared.
 void BM_MonitorUpdateTraced(benchmark::State& state) {
   simx::reset_default_context();
   ipm::Config cfg;
@@ -133,8 +134,7 @@ void BM_MonitorUpdateTraced(benchmark::State& state) {
   const std::size_t cap = ring->capacity();
   std::size_t n = 0;
   for (auto _ : state) {
-    mon->update(key, 1e-6, 4096, 0);
-    mon->trace_span(key.name, 0.0, 1e-6, 4096, 0);
+    mon->record(key, 0, 0.0, 1e-6, 4096, 0);
     // Recycle the ring at capacity so every iteration measures a real
     // append, not the drop path.
     if (++n == cap) {
@@ -208,7 +208,7 @@ void BM_MonitorUpdateLive(benchmark::State& state) {
   ipm::Monitor* mon = ipm::monitor();
   const ipm::PreparedKey key = ipm::prepare_key("bench_monitor_live");
   for (auto _ : state) {
-    mon->update(key, 1e-6, 4096, 0);
+    mon->record(key, 0, 0.0, 1e-6, 4096, 0);
   }
   ipm::job_end();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -236,7 +236,7 @@ void BM_LiveCapture(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   double ns = 0.0;
   for (auto _ : state) {
-    for (const ipm::PreparedKey& k : keys) mon->update(k, 1e-6, 4096, 0);
+    for (const ipm::PreparedKey& k : keys) mon->record(k, 0, 0.0, 1e-6, 4096, 0);
     const Clock::time_point t0 = Clock::now();
     ipm::live::capture(*mon);
     ns += std::chrono::duration<double, std::nano>(Clock::now() - t0).count();
@@ -268,7 +268,7 @@ BENCHMARK(BM_NameOf);
 
 /// Full wrapped-call path: this binary is linked with --wrap, so the
 /// cudaStreamQuery below goes through the generated wrapper, the timed_call
-/// helper, and a hash-table update — the complete per-event cost.
+/// helper, and Monitor::record — the complete per-event cost.
 void BM_WrappedCudaCall(benchmark::State& state) {
   cusim::reset();
   simx::reset_default_context();

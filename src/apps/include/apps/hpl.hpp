@@ -21,9 +21,8 @@ namespace apps::hpl {
 
 /// Where the BLAS work of the update phase runs.
 enum class Backend {
-  kHost,          ///< hostblas (the "MKL" baseline)
-  kCublas,        ///< cublassim with real numerics (small problems, tests)
-  kGpuModelOnly,  ///< cost-model-only kernels named like CUBLAS's (benches)
+  kHost,    ///< hostblas (the "MKL" baseline)
+  kCublas,  ///< cublassim with real numerics (small problems, tests)
 };
 
 struct Config {

@@ -17,15 +17,15 @@
 #include "ipm/errors.hpp"
 #include "ipm/hashtable.hpp"
 #include "ipm/trace.hpp"
-
-namespace simx {
-class RankClock;
-}
+#include "simcommon/clock.hpp"
 
 namespace ipm {
 
+class Monitor;
+
 namespace live {
 class LivePublisher;
+void capture(Monitor& m) noexcept;  // live.hpp
 }
 
 /// Policy for when the kernel timing table checks for completed kernels
@@ -175,48 +175,49 @@ class Monitor {
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
 
-  /// Record one event (the UPDATE_DATA of the paper's Fig. 2 wrapper).
-  void update(NameId name, double duration, std::uint64_t bytes = 0,
-              std::int32_t select = 0) noexcept;
+  /// Record one event: the UPDATE_DATA of the paper's Fig. 2 wrapper and
+  /// the one entry point every monitored event goes through.  Folds `dur`
+  /// into the hash-table slot of (key, region, bytes, select), appends a
+  /// span carrying the *same* double to the trace ring when tracing (so
+  /// per-key span sums conserve EventStats totals), then applies the
+  /// Fig. 8 charge and the live due check.  `region` is explicit because a
+  /// deferred measurement (a KTT completion) belongs to the region that was
+  /// active at launch, not the current one.
+  void record(const PreparedKey& key, std::uint32_t region, double t0, double dur,
+              std::uint64_t bytes = 0, std::int32_t select = 0,
+              TraceKind kind = TraceKind::kHost, std::int32_t err = 0) noexcept {
+    table_.update_hashed(EventKey{key.name, region, bytes, select},
+                         EventKey::finish(key.pre, region, bytes, select), dur);
+    if (trace_ring_ != nullptr) {
+      trace_ring_->push(TraceRecord{t0, dur, key.name, region, bytes, select, err, kind});
+    }
+    // Model IPM's own perturbation of the application (Fig. 8 experiment).
+    if (cfg_.monitor_charge > 0.0) simx::current_context().clock.advance(cfg_.monitor_charge);
+    // Live telemetry: virtual time only advances on this thread, so the
+    // interval boundary is observed here.  Cost when attached but not due:
+    // two loads and one predictable branch.
+    if (live_pub_ != nullptr && clock_->now() >= live_next_due_) live::capture(*this);
+  }
 
-  /// Fast path: the name's stage-1 hash is precomputed, only the per-call
-  /// fields are folded here (see EventKey::finish).
-  void update(const PreparedKey& key, double duration, std::uint64_t bytes = 0,
-              std::int32_t select = 0) noexcept;
+  /// Status front of record() for a wrapped call in the current region.  A
+  /// call that failed (`is_error(domain, code)`) is recorded under its
+  /// per-error-code key (`name[ERR=slug]`, see errors.hpp) with ZERO bytes
+  /// credited — the work did not happen — while its duration is still
+  /// accounted and its span carries the error code.
+  void record_call(const PreparedKey& key, double t0, double dur, std::uint64_t bytes,
+                   std::int32_t select, ErrDomain domain, std::int64_t code) {
+    if (is_error(domain, code)) {
+      // Cold path: mint (or re-intern) the error key outside any lock the
+      // fast path takes.
+      record(error_key(name_of(key.name).c_str(), domain, code), region_stack_.back(), t0,
+             dur, 0, select, TraceKind::kHost, static_cast<std::int32_t>(code));
+    } else {
+      record(key, region_stack_.back(), t0, dur, bytes, select);
+    }
+  }
 
-  /// Record an event into an explicit region (deferred measurements such
-  /// as kernel-timing-table completions happened while *another* region
-  /// was active; they carry the region captured at launch time).
-  void update_in_region(NameId name, double duration, std::uint32_t region,
-                        std::uint64_t bytes = 0, std::int32_t select = 0) noexcept;
-
-  void update_in_region(const PreparedKey& key, double duration, std::uint32_t region,
-                        std::uint64_t bytes = 0, std::int32_t select = 0) noexcept;
-
-  /// True when this monitor keeps a trace ring (Config::trace).  Wrappers
-  /// branch on this before computing span arguments, so the untraced hot
-  /// path pays one predictable-branch pointer test.
+  /// True when this monitor keeps a trace ring (Config::trace).
   [[nodiscard]] bool tracing() const noexcept { return trace_ring_ != nullptr; }
-
-  /// Append one span to the trace ring (no-op without a ring).  `dur` must
-  /// be the exact duration folded into the hash table so trace sums
-  /// conserve EventStats totals.  Never blocks, never allocates.
-  void trace_span(NameId name, double t0, double dur, std::uint64_t bytes = 0,
-                  std::int32_t select = 0, TraceKind kind = TraceKind::kHost,
-                  std::int32_t err = 0) noexcept {
-    if (trace_ring_ == nullptr) return;
-    trace_span_in_region(name, t0, dur, region_stack_.back(), bytes, select, kind, err);
-  }
-
-  /// Explicit-region variant (deferred kernel-timing completions carry the
-  /// region captured at launch time, like update_in_region).
-  void trace_span_in_region(NameId name, double t0, double dur, std::uint32_t region,
-                            std::uint64_t bytes = 0, std::int32_t select = 0,
-                            TraceKind kind = TraceKind::kHost,
-                            std::int32_t err = 0) noexcept {
-    if (trace_ring_ == nullptr) return;
-    trace_ring_->push(TraceRecord{t0, dur, name, region, bytes, select, err, kind});
-  }
 
   [[nodiscard]] TraceRing* trace_ring() noexcept { return trace_ring_.get(); }
   [[nodiscard]] const TraceRing* trace_ring() const noexcept { return trace_ring_.get(); }
@@ -228,7 +229,7 @@ class Monitor {
   /// Region stack (MPI_Pcontrol-style user regions).
   void region_begin(const std::string& name);
   void region_end();
-  [[nodiscard]] std::uint32_t current_region() const noexcept;
+  [[nodiscard]] std::uint32_t current_region() const noexcept { return region_stack_.back(); }
 
   /// Hooks run at rank finalize *before* the profile snapshot (the CUDA
   /// layer drains its kernel timing table here).
@@ -304,80 +305,31 @@ JobProfile job_end();
 void trace_lifecycle_marker(const PreparedKey& key) noexcept;
 
 /// Generic Fig. 2 wrapper body: begin/end timers around the real call plus
-/// UPDATE_DATA.  Used by the generated MPI and BLAS/FFT wrappers; the CUDA
-/// layer has its own variant that additionally services the kernel timing
-/// table (ipm::cuda::timed_call).
-template <typename Fn>
-auto timed_event(NameId name, std::uint64_t bytes, std::int32_t select, Fn&& fn) {
-  Monitor* mon = monitor();
-  if (mon == nullptr) return fn();
-  const double begin = gettime();
-  if constexpr (std::is_void_v<decltype(fn())>) {
-    fn();
-    const double dur = gettime() - begin;
-    mon->update(name, dur, bytes, select);
-    if (mon->tracing()) mon->trace_span(name, begin, dur, bytes, select);
-  } else {
-    auto ret = fn();
-    const double dur = gettime() - begin;
-    mon->update(name, dur, bytes, select);
-    if (mon->tracing()) mon->trace_span(name, begin, dur, bytes, select);
-    return ret;
-  }
-}
-
-/// PreparedKey variant: the call site interns and pre-hashes the name once
-/// (static local), so the per-call path never re-mixes the name.
-template <typename Fn>
-auto timed_event(const PreparedKey& key, std::uint64_t bytes, std::int32_t select, Fn&& fn) {
-  Monitor* mon = monitor();
-  if (mon == nullptr) return fn();
-  const double begin = gettime();
-  if constexpr (std::is_void_v<decltype(fn())>) {
-    fn();
-    const double dur = gettime() - begin;
-    mon->update(key, dur, bytes, select);
-    if (mon->tracing()) mon->trace_span(key.name, begin, dur, bytes, select);
-  } else {
-    auto ret = fn();
-    const double dur = gettime() - begin;
-    mon->update(key, dur, bytes, select);
-    if (mon->tracing()) mon->trace_span(key.name, begin, dur, bytes, select);
-    return ret;
-  }
-}
-
-/// Status-checked variant: `fn`'s return value is a status in `domain`.
-/// A failing call is recorded under the per-error-code key
-/// (`name[ERR=slug]`, see errors.hpp) with ZERO bytes credited — the work
-/// did not happen — while its wall duration is still accounted so time
-/// spent in failing calls remains visible.  The error is never swallowed:
-/// the return value reaches the application unchanged.
+/// UPDATE_DATA (Monitor::record_call).  `fn`'s return value is a status in
+/// `domain`; kNone, a void return and a non-integral return (a value such
+/// as cublasSdot's float) always record a success.  The error is never
+/// swallowed: the return value reaches the application unchanged.  The CUDA
+/// layer's ipm::cuda::timed_call first services the kernel timing table.
 template <typename Fn>
 auto timed_event(const PreparedKey& key, std::uint64_t bytes, std::int32_t select,
                  ErrDomain domain, Fn&& fn) {
-  static_assert(!std::is_void_v<decltype(fn())>,
-                "status-checked timed_event requires a status return");
   Monitor* mon = monitor();
   if (mon == nullptr) return fn();
   const double begin = gettime();
-  auto ret = fn();
-  const double dur = gettime() - begin;
-  const auto code = static_cast<std::int64_t>(ret);
-  if (is_error(domain, code)) {
-    // Cold path: mint (or re-intern) the error key outside any lock the
-    // fast path takes; bytes are dropped, duration kept.
-    const PreparedKey ekey = error_key(name_of(key.name).c_str(), domain, code);
-    mon->update(ekey, dur, 0, select);
-    if (mon->tracing()) {
-      mon->trace_span(ekey.name, begin, dur, 0, select, TraceKind::kHost,
-                      static_cast<std::int32_t>(code));
-    }
+  using Ret = decltype(fn());
+  if constexpr (std::is_void_v<Ret>) {
+    fn();
+    mon->record_call(key, begin, gettime() - begin, bytes, select, domain, 0);
   } else {
-    mon->update(key, dur, bytes, select);
-    if (mon->tracing()) mon->trace_span(key.name, begin, dur, bytes, select);
+    auto ret = fn();
+    const double dur = gettime() - begin;
+    std::int64_t code = 0;
+    if constexpr (std::is_integral_v<Ret> || std::is_enum_v<Ret>) {
+      code = static_cast<std::int64_t>(ret);
+    }
+    mon->record_call(key, begin, dur, bytes, select, domain, code);
+    return ret;
   }
-  return ret;
 }
 
 }  // namespace ipm

@@ -167,42 +167,6 @@ Monitor::~Monitor() {
   if (layer_data != nullptr && layer_data_deleter) layer_data_deleter(layer_data);
 }
 
-void Monitor::update(NameId name, double duration, std::uint64_t bytes,
-                     std::int32_t select) noexcept {
-  update_in_region(name, duration, region_stack_.back(), bytes, select);
-}
-
-void Monitor::update(const PreparedKey& key, double duration, std::uint64_t bytes,
-                     std::int32_t select) noexcept {
-  update_in_region(key, duration, region_stack_.back(), bytes, select);
-}
-
-void Monitor::update_in_region(NameId name, double duration, std::uint32_t region,
-                               std::uint64_t bytes, std::int32_t select) noexcept {
-  update_in_region(prepare_key(name), duration, region, bytes, select);
-}
-
-void Monitor::update_in_region(const PreparedKey& key, double duration,
-                               std::uint32_t region, std::uint64_t bytes,
-                               std::int32_t select) noexcept {
-  EventKey full;
-  full.name = key.name;
-  full.region = region;
-  full.bytes = bytes;
-  full.select = select;
-  table_.update_hashed(full, EventKey::finish(key.pre, region, bytes, select), duration);
-  if (cfg_.monitor_charge > 0.0) {
-    // Model IPM's own perturbation of the application (Fig. 8 experiment).
-    simx::current_context().clock.advance(cfg_.monitor_charge);
-  }
-  // Live telemetry: virtual time only advances on this thread, so the
-  // interval boundary is observed here.  Cost when attached but not due:
-  // two loads and one predictable branch.
-  if (live_pub_ != nullptr && clock_->now() >= live_next_due_) {
-    live::capture(*this);
-  }
-}
-
 void Monitor::region_begin(const std::string& name) {
   // Reuse an existing region id for the same name (regions are usually
   // entered many times, e.g. once per timestep).
@@ -223,8 +187,6 @@ void Monitor::region_end() {
   }
   region_stack_.pop_back();
 }
-
-std::uint32_t Monitor::current_region() const noexcept { return region_stack_.back(); }
 
 void Monitor::add_finalize_hook(std::function<void()> hook) {
   finalize_hooks_.push_back(std::move(hook));
@@ -346,10 +308,11 @@ void flush_trace(Monitor& m, RankProfile& p) {
 }  // namespace
 
 void trace_lifecycle_marker(const PreparedKey& key) noexcept {
-  if (!has_monitor()) return;
-  Monitor* m = monitor();
+  // Markers are trace-only instants, never table events: a direct push.
+  Monitor* m = has_monitor() ? monitor() : nullptr;
   if (m == nullptr || !m->tracing()) return;
-  m->trace_span(key.name, gettime(), 0.0, 0, 0, TraceKind::kMarker);
+  m->trace_ring()->push(TraceRecord{gettime(), 0.0, key.name, m->current_region(), 0, 0, 0,
+                                    TraceKind::kMarker});
 }
 
 RankProfile rank_finalize() {

@@ -315,19 +315,10 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& wake) {
     }
     case FrameType::kSample: {
       RankState& rs = ensure_rank(f.rank);
+      // Every SAMPLE payload is a live::sample_line(); anything else is a
+      // protocol error, acked at the rank's previous epoch and not applied.
       live::Sample s;
-      bool ok = live::parse_sample_line(f.payload, s);
-      if (!ok) {
-        // Non-canonical form (hand-built frame, older writer): fall back
-        // to the generic parser before rejecting.
-        live::TimeSeries tmp;
-        live::parse_timeseries_line(f.payload, tmp);
-        if (tmp.samples.size() == 1) {
-          s = std::move(tmp.samples.front());
-          ok = true;
-        }
-      }
-      if (ok) {
+      if (live::parse_sample_line(f.payload, s)) {
         apply_sample(job, f.rank, f.epoch, std::move(s), f.payload, fb);
       } else {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);

@@ -5,19 +5,23 @@
 // of the policy helpers below.  The helpers implement the paper's three
 // mechanisms:
 //
-//  * timed_call — the Fig. 2 anatomy: begin/end timers around the real call
-//    plus UPDATE_DATA into the hash table;
+//  * timed_call — the Fig. 2 anatomy (ipm::timed_event), after polling the
+//    kernel timing table when KttPolicy::kOnEveryCall asks for it;
 //  * wrap_memcpy — direction tagging (D2H/H2D), implicit-host-blocking
 //    detection via a cudaStreamSynchronize probe (§III-C), and kernel-
 //    timing-table polling on device-to-host transfers (§III-B);
 //  * wrap_launch — kernel timing table insertion: bracket the launch with
 //    CUDA events, resolve durations later via cudaEventElapsedTime.
 //
-// All internal probe traffic uses cudasim_real_* entry points so the layer
-// never monitors itself.
+// Every event the layer produces — wrapped calls, host-idle probes and
+// kernel completions — is recorded through Monitor::record (wrapped calls
+// through its status front, Monitor::record_call), so the hash table and
+// the trace ring see the same doubles.  All internal probe traffic uses
+// cudasim_real_* entry points so the layer never monitors itself.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "cudasim/cuda_runtime.h"
 #include "ipm/monitor.hpp"
@@ -66,11 +70,6 @@ void ktt_drain(Monitor& mon);
 // --- wrapper policy helpers (called from generated code) --------------------
 
 namespace detail {
-/// UPDATE_DATA plus (when tracing) a span at `begin` with the *same*
-/// duration folded into the hash table, so trace sums conserve totals.
-void record(Monitor& mon, const PreparedKey& key, double begin, double duration,
-            std::uint64_t bytes, std::int32_t select,
-            TraceKind kind = TraceKind::kHost);
 void maybe_poll_on_call(Monitor& mon);
 void host_idle_probe(Monitor& mon, cudaStream_t stream);
 /// Claim a KTT slot and record the *start* event (before the launch).
@@ -85,49 +84,17 @@ void ktt_end(Monitor& mon, int slot, const void* func);
 /// events (the start event was recorded for work that never ran) so neither
 /// ktt_poll nor ktt_drain can observe the phantom kernel.
 void ktt_abort(Monitor& mon, int slot);
-/// Record a failed call under its per-error-code key (`base[ERR=slug]`)
-/// with zero bytes credited; the trace span carries the raw error code.
-void record_error(Monitor& mon, const PreparedKey& key, double begin, double duration,
-                  std::int32_t select, ErrDomain domain, std::int64_t code);
 }  // namespace detail
 
-/// Fig. 2: time the real call and record it under `key`.
-template <typename Fn>
-auto timed_call(const PreparedKey& key, std::uint64_t bytes, std::int32_t select, Fn&& fn) {
-  Monitor* mon = ipm::monitor();
-  if (mon == nullptr) return fn();
-  detail::maybe_poll_on_call(*mon);
-  const double begin = ipm::gettime();
-  if constexpr (std::is_void_v<decltype(fn())>) {
-    fn();
-    detail::record(*mon, key, begin, ipm::gettime() - begin, bytes, select);
-  } else {
-    auto ret = fn();
-    detail::record(*mon, key, begin, ipm::gettime() - begin, bytes, select);
-    return ret;
-  }
-}
-
-/// Status-checked variant: a failing call (per `domain`) is recorded under
-/// its per-error-code key with zero bytes credited, so failed work never
-/// pollutes the success statistics.
+/// Fig. 2: poll the kernel timing table if the policy says every call, then
+/// time the real call and record it under `key` (ipm::timed_event).
 template <typename Fn>
 auto timed_call(const PreparedKey& key, std::uint64_t bytes, std::int32_t select,
                 ErrDomain domain, Fn&& fn) {
-  static_assert(!std::is_void_v<decltype(fn())>,
-                "status-checked timed_call needs a status-returning call");
   Monitor* mon = ipm::monitor();
   if (mon == nullptr) return fn();
   detail::maybe_poll_on_call(*mon);
-  const double begin = ipm::gettime();
-  auto ret = fn();
-  const double dur = ipm::gettime() - begin;
-  if (const auto code = static_cast<std::int64_t>(ret); is_error(domain, code)) {
-    detail::record_error(*mon, key, begin, dur, select, domain, code);
-  } else {
-    detail::record(*mon, key, begin, dur, bytes, select);
-  }
-  return ret;
+  return ipm::timed_event(key, bytes, select, domain, std::forward<Fn>(fn));
 }
 
 /// Memory-transfer wrapper: direction tagging + host-idle probe (sync ops
@@ -149,12 +116,9 @@ auto wrap_memcpy(const DirNames& names, std::uint64_t bytes, Dir dir, bool sync,
   detail::maybe_poll_on_call(*mon);
   const double begin = ipm::gettime();
   auto ret = fn();
-  const double end = ipm::gettime();
-  if (const auto code = static_cast<std::int64_t>(ret); is_error(domain, code)) {
-    detail::record_error(*mon, pick(names, dir), begin, end - begin, 0, domain, code);
-  } else {
-    detail::record(*mon, pick(names, dir), begin, end - begin, bytes, 0);
-  }
+  const double dur = ipm::gettime() - begin;
+  mon->record_call(pick(names, dir), begin, dur, bytes, 0, domain,
+                   static_cast<std::int64_t>(ret));
   return ret;
 }
 
@@ -172,14 +136,16 @@ auto wrap_launch(const PreparedKey& key, const void* func, cudaStream_t stream,
   const double begin = ipm::gettime();
   const int slot = time_kernel ? detail::ktt_begin(*mon, stream) : -1;
   auto ret = fn();
-  const double end = ipm::gettime();
-  if (const auto code = static_cast<std::int64_t>(ret); is_error(domain, code)) {
-    if (slot >= 0) detail::ktt_abort(*mon, slot);
-    detail::record_error(*mon, key, begin, end - begin, 0, domain, code);
-  } else {
-    if (slot >= 0) detail::ktt_end(*mon, slot, func);
-    detail::record(*mon, key, begin, end - begin, 0, 0);
+  const double dur = ipm::gettime() - begin;
+  const auto code = static_cast<std::int64_t>(ret);
+  if (slot >= 0) {
+    if (is_error(domain, code)) {
+      detail::ktt_abort(*mon, slot);
+    } else {
+      detail::ktt_end(*mon, slot, func);
+    }
   }
+  mon->record_call(key, begin, dur, 0, 0, domain, code);
   return ret;
 }
 

@@ -153,21 +153,20 @@ void ktt_record(Monitor& mon, State& s, KttEntry& e) {
       if (s.bracket_overhead < 0.0) s.bracket_overhead = calibrate_bracket_overhead();
       duration = std::max(0.0, duration - s.bracket_overhead);
     }
+    // Span start: the absolute device start via the epoch, read only by a
+    // traced rank (an untraced record drops t0).
+    double t0 = 0.0;
+    float ms0 = 0.0F;
+    if (mon.tracing() && s.epoch != nullptr &&
+        cudasim_real_cudaEventElapsedTime(&ms0, s.epoch, e.start) == cudaSuccess) {
+      t0 = s.epoch_host + static_cast<double>(ms0) * 1e-3;
+    }
     // Attribute to the region that was active when the kernel was
     // *launched* — completion is detected much later (often in another
-    // region), but the work belongs where the launch happened.
-    mon.update_in_region(e.exec_key, duration, e.region, 0,
-                         cusim::stream_index(e.stream));
-    if (mon.tracing() && s.epoch != nullptr) {
-      float ms0 = 0.0F;
-      if (cudasim_real_cudaEventElapsedTime(&ms0, s.epoch, e.start) == cudaSuccess) {
-        // Same duration as the table update (conservation); absolute device
-        // start via the epoch.  select carries the stream for lane mapping.
-        const double t0 = s.epoch_host + static_cast<double>(ms0) * 1e-3;
-        mon.trace_span_in_region(e.exec_key.name, t0, duration, e.region, 0,
-                                 cusim::stream_index(e.stream), TraceKind::kKernel);
-      }
-    }
+    // region), but the work belongs where the launch happened.  select
+    // carries the stream for lane mapping.
+    mon.record(e.exec_key, e.region, t0, duration, 0, cusim::stream_index(e.stream),
+               TraceKind::kKernel);
     s.stats.ktt_completed += 1;
   }
   e.armed = false;
@@ -239,12 +238,6 @@ LayerStats layer_stats(Monitor& mon) { return state(mon).stats; }
 
 namespace detail {
 
-void record(Monitor& mon, const PreparedKey& key, double begin, double duration,
-            std::uint64_t bytes, std::int32_t select, TraceKind kind) {
-  mon.update(key, duration, bytes, select);
-  if (mon.tracing()) mon.trace_span(key.name, begin, duration, bytes, select, kind);
-}
-
 void maybe_poll_on_call(Monitor& mon) {
   if (mon.config().kernel_timing && mon.config().ktt_policy == KttPolicy::kOnEveryCall) {
     State& s = state(mon);
@@ -262,8 +255,8 @@ void host_idle_probe(Monitor& mon, cudaStream_t stream) {
   cudasim_real_cudaStreamSynchronize(stream);
   const double idle = ipm::gettime() - begin;
   if (idle >= kIdleThreshold) {
-    record(mon, s.idle_name, begin, idle, 0, cusim::stream_index(stream),
-           TraceKind::kIdle);
+    mon.record(s.idle_name, mon.current_region(), begin, idle, 0,
+               cusim::stream_index(stream), TraceKind::kIdle);
     s.stats.idle_recorded += 1;
   }
 }
@@ -324,16 +317,6 @@ void ktt_abort(Monitor& mon, int slot) {
   e.stream = nullptr;
   e.exec_key = PreparedKey{};
   s.stats.ktt_aborted += 1;
-}
-
-void record_error(Monitor& mon, const PreparedKey& key, double begin, double duration,
-                  std::int32_t select, ErrDomain domain, std::int64_t code) {
-  const PreparedKey ekey = error_key(name_of(key.name).c_str(), domain, code);
-  mon.update(ekey, duration, 0, select);
-  if (mon.tracing()) {
-    mon.trace_span(ekey.name, begin, duration, 0, select, TraceKind::kHost,
-                   static_cast<std::int32_t>(code));
-  }
 }
 
 }  // namespace detail

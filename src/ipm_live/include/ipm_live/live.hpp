@@ -12,7 +12,7 @@
 // XML log) plus an optional Prometheus-style exposition file rewritten
 // atomically every emitted interval.
 //
-// Capture runs on the owning rank thread, piggybacked on Monitor::update —
+// Capture runs on the owning rank thread, piggybacked on Monitor::record —
 // virtual time only advances there, so that is the one place an interval
 // boundary can be observed.  The collector never touches a table; it only
 // consumes published samples.
@@ -323,8 +323,8 @@ bool parse_timeseries_line(const std::string& line, TimeSeries& ts);
 /// Strict: accepts exactly the field order sample_line() emits (the hot
 /// ingest path of the aggregation daemon parses millions of these) and
 /// round-trips every field bit-exactly.  Returns false — with `out` in an
-/// unspecified state — on any deviation; callers then fall back to the
-/// generic parse_timeseries_line().
+/// unspecified state — on any deviation; the daemon counts such a SAMPLE
+/// payload as a protocol error and does not apply it.
 [[nodiscard]] bool parse_sample_line(std::string_view line, Sample& out);
 
 /// Estimated flops of ONE call with this event name and per-call operand

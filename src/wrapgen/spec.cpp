@@ -232,16 +232,17 @@ std::string stream_expr(const CallSpec& c) {
 
 /// Error domain of the wrapped call, derived from its return type (the spec
 /// is itself derived from the headers, so the return type is authoritative).
-/// Empty when the return value carries no error status — the wrapper then
-/// uses the plain (unchecked) helper overload.
+/// kNone when the return value carries no error status (void and value
+/// returns, nostatus queries): the helper then records every call as a
+/// success.
 std::string domain_expr(const CallSpec& c) {
-  if (c.nostatus) return "";
+  if (c.nostatus) return "ipm::ErrDomain::kNone";
   if (c.ret == "cudaError_t") return "ipm::ErrDomain::kCudaRt";
   if (c.ret == "CUresult") return "ipm::ErrDomain::kCudaDrv";
   if (c.ret == "cublasStatus") return "ipm::ErrDomain::kCublas";
   if (c.ret == "cufftResult") return "ipm::ErrDomain::kCufft";
   if (c.ret == "int" && simx::starts_with(c.name, "MPI_")) return "ipm::ErrDomain::kMpi";
-  return "";
+  return "ipm::ErrDomain::kNone";
 }
 
 /// Emit the body shared by wrap and preload modes; `real_call` is the
@@ -249,49 +250,43 @@ std::string domain_expr(const CallSpec& c) {
 std::string emit_body(const SpecFile& spec, const CallSpec& c,
                       const std::string& real_call) {
   std::string out;
-  const std::string lambda = "[&] { return " + real_call + "; }";
-  const std::string domain = domain_expr(c);
-  // Status-checked calls pass their error domain to the helper; calls with
-  // no status domain (void returns, nostatus queries) keep the plain form.
-  const std::string domain_arg = domain.empty() ? "" : domain + ", ";
+  // Every helper takes the call's error domain, then the real call.
+  const std::string tail = domain_expr(c) + ", [&] { return " + real_call + "; });\n";
   switch (c.kind) {
     case CallKind::kMemcpy:
       out += "  static const ipm::cuda::DirNames kNames = ipm::cuda::make_dir_names(\"" +
              c.name + "\");\n";
       out += "  return ipm::cuda::wrap_memcpy(kNames, static_cast<std::uint64_t>(" +
              c.bytes_expr + "), " + dir_expr(c) + ", " + (c.sync ? "true" : "false") +
-             ", " + stream_expr(c) + ", " +
-             (domain.empty() ? "ipm::ErrDomain::kNone" : domain) + ", " + lambda + ");\n";
+             ", " + stream_expr(c) + ", " + tail;
       break;
     case CallKind::kLaunch:
       out += "  static const ipm::PreparedKey kKey = ipm::prepare_key(\"" + c.name + "\");\n";
       out += "  return ipm::cuda::wrap_launch(kKey, " + c.func_arg + ", " +
-             stream_expr(c) + ", " +
-             (domain.empty() ? "ipm::ErrDomain::kNone" : domain) + ", " + lambda + ");\n";
+             stream_expr(c) + ", " + tail;
       break;
     case CallKind::kConfigure:
       out += "  static const ipm::PreparedKey kKey = ipm::prepare_key(\"" + c.name + "\");\n";
       out += "  ipm::cuda::note_configured_stream(" + c.stream_arg + ");\n";
-      out += "  return " + spec.timed_helper + "(kKey, 0, 0, " + domain_arg + lambda + ");\n";
+      out += "  return " + spec.timed_helper + "(kKey, 0, 0, " + tail;
       break;
     case CallKind::kInit:
       out += "  static const ipm::PreparedKey kKey = ipm::prepare_key(\"" + c.name + "\");\n";
       out += "  (void)ipm::monitor();  // start monitoring this rank\n";
       out += "  ipm::trace_lifecycle_marker(kKey);\n";
-      out += "  return " + spec.timed_helper + "(kKey, 0, 0, " + domain_arg + lambda + ");\n";
+      out += "  return " + spec.timed_helper + "(kKey, 0, 0, " + tail;
       break;
     case CallKind::kFinalize:
       out += "  static const ipm::PreparedKey kKey = ipm::prepare_key(\"" + c.name + "\");\n";
       out += "  ipm::trace_lifecycle_marker(kKey);\n";
-      out += "  auto ret = " + spec.timed_helper + "(kKey, 0, 0, " + domain_arg + lambda + ");\n";
+      out += "  auto ret = " + spec.timed_helper + "(kKey, 0, 0, " + tail;
       out += "  if (ipm::has_monitor()) ipm::rank_finalize();\n";
       out += "  return ret;\n";
       break;
     case CallKind::kPlain:
       out += "  static const ipm::PreparedKey kKey = ipm::prepare_key(\"" + c.name + "\");\n";
       out += "  return " + spec.timed_helper + "(kKey, static_cast<std::uint64_t>(" +
-             c.bytes_expr + "), static_cast<std::int32_t>(" + c.select_expr + "), " +
-             domain_arg + lambda + ");\n";
+             c.bytes_expr + "), static_cast<std::int32_t>(" + c.select_expr + "), " + tail;
       break;
   }
   return out;

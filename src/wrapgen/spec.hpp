@@ -26,10 +26,12 @@
 //                              error (cudaGetLastError, cudaEventQuery...):
 //                              suppress error-key accounting for this call
 //
-// Error accounting: wrappers whose return type names a known status domain
-// (cudaError_t, CUresult, cublasStatus, cufftResult, or int for MPI_*)
-// check the real call's return code and record failures under a separate
-// per-error-code hash key unless `nostatus` is given.
+// Error accounting: every wrapper passes its call's ipm::ErrDomain to the
+// helper, derived from the return type: cudaError_t, CUresult,
+// cublasStatus, cufftResult, or int for MPI_*.  The helper records a failed
+// call under a separate per-error-code hash key.  Every other return type,
+// and any call marked `nostatus`, passes ErrDomain::kNone and always
+// records a success, so one helper form serves every wrapper.
 #pragma once
 
 #include <string>

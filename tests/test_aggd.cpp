@@ -253,6 +253,54 @@ TEST(Aggd, TruncatedAndCorruptFramesRejected) {
   EXPECT_TRUE(ts.samples.empty());
 }
 
+/// Every SAMPLE payload is a live::sample_line(): a valid sample whose
+/// fields come in another order is a protocol error, acked at the rank's
+/// previous epoch and never applied.
+TEST(Aggd, ReorderedSampleFieldsAreAProtocolError) {
+  const std::string dir = test_dir("aggd_reorder");
+  const std::string sock = "unix:" + dir + "/agg.sock";
+  ipm::aggd::Options opt;
+  opt.listen = sock;
+  opt.out_dir = dir;
+  DaemonRunner runner(opt);
+  ASSERT_TRUE(runner.start());
+
+  const int fd = connect_block(sock);
+  ASSERT_GE(fd, 0);
+  Decoder dec;
+  Frame f;
+  send_all(fd, frame_bytes(FrameType::kHello, "reorder", 0, 0,
+                           ipm::live::wire::hello_payload("./reorder", 0.5)));
+  ASSERT_TRUE(read_frame(fd, dec, f));
+  ASSERT_EQ(f.type, FrameType::kWelcome);
+  send_all(fd, sample_bytes("reorder",
+                            make_sample(0, 0, 0.0, 0.5, "MPI_Bcast", 3, 96, 0.25)));
+  ASSERT_TRUE(read_frame(fd, dec, f));
+  ASSERT_EQ(f.type, FrameType::kAck);
+  EXPECT_EQ(f.epoch, 1u);
+
+  // The next sample with "seq" ahead of "rank": the same object, reordered.
+  std::string line =
+      ipm::live::sample_line(make_sample(0, 1, 0.5, 1.0, "MPI_Bcast", 1, 32, 0.125));
+  const std::string head = R"({"type":"sample","rank":0,"seq":1,)";
+  ASSERT_EQ(line.compare(0, head.size(), head), 0) << line;
+  line.replace(0, head.size(), R"({"type":"sample","seq":1,"rank":0,)");
+  send_all(fd, frame_bytes(FrameType::kSample, "reorder", 0, 2, line));
+  ASSERT_TRUE(read_frame(fd, dec, f));
+  ASSERT_EQ(f.type, FrameType::kAck);
+  EXPECT_EQ(f.epoch, 1u);  // the previous epoch: nothing applied
+  ipm::live::net::close_fd(fd);
+  runner.d.stop();
+  runner.join();
+
+  EXPECT_EQ(runner.d.protocol_errors(), 1u);
+  const auto* ranks = runner.d.job_ranks("reorder");
+  ASSERT_NE(ranks, nullptr);
+  ASSERT_EQ(ranks->size(), 1u);
+  EXPECT_EQ(ranks->at(0).samples, 1u);
+  EXPECT_EQ(ranks->at(0).last_epoch, 1u);
+}
+
 /// Two concurrent jobs multiplexed into one daemon, with a mid-stream
 /// reconnect on one of them: per-job separation (files, merge, prom
 /// labels), epoch resume via WELCOME, and duplicate resends deduplicated.

@@ -183,14 +183,14 @@ TEST(LiveSnapshot, InMemoryDeltaConservation) {
   ASSERT_TRUE(mon->live());
 
   simx::Xoshiro256 rng(42);
-  const ipm::NameId names[3] = {ipm::intern_name("live_a"), ipm::intern_name("live_b"),
-                                ipm::intern_name("live_c")};
+  const ipm::PreparedKey names[3] = {ipm::prepare_key("live_a"), ipm::prepare_key("live_b"),
+                                     ipm::prepare_key("live_c")};
   std::vector<ipm::live::Sample> samples;
   for (int i = 0; i < 400; ++i) {
     // Irregular virtual-time progress across many interval boundaries.
     simx::host_compute(0.01 + 1e-4 * static_cast<double>(rng.uniform_u64(100)));
-    const ipm::NameId n = names[rng.uniform_u64(3)];
-    mon->update(n, 1e-5 + 1e-7 * static_cast<double>(rng.uniform_u64(97)),
+    const ipm::PreparedKey n = names[rng.uniform_u64(3)];
+    mon->record(n, 0, 0.0, 1e-5 + 1e-7 * static_cast<double>(rng.uniform_u64(97)),
                 rng.uniform_u64(4) * 256, static_cast<std::int32_t>(rng.uniform_u64(2)));
     if (i % 64 == 0) {
       // Drain mid-run too: conservation must hold across partial folds.
@@ -224,11 +224,11 @@ TEST(LiveSnapshot, FullChannelDropsAreCoalescedNotLost) {
   ASSERT_NE(mon, nullptr);
   ASSERT_TRUE(mon->live());
 
-  const ipm::NameId n = ipm::intern_name("drop_evt");
+  const ipm::PreparedKey n = ipm::prepare_key("drop_evt");
   constexpr int kCaptures = 16;
   for (int i = 0; i < kCaptures; ++i) {
     simx::host_compute(0.5);
-    mon->update(n, 1e-4, 0, 0);
+    mon->record(n, 0, 0.0, 1e-4);
     ipm::live::capture(*mon);  // nobody drains: channel fills after 4
   }
   ipm::live::final_flush(*mon);  // bypasses the full channel
@@ -259,11 +259,11 @@ TEST(LiveSnapshot, UnlandableDeltaIsClosedByCorrection) {
   ASSERT_NE(mon, nullptr);
   ASSERT_TRUE(mon->live());
 
-  const ipm::NameId n = ipm::intern_name("ulp_evt");
-  mon->update(n, 0x1p-53);
+  const ipm::PreparedKey n = ipm::prepare_key("ulp_evt");
+  mon->record(n, 0, 0.0, 0x1p-53);
   ipm::live::capture(*mon);
-  mon->update(n, 1.0);  // tsum 0x1p-53 + 1 rounds to 1
-  mon->update(n, 0x1p-52);
+  mon->record(n, 0, 0.0, 1.0);  // tsum 0x1p-53 + 1 rounds to 1
+  mon->record(n, 0, 0.0, 0x1p-52);
   ipm::live::capture(*mon);
   const std::vector<ipm::live::Sample> samples = ipm::live::drain(*mon);
   const ipm::RankProfile p = mon->snapshot();
@@ -297,10 +297,10 @@ TEST(LiveSnapshot, DropAccountingReachesProfileAndXml) {
   mpisim::run_cluster(cluster, [](int) {
     MPI_Init(nullptr, nullptr);
     ipm::Monitor* mon = ipm::monitor();
-    const ipm::NameId n = ipm::intern_name("acct_evt");
+    const ipm::PreparedKey n = ipm::prepare_key("acct_evt");
     for (int i = 0; i < 12; ++i) {
       simx::host_compute(0.25);
-      mon->update(n, 1e-4, 0, 0);
+      mon->record(n, 0, 0.0, 1e-4);
       ipm::live::capture(*mon);
     }
     MPI_Finalize();
@@ -494,13 +494,13 @@ TEST(LiveSnapshot, AdaptiveCadenceWidensUnderPressureAndRecovers) {
   ipm::Monitor* mon = ipm::monitor();
   ASSERT_NE(mon, nullptr);
   EXPECT_EQ(ipm::live::backoff_factor(*mon), 1u);
-  const ipm::NameId n = ipm::intern_name("adaptive_evt");
+  const ipm::PreparedKey n = ipm::prepare_key("adaptive_evt");
   std::vector<ipm::live::Sample> samples;
   // Nobody drains: occupancy crosses the 3/4 high-water mark, publishes get
   // refused, and the grid multiplier doubles to its x64 cap.
   for (int i = 0; i < 12; ++i) {
     simx::host_compute(0.5);
-    mon->update(n, 1e-4, 0, 0);
+    mon->record(n, 0, 0.0, 1e-4);
     ipm::live::capture(*mon);
   }
   EXPECT_EQ(ipm::live::backoff_factor(*mon), 64u);
@@ -509,7 +509,7 @@ TEST(LiveSnapshot, AdaptiveCadenceWidensUnderPressureAndRecovers) {
   for (int i = 0; i < 12; ++i) {
     for (ipm::live::Sample& s : ipm::live::drain(*mon)) samples.push_back(std::move(s));
     simx::host_compute(0.5);
-    mon->update(n, 1e-4, 0, 0);
+    mon->record(n, 0, 0.0, 1e-4);
     ipm::live::capture(*mon);
   }
   EXPECT_EQ(ipm::live::backoff_factor(*mon), 1u);
@@ -529,7 +529,7 @@ TEST(LiveSnapshot, AdaptiveCadenceWidensUnderPressureAndRecovers) {
   mon = ipm::monitor();
   for (int i = 0; i < 12; ++i) {
     simx::host_compute(0.5);
-    mon->update(n, 1e-4, 0, 0);
+    mon->record(n, 0, 0.0, 1e-4);
     ipm::live::capture(*mon);
   }
   EXPECT_EQ(ipm::live::backoff_factor(*mon), 1u);
@@ -559,7 +559,7 @@ TEST(LiveSnapshot, DeviceCounterGroundTruthMatchesFlopsEstimate) {
       "dgemm_sim",
       {.flops_per_thread = kFlopsPerCall, .dram_bytes_per_thread = 3.0 * 8 * kN * kN},
       nullptr};
-  const ipm::NameId name = ipm::intern_name("cublasDgemm");
+  const ipm::PreparedKey name = ipm::prepare_key("cublasDgemm");
   std::vector<ipm::live::Sample> samples;
   constexpr int kCalls = 24;
   for (int i = 0; i < kCalls; ++i) {
@@ -567,7 +567,7 @@ TEST(LiveSnapshot, DeviceCounterGroundTruthMatchesFlopsEstimate) {
     // registers the cusim-backed GpuProbe (one rank per node reports).
     cusim::launch(gemm, dim3{1, 1, 1}, dim3{1, 1, 1}, [](const cusim::LaunchGeom&) {});
     simx::host_compute(0.1);
-    mon->update(name, 1e-3, 8 * kN * kN, 0);
+    mon->record(name, 0, 0.0, 1e-3, 8 * kN * kN, 0);
     if (i % 5 == 4) {
       ipm::live::capture(*mon);
       for (ipm::live::Sample& s : ipm::live::drain(*mon)) samples.push_back(std::move(s));

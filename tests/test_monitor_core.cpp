@@ -36,10 +36,10 @@ TEST(MonitorCore, DisabledJobYieldsNoMonitor) {
 
 TEST(MonitorCore, UpdateAggregatesIntoSnapshot) {
   ipm::Monitor& m = fresh();
-  const ipm::NameId name = ipm::intern_name("MPI_Send");
-  m.update(name, 0.25, 1024, 1);
-  m.update(name, 0.75, 1024, 1);
-  m.update(name, 0.10, 2048, 1);  // other byte size merges in the snapshot
+  const ipm::PreparedKey name = ipm::prepare_key("MPI_Send");
+  m.record(name, 0, 0.0, 0.25, 1024, 1);
+  m.record(name, 0, 0.0, 0.75, 1024, 1);
+  m.record(name, 0, 0.0, 0.10, 2048, 1);  // other byte size merges in the snapshot
   const ipm::RankProfile p = ipm::rank_finalize();
   ipm::job_end();
   ASSERT_EQ(p.events.size(), 1u);
@@ -53,9 +53,9 @@ TEST(MonitorCore, UpdateAggregatesIntoSnapshot) {
 }
 
 // Regression oracle for the tagged SoA hash table + staged hashing: a
-// randomized event stream, alternating the NameId and PreparedKey update
-// paths, must aggregate exactly like a naive std::map keyed on the merged
-// snapshot signature (name, region, select).
+// randomized event stream, alternating a key prepared per call from the
+// NameId with one prepared once, must aggregate exactly like a naive
+// std::map keyed on the merged snapshot signature (name, region, select).
 TEST(MonitorCore, RandomStreamMatchesMapOracle) {
   ipm::Config cfg;
   cfg.table_log2_slots = 6;  // 64 slots — small, but the stream stays under it
@@ -84,9 +84,9 @@ TEST(MonitorCore, RandomStreamMatchesMapOracle) {
     const std::uint64_t bytes = (1 + rng.uniform_u64(4)) * 4096;
     const double dur = static_cast<double>(1 + rng.uniform_u64(1000)) * 1e-6;
     if (i % 2 == 0) {
-      m.update(ids[which], dur, bytes, select);
+      m.record(ipm::prepare_key(ids[which]), 0, 0.0, dur, bytes, select);
     } else {
-      m.update(prepared[which], dur, bytes, select);
+      m.record(prepared[which], 0, 0.0, dur, bytes, select);
     }
     Agg& a = oracle[{names[which], 0, select}];
     if (a.count == 0) {
@@ -120,11 +120,11 @@ TEST(MonitorCore, RandomStreamMatchesMapOracle) {
 
 TEST(MonitorCore, RegionsAttributeEvents) {
   ipm::Monitor& m = fresh();
-  const ipm::NameId name = ipm::intern_name("cudaMemcpy(D2H)");
-  m.update(name, 1.0);
+  const ipm::PreparedKey name = ipm::prepare_key("cudaMemcpy(D2H)");
+  m.record(name, m.current_region(), 0.0, 1.0);
   m.region_begin("solver");
   EXPECT_EQ(m.current_region(), 1u);
-  m.update(name, 2.0);
+  m.record(name, m.current_region(), 0.0, 2.0);
   m.region_begin("solver");  // same name reuses the id
   EXPECT_EQ(m.current_region(), 1u);
   m.region_end();
@@ -140,13 +140,13 @@ TEST(MonitorCore, RegionsAttributeEvents) {
 
 TEST(MonitorCore, FamilyClassification) {
   ipm::Monitor& m = fresh();
-  m.update(ipm::intern_name("MPI_Allreduce"), 1.0);
-  m.update(ipm::intern_name("cudaMemcpy(H2D)"), 2.0);
-  m.update(ipm::intern_name("cuMemcpyDtoH"), 0.5);
-  m.update(ipm::intern_name("cublasDgemm"), 4.0);
-  m.update(ipm::intern_name("cufftExecZ2Z"), 8.0);
-  m.update(ipm::intern_name("@CUDA_EXEC:square"), 16.0, 0, 0);
-  m.update(ipm::intern_name("@CUDA_HOST_IDLE"), 32.0);
+  m.record(ipm::prepare_key("MPI_Allreduce"), 0, 0.0, 1.0);
+  m.record(ipm::prepare_key("cudaMemcpy(H2D)"), 0, 0.0, 2.0);
+  m.record(ipm::prepare_key("cuMemcpyDtoH"), 0, 0.0, 0.5);
+  m.record(ipm::prepare_key("cublasDgemm"), 0, 0.0, 4.0);
+  m.record(ipm::prepare_key("cufftExecZ2Z"), 0, 0.0, 8.0);
+  m.record(ipm::prepare_key("@CUDA_EXEC:square"), 0, 0.0, 16.0);
+  m.record(ipm::prepare_key("@CUDA_HOST_IDLE"), 0, 0.0, 32.0);
   const ipm::RankProfile p = ipm::rank_finalize();
   ipm::job_end();
   EXPECT_DOUBLE_EQ(p.time_in("MPI"), 1.0);
@@ -163,15 +163,15 @@ TEST(MonitorCore, MonitorChargePerturbsVirtualTime) {
   cfg.monitor_charge = 0.001;
   ipm::Monitor& m = fresh(cfg);
   const double before = simx::virtual_now();
-  for (int i = 0; i < 10; ++i) m.update(ipm::intern_name("x_charge"), 1e-6);
+  for (int i = 0; i < 10; ++i) m.record(ipm::prepare_key("x_charge"), 0, 0.0, 1e-6);
   EXPECT_NEAR(simx::virtual_now() - before, 0.010, 1e-12);
   ipm::job_end();
 }
 
 TEST(MonitorCore, TimedEventRecordsDuration) {
   fresh();
-  const ipm::NameId name = ipm::intern_name("timed_thing");
-  const int ret = ipm::timed_event(name, 42, 0, [] {
+  const ipm::PreparedKey name = ipm::prepare_key("timed_thing");
+  const int ret = ipm::timed_event(name, 42, 0, ipm::ErrDomain::kNone, [] {
     simx::host_compute(0.5);
     return 7;
   });
@@ -210,11 +210,11 @@ TEST(MonitorCore, ConfigFromEnv) {
 ipm::JobProfile sample_job() {
   ipm::Monitor& m = fresh({}, "./sample_app");
   m.set_mem_bytes(1ULL << 30);
-  m.update(ipm::intern_name("MPI_Send"), 1.0, 4096, 2);
-  m.update(ipm::intern_name("cudaMemcpy(D2H)"), 2.5, 800000, 0);
-  m.update(ipm::intern_name("@CUDA_EXEC:square"), 2.4, 0, 0);
+  m.record(ipm::prepare_key("MPI_Send"), 0, 0.0, 1.0, 4096, 2);
+  m.record(ipm::prepare_key("cudaMemcpy(D2H)"), 0, 0.0, 2.5, 800000, 0);
+  m.record(ipm::prepare_key("@CUDA_EXEC:square"), 0, 0.0, 2.4);
   m.region_begin("io");
-  m.update(ipm::intern_name("MPI_Send"), 0.5, 64, 1);
+  m.record(ipm::prepare_key("MPI_Send"), m.current_region(), 0.0, 0.5, 64, 1);
   m.region_end();
   simx::host_compute(10.0);
   ipm::rank_finalize();
@@ -300,8 +300,9 @@ TEST(CApi, RegionsAndMemHint) {
   simx::reset_default_context();
   ipm::job_begin(ipm::Config{}, "./capi");
   ipm_region_begin("step");
-  EXPECT_EQ(ipm::monitor()->current_region(), 1u);
-  ipm::monitor()->update(ipm::intern_name("work_in_region"), 0.5);
+  ipm::Monitor* mon = ipm::monitor();
+  EXPECT_EQ(mon->current_region(), 1u);
+  mon->record(ipm::prepare_key("work_in_region"), mon->current_region(), 0.0, 0.5);
   ipm_region_end();
   EXPECT_EQ(ipm::monitor()->current_region(), 0u);
   ipm_region_begin(nullptr);  // tolerated, named "(unnamed)"

@@ -28,20 +28,22 @@ constexpr int kRanks = 2;
 
 /// Workload designed to light up every lane type: kernels on two streams,
 /// an async kernel followed by a synchronous D2H copy (forces a host-idle
-/// wait well above the 5 us threshold), and MPI traffic.
+/// wait well above the 5 us threshold), and MPI traffic.  No ASSERT before
+/// the last barrier: a rank returning early leaves the others waiting in
+/// MPI_Barrier forever.
 void chrome_rank_body(int) {
   MPI_Init(nullptr, nullptr);
   cudaStream_t s1 = nullptr;
-  ASSERT_EQ(cudaStreamCreate(&s1), cudaSuccess);
+  EXPECT_EQ(cudaStreamCreate(&s1), cudaSuccess);
   cusim::KernelDef def;
   def.name = "chrome_kernel";
   def.cost.fixed_us = 500.0;
   void* dev = nullptr;
-  ASSERT_EQ(cudaMalloc(&dev, 4096), cudaSuccess);
+  EXPECT_EQ(cudaMalloc(&dev, 4096), cudaSuccess);
   char host[4096];
   for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(cusim::launch_timed(def, dim3(1), dim3(32)), cudaSuccess);
-    ASSERT_EQ(cusim::launch_timed(def, dim3(1), dim3(32), s1), cudaSuccess);
+    EXPECT_EQ(cusim::launch_timed(def, dim3(1), dim3(32)), cudaSuccess);
+    EXPECT_EQ(cusim::launch_timed(def, dim3(1), dim3(32), s1), cudaSuccess);
     // The kernels are still running: this sync copy blocks the host far
     // beyond the idle threshold -> @CUDA_HOST_IDLE spans.
     cudaMemcpy(host, dev, sizeof host, cudaMemcpyDeviceToHost);

@@ -106,10 +106,10 @@ TEST(TraceConcurrency, PerRankRingsNeverInterleave) {
   cluster.ranks_per_node = 4;
   mpisim::run_cluster(cluster, [](int rank) {
     MPI_Init(nullptr, nullptr);
-    const ipm::NameId mine =
-        ipm::intern_name(simx::strprintf("rank%d_only_event", rank));
+    const ipm::PreparedKey mine =
+        ipm::prepare_key(simx::strprintf("rank%d_only_event", rank));
     for (int i = 0; i < kEventsPerRank; ++i) {
-      ipm::timed_event(mine, static_cast<std::uint64_t>(rank), rank,
+      ipm::timed_event(mine, static_cast<std::uint64_t>(rank), rank, ipm::ErrDomain::kNone,
                        [] { simx::host_compute(1e-4); });
       if (i % 10 == 0) MPI_Barrier(MPI_COMM_WORLD);
     }
