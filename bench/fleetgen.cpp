@@ -171,12 +171,11 @@ JobLoad build_job(int j, const Params& p) {
       if (k == p.samples / 2 && r == p.ranks / 2) mid_frame_end = load.stream.size();
     }
   }
+  const std::uint64_t samples = static_cast<std::uint64_t>(p.samples);
   for (int r = 0; r < p.ranks; ++r) {
-    char fin[64];
-    std::snprintf(fin, sizeof fin, "{\"samples\":%d,\"drops\":0}", p.samples);
     load.stream += frame_bytes(FrameType::kRankFin, load.id,
-                               static_cast<std::uint32_t>(r),
-                               static_cast<std::uint64_t>(p.samples) + 1, fin);
+                               static_cast<std::uint32_t>(r), samples + 1,
+                               ipm::live::wire::rank_fin_payload(samples, 0));
   }
   load.stream += frame_bytes(FrameType::kJobEnd, load.id, 0, 0, "");
   if (p.chaos_every > 0 && j % p.chaos_every == 0 && mid_frame_end > 7) {

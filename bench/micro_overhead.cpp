@@ -1,9 +1,10 @@
 // EXP-M1 — measures the *real* CPU cost of the monitoring machinery with
 // google-benchmark: hash-table updates, name interning, the full wrapped-
-// call path, kernel-launch wrapping (KTT insertion), and the host-idle
-// probe.  These are the nanoseconds-per-event numbers behind the paper's
-// "<0.5 % perturbation" claim (§II) and the 0.21 % dilatation of Fig. 8;
-// the measured figure feeds Config::monitor_charge in the Fig. 8 harness.
+// call path, kernel-launch wrapping (KTT insertion), the host-idle probe,
+// and the read path of live sample lines.  These are the
+// nanoseconds-per-event numbers behind the paper's "<0.5 % perturbation"
+// claim (§II) and the 0.21 % dilatation of Fig. 8; the measured figure
+// feeds Config::monitor_charge in the Fig. 8 harness.
 //
 // Results are also written to BENCH_hotpath.json (ipm-bench-v1 schema, see
 // bench/support/harness.hpp) so the hot-path perf trajectory is tracked
@@ -247,6 +248,61 @@ void BM_LiveCapture(benchmark::State& state) {
   state.counters["ns_per_capture"] = benchmark::Counter(ns, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_LiveCapture);
+
+/// A fig9_hpl-shaped sample line with `deltas` deltas: 6 is a rank's final
+/// flush (~0.7 KB), 29 a steady-state one-second interval (~2.7 KB).
+std::string fig9_sample_line(int deltas) {
+  static const char* const kNames[] = {
+      "MPI_Bcast",   "cudaMemcpyAsync(H2D)", "cudaEventSynchronize",
+      "cublasDgemm", "@CUDA_EXEC:dgemm_nn_e_kernel", "cudaLaunch"};
+  simx::Xoshiro256 rng(17);
+  ipm::live::Sample s;
+  s.rank = 11;
+  s.seq = 14;
+  s.t0 = 14.002848332340061;
+  s.t1 = 15.011841505435445;
+  s.ddev_flops = 42481790976.0;
+  s.ddev_bytes = 4019257344.0;
+  s.regions = {"ipm_global"};
+  for (int i = 0; i < deltas; ++i) {
+    ipm::live::KeyDelta d;
+    d.name_str = kNames[i % 6];
+    d.select = i / 6;
+    d.dcount = 1 + rng.uniform_u64(256);
+    d.dbytes = rng.uniform_u64(1ULL << 30);
+    d.dtsum = rng.uniform(0.0, 0.1);
+    if (i % 6 == 3) d.dflops = rng.uniform(0.0, 1e12);
+    s.deltas.push_back(std::move(d));
+  }
+  return ipm::live::sample_line(s);
+}
+
+/// The daemon's per-SAMPLE parse: one sample line into a fresh Sample.
+void BM_ParseSampleLine(benchmark::State& state) {
+  const std::string line = fig9_sample_line(static_cast<int>(state.range(0)));
+  ipm::live::Sample s;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ipm::live::parse_sample_line(line, s));
+    benchmark::DoNotOptimize(s.deltas.data());
+  }
+  state.counters["bytes"] = static_cast<double>(line.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ParseSampleLine)->Arg(6)->Arg(29);
+
+/// The same lines through the time-series line dispatcher (file reader,
+/// --follow, the daemon's tail transport).
+void BM_ParseTimeSeriesLine(benchmark::State& state) {
+  const std::string line = fig9_sample_line(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    ipm::live::TimeSeries ts;
+    benchmark::DoNotOptimize(ipm::live::parse_timeseries_line(line, ts));
+    benchmark::DoNotOptimize(ts.samples.data());
+  }
+  state.counters["bytes"] = static_cast<double>(line.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ParseTimeSeriesLine)->Arg(6)->Arg(29);
 
 /// Interning read path: re-interning an existing name (lock-free snapshot
 /// lookup; this is what dynamically named call sites pay per call).

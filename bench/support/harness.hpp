@@ -17,6 +17,7 @@
 #include "ipm/report.hpp"
 #include "mpisim/cluster.hpp"
 #include "simcommon/clock.hpp"
+#include "simcommon/jsonl.hpp"
 
 namespace benchx {
 
@@ -88,48 +89,29 @@ struct BenchResult {
   std::vector<std::pair<std::string, double>> counters;
 };
 
-namespace detail {
-
-inline std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // names never need these
-    out += c;
-  }
-  return out;
-}
-
-inline std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-}  // namespace detail
-
-/// Write `results` to `path` in the ipm-bench-v1 schema.  Returns false if
-/// the file cannot be written.
+/// Write `results` to `path` in the ipm-bench-v1 schema; a non-finite value
+/// is written as 0.  Returns false if the file cannot be written.
 inline bool write_bench_json(const std::string& path, const std::string& suite,
                              const std::vector<BenchResult>& results) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << "{\n  \"schema\": \"ipm-bench-v1\",\n  \"suite\": \""
-      << detail::json_escape(suite) << "\",\n  \"benchmarks\": [";
+  const auto finite = [](double v) { return std::isfinite(v) ? v : 0.0; };
+  std::string text;
+  simx::JsonlWriter w(text);
+  w.lit("{\n  \"schema\": \"ipm-bench-v1\",\n  \"suite\": ").str(suite);
+  w.lit(",\n  \"benchmarks\": [");
   for (std::size_t i = 0; i < results.size(); ++i) {
     const BenchResult& r = results[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << detail::json_escape(r.name)
-        << "\", \"iterations\": " << r.iterations
-        << ", \"ns_per_op\": " << detail::json_number(r.ns_per_op) << ", \"counters\": {";
+    w.lit(i == 0 ? "\n    {\"name\": " : ",\n    {\"name\": ").str(r.name);
+    w.lit(", \"iterations\": ").num(r.iterations);
+    w.lit(", \"ns_per_op\": ").num(finite(r.ns_per_op)).lit(", \"counters\": {");
     for (std::size_t k = 0; k < r.counters.size(); ++k) {
-      out << (k == 0 ? "" : ", ") << "\"" << detail::json_escape(r.counters[k].first)
-          << "\": " << detail::json_number(r.counters[k].second);
+      w.lit(k == 0 ? "" : ", ").str(r.counters[k].first);
+      w.lit(": ").num(finite(r.counters[k].second));
     }
-    out << "}}";
+    w.lit("}}");
   }
-  out << "\n  ]\n}\n";
+  w.lit("\n  ]\n}\n");
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
   return static_cast<bool>(out);
 }
 

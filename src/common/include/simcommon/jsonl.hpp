@@ -1,13 +1,17 @@
-// JSONL line writer: the one encoder behind the hot JSONL lines (live
-// sample and cluster-point lines) and the Chrome-trace strings.  It appends
-// fields to a caller-owned std::string without temporaries: integers via
-// std::to_chars, doubles via std::to_chars(general, 17) — byte for byte
-// what printf("%.17g") prints, so every double round-trips bit-exactly —
-// and JSON-escaped strings.
+// JSONL line codec: the one encoder behind every JSONL line and wire
+// payload (time-series lines, HELLO/WELCOME/RANK_FIN payloads, the spill
+// file's strings, ipm-bench-v1) and the Chrome-trace strings, and the strict
+// cursor every reader of those bytes is built on.  The writer appends fields
+// to a caller-owned std::string without temporaries: integers via
+// std::to_chars, doubles via std::to_chars(general, 17) — byte for byte what
+// printf("%.17g") prints, so every double round-trips bit-exactly — and
+// JSON-escaped strings.  A reader calls JsonlReader in its writer's field
+// order, so it accepts exactly the bytes that writer emits.
 #pragma once
 
 #include <charconv>
 #include <concepts>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -47,7 +51,90 @@ class JsonlWriter {
   std::string& out_;
 };
 
-/// Inverse of JsonlWriter::str's escaping, for a string body without quotes.
-[[nodiscard]] std::string json_unescape(std::string_view s);
+/// Strict cursor over bytes a JsonlWriter wrote.  lit(), num() and str()
+/// each consume one field and return true, or return false and leave the
+/// cursor where it was, so lit() doubles as a probe for optional fields.  A
+/// line is read only when every byte was consumed (done()).
+class JsonlReader {
+ public:
+  explicit JsonlReader(std::string_view s) noexcept
+      : p_(s.data()), end_(s.data() + s.size()) {}
+
+  bool lit(std::string_view s) noexcept {
+    if (static_cast<std::size_t>(end_ - p_) < s.size() ||
+        std::memcmp(p_, s.data(), s.size()) != 0) {
+      return false;
+    }
+    p_ += s.size();
+    return true;
+  }
+
+  /// An integer or a double, as JsonlWriter::num wrote it.
+  template <typename T>
+    requires std::integral<T> || std::same_as<T, double>
+  bool num(T& v) noexcept {
+    const auto [np, ec] = std::from_chars(p_, end_, v);
+    if (ec != std::errc()) return false;
+    p_ = np;
+    return true;
+  }
+
+  /// Inverse of JsonlWriter::str: a quoted string holding only the escapes
+  /// it writes and no raw control character.
+  bool str(std::string& s) {
+    if (p_ == end_ || *p_ != '"') return false;
+    s.clear();
+    const char* run = p_ + 1;  // start of the pending unescaped run
+    for (const char* q = run; q != end_; ++q) {
+      const auto c = static_cast<unsigned char>(*q);
+      if (c == '"') {
+        s.append(run, q);
+        p_ = q + 1;
+        return true;
+      }
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      s.append(run, q);
+      if (++q == end_) return false;
+      switch (*q) {
+        case '"': s += '"'; break;
+        case '\\': s += '\\'; break;
+        case 'n': s += '\n'; break;
+        case 't': s += '\t'; break;
+        case 'r': s += '\r'; break;
+        case 'u': {
+          unsigned code = 0;
+          if (end_ - q < 5 || q[1] != '0' || q[2] != '0' ||
+              std::from_chars(q + 3, q + 5, code, 16).ptr != q + 5) {
+            return false;
+          }
+          s += static_cast<char>(code);
+          q += 4;
+          break;
+        }
+        default: return false;
+      }
+      run = q + 1;
+    }
+    return false;
+  }
+
+  /// The items of an array whose '[' was consumed: "]" or
+  /// "item(,item)*]", each read by `item()`.
+  template <typename F>
+  bool list(F&& item) {
+    if (lit("]")) return true;
+    do {
+      if (!item()) return false;
+    } while (lit(","));
+    return lit("]");
+  }
+
+  [[nodiscard]] bool done() const noexcept { return p_ == end_; }
+
+ private:
+  const char* p_;
+  const char* end_;
+};
 
 }  // namespace simx

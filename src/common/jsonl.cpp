@@ -1,7 +1,5 @@
 #include "simcommon/jsonl.hpp"
 
-#include <cstdlib>
-
 namespace simx {
 
 JsonlWriter& JsonlWriter::str(std::string_view s) {
@@ -28,32 +26,6 @@ JsonlWriter& JsonlWriter::str(std::string_view s) {
   out_.append(s.substr(run));
   out_ += '"';
   return *this;
-}
-
-std::string json_unescape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '\\' || i + 1 >= s.size()) {
-      out += s[i];
-      continue;
-    }
-    ++i;
-    switch (s[i]) {
-      case 'n': out += '\n'; break;
-      case 't': out += '\t'; break;
-      case 'r': out += '\r'; break;
-      case 'u':
-        if (i + 4 < s.size()) {
-          out += static_cast<char>(
-              std::strtoul(std::string(s.substr(i + 1, 4)).c_str(), nullptr, 16));
-          i += 4;
-        }
-        break;
-      default: out += s[i];
-    }
-  }
-  return out;
 }
 
 }  // namespace simx

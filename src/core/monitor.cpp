@@ -7,6 +7,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <tuple>
 
 #include "ipm/report.hpp"
 #include "ipm_live/live.hpp"
@@ -227,8 +228,14 @@ RankProfile Monitor::snapshot() const {
   });
   p.events.reserve(merged.size());
   for (auto& [k, rec] : merged) p.events.push_back(std::move(rec));
+  // Ties on tsum break by name, region, select: NameId order would depend
+  // on which rank thread interned a name first.
   std::sort(p.events.begin(), p.events.end(),
-            [](const EventRecord& a, const EventRecord& b) { return a.tsum > b.tsum; });
+            [](const EventRecord& a, const EventRecord& b) {
+              if (a.tsum != b.tsum) return a.tsum > b.tsum;
+              return std::tie(a.name, a.region, a.select) <
+                     std::tie(b.name, b.region, b.select);
+            });
   return p;
 }
 

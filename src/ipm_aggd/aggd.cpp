@@ -21,6 +21,7 @@
 
 #include "aggd_util.hpp"
 #include "ipm_live/live.hpp"
+#include "simcommon/jsonl.hpp"
 #include "simcommon/str.hpp"
 
 namespace ipm::aggd {
@@ -29,10 +30,9 @@ using live::wire::Frame;
 using live::wire::FrameType;
 
 using detail::kFleetStride;
-using detail::payload_command;
-using detail::payload_interval;
-using detail::payload_u64;
 using detail::prom_escape;
+using detail::read_hello;
+using detail::read_rank_fin_drops;
 using detail::sanitize;
 using detail::tail_job_id;
 
@@ -49,31 +49,6 @@ std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string line_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    if (ch == '\\') out += "\\\\";
-    else if (ch == '\n') out += "\\n";
-    else out += ch;
-  }
-  return out;
-}
-
-std::string line_unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      out += s[i] == 'n' ? '\n' : s[i];
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -382,7 +357,9 @@ void Daemon::finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
   }
   if (epoch > rs.last_epoch) rs.last_epoch = epoch;
   rs.finalized = true;
-  rs.drops = payload_u64(payload, "drops");
+  if (!read_rank_fin_drops(payload, rs.drops)) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  }
   st.merger->finalize_rank(static_cast<int>(rank));
   fb.fin_ranks.push_back(static_cast<int>(job.fleet_base + rank));
 }
@@ -454,8 +431,9 @@ void Daemon::spill_job(Job& job) {
                  job.spill_path.c_str());
     return;
   }
-  os << "ipm-aggd-spill-v1\n";
-  os << "command " << line_escape(st.command) << '\n';
+  std::string command_line;
+  simx::JsonlWriter(command_line).lit("command ").str(st.command);
+  os << "ipm-aggd-spill-v1\n" << command_line << '\n';
   os << "ranks " << st.ranks.size() << '\n';
   for (const auto& [rank, rs] : st.ranks) {
     os << simx::strprintf("rank %u %llu %llu %llu %llu %d\n", rank,
@@ -488,8 +466,11 @@ void Daemon::rehydrate_job(Job& job) {
   bool ok = static_cast<bool>(is);
   std::string line;
   if (ok) ok = std::getline(is, line) && line == "ipm-aggd-spill-v1";
-  if (ok) ok = std::getline(is, line) && line.compare(0, 8, "command ") == 0;
-  if (ok) st.command = line_unescape(line.substr(8));
+  if (ok) {
+    ok = static_cast<bool>(std::getline(is, line));
+    simx::JsonlReader r(line);
+    ok = ok && r.lit("command ") && r.str(st.command) && r.done();
+  }
   std::size_t nranks = 0;
   if (ok) {
     ok = std::getline(is, line) &&
@@ -576,9 +557,12 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
   };
   switch (f.type) {
     case FrameType::kHello: {
-      Job& job = remember(get_or_create_job(f.job, payload_command(f.payload),
-                                            payload_interval(f.payload)),
-                          f.job);
+      std::string command;
+      double interval = 0.0;
+      if (!read_hello(f.payload, command, interval)) {
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      }
+      Job& job = remember(get_or_create_job(f.job, command, interval), f.job);
       Work w;
       w.frame = std::move(f);
       w.reply = ses.out;
@@ -769,8 +753,8 @@ void Daemon::pump_tails() {
         break;
       }
       live::TimeSeries tmp;
-      const bool more = live::parse_timeseries_line(line, tmp);
-      if (!more) {  // {"type":"end"}: the stream is complete
+      const live::LineKind kind = live::parse_timeseries_line(line, tmp);
+      if (kind == live::LineKind::kEnd) {  // the stream is complete
         Job* job = nullptr;
         {
           const std::lock_guard<std::mutex> lock(jobs_mu_);
@@ -786,11 +770,11 @@ void Daemon::pump_tails() {
         t.done = true;
         break;
       }
-      if (tmp.interval > 0.0 && tmp.samples.empty() && tmp.points.empty()) {
-        get_or_create_job(t.job, tmp.command, tmp.interval);  // header line
-        continue;
-      }
-      if (tmp.samples.size() == 1) {
+      if (kind == live::LineKind::kRejected) {
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      } else if (kind == live::LineKind::kHeader) {
+        get_or_create_job(t.job, tmp.command, tmp.interval);
+      } else if (kind == live::LineKind::kSample) {
         const live::Sample& s = tmp.samples.front();
         Job& job = get_or_create_job(t.job, "?", 0.0);
         // The file carries no epochs; seq+1 is the same monotone epoch the

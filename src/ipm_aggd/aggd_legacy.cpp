@@ -20,10 +20,9 @@ using live::wire::Frame;
 using live::wire::FrameType;
 
 using detail::kFleetStride;
-using detail::payload_command;
-using detail::payload_interval;
-using detail::payload_u64;
 using detail::prom_escape;
+using detail::read_hello;
+using detail::read_rank_fin_drops;
 using detail::sanitize;
 using detail::tail_job_id;
 
@@ -122,7 +121,7 @@ void LegacyDaemon::finalize_rank(Job& job, std::uint32_t rank,
   }
   if (epoch > rs.last_epoch) rs.last_epoch = epoch;
   rs.finalized = true;
-  rs.drops = payload_u64(payload, "drops");
+  if (!read_rank_fin_drops(payload, rs.drops)) protocol_errors_ += 1;
   job.merger->finalize_rank(static_cast<int>(rank));
   fleet_.finalize_rank(static_cast<int>(job.fleet_base + rank));
   prom_dirty_ = true;
@@ -196,8 +195,10 @@ void LegacyDaemon::end_job(Job& job) {
 void LegacyDaemon::on_frame(Session& ses, const Frame& f) {
   switch (f.type) {
     case FrameType::kHello: {
-      Job& job = get_job(f.job, payload_command(f.payload),
-                         payload_interval(f.payload));
+      std::string command;
+      double interval = 0.0;
+      if (!read_hello(f.payload, command, interval)) protocol_errors_ += 1;
+      Job& job = get_job(f.job, command, interval);
       // WELCOME: per-rank resume epochs, so the client prunes everything
       // already applied and resends only the rest.
       std::vector<std::pair<std::uint32_t, std::uint64_t>> epochs;
@@ -214,11 +215,9 @@ void LegacyDaemon::on_frame(Session& ses, const Frame& f) {
     }
     case FrameType::kSample: {
       Job& job = get_job(f.job, "?", 0.0);
-      live::TimeSeries tmp;
-      live::parse_timeseries_line(f.payload, tmp);
-      if (tmp.samples.size() == 1) {
-        apply_sample(job, f.rank, f.epoch, std::move(tmp.samples.front()),
-                     f.payload);
+      live::Sample s;
+      if (live::parse_sample_line(f.payload, s)) {
+        apply_sample(job, f.rank, f.epoch, std::move(s), f.payload);
       } else {
         protocol_errors_ += 1;  // SAMPLE payload that is not a sample line
       }
@@ -314,18 +313,18 @@ void LegacyDaemon::pump_tails() {
         break;
       }
       live::TimeSeries tmp;
-      const bool more = live::parse_timeseries_line(line, tmp);
-      if (!more) {  // {"type":"end"}: the stream is complete
+      const live::LineKind kind = live::parse_timeseries_line(line, tmp);
+      if (kind == live::LineKind::kEnd) {  // the stream is complete
         const auto it = jobs_.find(t.job);
         if (it != jobs_.end()) end_job(it->second);
         t.done = true;
         break;
       }
-      if (tmp.interval > 0.0 && tmp.samples.empty() && tmp.points.empty()) {
-        get_job(t.job, tmp.command, tmp.interval);  // header line
-        continue;
-      }
-      if (tmp.samples.size() == 1) {
+      if (kind == live::LineKind::kRejected) {
+        protocol_errors_ += 1;
+      } else if (kind == live::LineKind::kHeader) {
+        get_job(t.job, tmp.command, tmp.interval);
+      } else if (kind == live::LineKind::kSample) {
         live::Sample& s = tmp.samples.front();
         Job& job = get_job(t.job, "?", 0.0);
         const auto rank = static_cast<std::uint32_t>(s.rank);

@@ -3,11 +3,9 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "simcommon/str.hpp"
+#include "ipm_live/wire.hpp"
 
 namespace ipm::aggd::detail {
 
@@ -40,28 +38,23 @@ inline std::string prom_escape(const std::string& s) {
   return out;
 }
 
-inline double payload_interval(const std::string& p) {
-  const char* s = std::strstr(p.c_str(), "\"interval\":");
-  const double v = s != nullptr ? std::strtod(s + 11, nullptr) : 0.0;
-  return v > 0.0 ? v : 1.0;
+/// Command and interval of a HELLO payload; false, with the defaults
+/// command "?" and interval 1.0, when its reader rejects the payload.
+inline bool read_hello(const std::string& payload, std::string& command,
+                       double& interval) {
+  if (live::wire::parse_hello(payload, command, interval)) return true;
+  command = "?";
+  interval = 1.0;
+  return false;
 }
 
-inline std::string payload_command(const std::string& p) {
-  const char* s = std::strstr(p.c_str(), "\"command\":\"");
-  if (s == nullptr) return "?";
-  s += 11;
-  std::string out;
-  for (; *s != '\0' && *s != '"'; ++s) {
-    if (*s == '\\' && s[1] != '\0') ++s;
-    out += *s;
-  }
-  return out;
-}
-
-inline std::uint64_t payload_u64(const std::string& p, const char* key) {
-  const std::string pat = simx::strprintf("\"%s\":", key);
-  const char* s = std::strstr(p.c_str(), pat.c_str());
-  return s != nullptr ? std::strtoull(s + pat.size(), nullptr, 10) : 0;
+/// Drops of a RANK_FIN payload; false, with 0 drops, when its reader
+/// rejects the payload.
+inline bool read_rank_fin_drops(const std::string& payload, std::uint64_t& drops) {
+  std::uint64_t samples = 0;
+  if (live::wire::parse_rank_fin(payload, samples, drops)) return true;
+  drops = 0;
+  return false;
 }
 
 /// Job id for a tailed file: basename minus ".jsonl" and "_timeseries".

@@ -88,9 +88,7 @@ class SocketSink final : public SampleSink {
     f.rank = p.rank;
     f.epoch = p.epoch;
     f.job = job_;
-    f.payload = simx::strprintf("{\"samples\":%llu,\"drops\":%llu}",
-                                static_cast<unsigned long long>(samples),
-                                static_cast<unsigned long long>(drops));
+    f.payload = wire::rank_fin_payload(samples, drops);
     p.bytes = wire::encode(f);
     if (state_ == State::kStreaming) outbuf_ += p.bytes;
     unacked_.push_back(std::move(p));

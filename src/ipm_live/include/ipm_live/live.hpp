@@ -303,29 +303,44 @@ struct TimeSeries {
   std::vector<Sample> samples;
 };
 
+/// Read a whole time-series file, stopping at its end trailer.  Throws
+/// std::runtime_error when the first line is not a header or when any later
+/// line is rejected by parse_timeseries_line — a torn last line, which a
+/// crashed writer leaves, included — naming it as "<path>:<line>: ...".
 [[nodiscard]] TimeSeries read_timeseries_file(const std::string& path);
 
-/// Serialization used by the collector (exposed for tests).
+// Line codec: one writer per line kind (simx::JsonlWriter underneath) and
+// one strict reader mirroring it field by field.  A reader accepts exactly
+// the bytes its writer emits and returns false — its outputs then in an
+// unspecified state — on anything else, a proper prefix included.
+
 [[nodiscard]] std::string timeseries_header_line(const std::string& command,
                                                  double interval);
+[[nodiscard]] bool parse_header_line(std::string_view line, std::string& command,
+                                     double& interval);
+
+/// The aggregation daemon's hot ingest path parses millions of these, and
+/// counts a SAMPLE payload this rejects as a protocol error.
 [[nodiscard]] std::string sample_line(const Sample& s);
-[[nodiscard]] std::string point_line(const ClusterPoint& p);
-/// Trailer written when a stream completes ({"type":"end",...}); readers
-/// ignore it except `ipm_parse --follow`, which uses it to terminate.
-[[nodiscard]] std::string end_line(std::uint64_t intervals);
-
-/// Parse one JSONL record into `ts` (sample/point appended; header fills
-/// command/interval; "end" returns false = stream complete; unknown types
-/// are ignored).  Incremental form of read_timeseries_file for --follow.
-bool parse_timeseries_line(const std::string& line, TimeSeries& ts);
-
-/// Fast single-pass parse of a canonical sample_line() record into `out`.
-/// Strict: accepts exactly the field order sample_line() emits (the hot
-/// ingest path of the aggregation daemon parses millions of these) and
-/// round-trips every field bit-exactly.  Returns false — with `out` in an
-/// unspecified state — on any deviation; the daemon counts such a SAMPLE
-/// payload as a protocol error and does not apply it.
 [[nodiscard]] bool parse_sample_line(std::string_view line, Sample& out);
+
+[[nodiscard]] std::string point_line(const ClusterPoint& p);
+[[nodiscard]] bool parse_point_line(std::string_view line, ClusterPoint& out);
+
+/// Trailer written when a stream completes ({"type":"end",...}); readers
+/// stop at it, and `ipm_parse --follow` uses it to terminate.
+[[nodiscard]] std::string end_line(std::uint64_t intervals);
+[[nodiscard]] bool parse_end_line(std::string_view line, std::uint64_t& intervals);
+
+/// What parse_timeseries_line found on a line.
+enum class LineKind { kHeader, kSample, kPoint, kEnd, kRejected };
+
+/// Parse one time-series line into `ts` with the reader of its kind: a
+/// header fills command/interval, a sample or point is appended, an end
+/// trailer changes nothing.  Any other line — malformed, torn or of an
+/// unknown type — is kRejected and leaves `ts` unchanged.  Incremental form
+/// of read_timeseries_file for --follow and the daemon's tail transport.
+[[nodiscard]] LineKind parse_timeseries_line(std::string_view line, TimeSeries& ts);
 
 /// Estimated flops of ONE call with this event name and per-call operand
 /// bytes (the paper's §III-D byte counts: m*n*esize for BLAS-3, n*esize

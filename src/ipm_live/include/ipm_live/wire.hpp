@@ -21,14 +21,21 @@
 // idempotent (no delta is ever double-counted).
 //
 // Frames flowing client -> daemon:
-//   kHello     payload {"ipm_agg":1,"command":...,"interval":...}
-//   kSample    payload = sample_line() JSON (self-describing deltas)
-//   kRankFin   rank finished (its final-flush samples precede this frame)
+//   kHello     payload hello_payload(): {"ipm_agg":1,"command":..,"interval":..}
+//   kSample    payload sample_line() JSON (self-describing deltas)
+//   kRankFin   rank finished (its final-flush samples precede this frame);
+//              payload rank_fin_payload(): {"samples":..,"drops":..}, or
+//              empty from the file-tail transport
 //   kJobEnd    client is done with the job; daemon flushes and acks
 // Frames flowing daemon -> client:
-//   kWelcome   payload {"ranks":[{"rank":..,"epoch":..},..]} — resume state
+//   kWelcome   payload welcome_payload(): {"ranks":[{"rank":..,"epoch":..},..]}
+//              — resume state
 //   kAck       header epoch = highest applied epoch for header rank
 //   kJobEndAck job outputs are durable; client may close
+//
+// Every payload is written by simx::JsonlWriter and read back by a strict
+// mirror on simx::JsonlReader that accepts exactly the writer's bytes; the
+// daemon counts a payload its reader rejects as a protocol error.
 //
 // The decoder is a strict incremental parser: a frame whose length field
 // is out of range, whose version is unknown, or whose job_len overruns the
@@ -39,6 +46,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ipm::live::wire {
@@ -99,17 +107,26 @@ class Decoder {
   std::string error_;
 };
 
-// --- tiny helpers shared by client and daemon -------------------------------
+// --- payload codec shared by client and daemon ------------------------------
+// Each parse_* returns false, with its outputs unspecified, on any bytes its
+// writer does not emit.
 
 /// Payload of a kHello frame.
 [[nodiscard]] std::string hello_payload(const std::string& command, double interval);
+[[nodiscard]] bool parse_hello(std::string_view payload, std::string& command,
+                               double& interval);
 
 /// Payload of a kWelcome frame from per-rank resume epochs.
 [[nodiscard]] std::string welcome_payload(
     const std::vector<std::pair<std::uint32_t, std::uint64_t>>& epochs);
-
-/// Parse a kWelcome payload ((rank, epoch) pairs; empty on malformed input).
+/// (rank, epoch) pairs of a kWelcome payload; empty when it is rejected.
 [[nodiscard]] std::vector<std::pair<std::uint32_t, std::uint64_t>> parse_welcome(
-    const std::string& payload);
+    std::string_view payload);
+
+/// Payload of a kRankFin frame.
+[[nodiscard]] std::string rank_fin_payload(std::uint64_t samples, std::uint64_t drops);
+/// Also accepts the empty payload of the file-tail transport, as zeros.
+[[nodiscard]] bool parse_rank_fin(std::string_view payload, std::uint64_t& samples,
+                                  std::uint64_t& drops);
 
 }  // namespace ipm::live::wire

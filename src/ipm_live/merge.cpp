@@ -11,6 +11,7 @@
 #include <ostream>
 
 #include "ipm/key.hpp"
+#include "simcommon/jsonl.hpp"
 #include "simcommon/str.hpp"
 
 namespace ipm::live {
@@ -153,33 +154,6 @@ void JobMerger::emit_all(int ranks_live, std::vector<ClusterPoint>& out) {
 
 namespace {
 
-// Spill lines are newline-delimited, so region names only need '\\' and
-// '\n' escaped to stay line-safe.
-std::string spill_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    if (ch == '\\') out += "\\\\";
-    else if (ch == '\n') out += "\\n";
-    else out += ch;
-  }
-  return out;
-}
-
-std::string spill_unescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      ++i;
-      out += s[i] == 'n' ? '\n' : s[i];
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 using Ull = unsigned long long;
 
 }  // namespace
@@ -210,8 +184,9 @@ void JobMerger::serialize(std::ostream& os) const {
         b.blas_s, b.fft_s, b.flops, b.dev_flops, b.dev_bytes);
     for (const int r : b.ranks) os << "brank " << r << "\n";
     for (const auto& [name, fl] : b.region_flops) {
-      os << simx::strprintf("bregion %.17g %s\n", fl,
-                            spill_escape(name).c_str());
+      std::string line;
+      simx::JsonlWriter(line).lit("bregion ").num(fl).lit(" ").str(name);
+      os << line << '\n';
     }
   }
   os << "merger_end\n";
@@ -249,10 +224,7 @@ bool JobMerger::deserialize(std::istream& is) {
       t.events = u2;
       t.samples = u3;
     } else if (line.compare(0, 5, "last ") == 0) {
-      TimeSeries ts;
-      parse_timeseries_line(line.substr(5), ts);
-      if (ts.points.size() != 1) return false;
-      last_ = std::move(ts.points.front());
+      if (!parse_point_line(std::string_view(line).substr(5), last_)) return false;
     } else if (line.compare(0, 3, "wm ") == 0) {
       int rank = 0;
       double wm = 0.0;
@@ -276,12 +248,13 @@ bool JobMerger::deserialize(std::istream& is) {
     } else if (line.compare(0, 6, "brank ") == 0) {
       if (cur == nullptr) return false;
       cur->ranks.insert(std::atoi(line.c_str() + 6));
-    } else if (line.compare(0, 8, "bregion ") == 0) {
-      if (cur == nullptr) return false;
-      char* endp = nullptr;
-      const double fl = std::strtod(line.c_str() + 8, &endp);
-      if (endp == nullptr || *endp != ' ') return false;
-      cur->region_flops[spill_unescape(endp + 1)] = fl;
+    } else if (simx::JsonlReader r(line); r.lit("bregion ")) {
+      double fl = 0.0;
+      std::string name;
+      if (cur == nullptr || !r.num(fl) || !r.lit(" ") || !r.str(name) || !r.done()) {
+        return false;
+      }
+      cur->region_flops[std::move(name)] = fl;
     } else {
       return false;
     }

@@ -3,11 +3,7 @@
 #include "ipm_live/live.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -18,103 +14,6 @@
 namespace ipm::live {
 
 namespace {
-
-/// End index (one past) of the JSON value starting at `i`.  String-aware
-/// and bracket-counting, so names containing ',' '}' '[' survive.
-std::size_t value_end(std::string_view s, std::size_t i) {
-  if (i >= s.size()) return i;
-  if (s[i] == '"') {
-    for (std::size_t j = i + 1; j < s.size(); ++j) {
-      if (s[j] == '\\') {
-        ++j;
-      } else if (s[j] == '"') {
-        return j + 1;
-      }
-    }
-    return s.size();
-  }
-  if (s[i] == '{' || s[i] == '[') {
-    int depth = 0;
-    bool in_str = false;
-    for (std::size_t j = i; j < s.size(); ++j) {
-      const char c = s[j];
-      if (in_str) {
-        if (c == '\\') ++j;
-        else if (c == '"') in_str = false;
-      } else if (c == '"') {
-        in_str = true;
-      } else if (c == '{' || c == '[') {
-        ++depth;
-      } else if (c == '}' || c == ']') {
-        if (--depth == 0) return j + 1;
-      }
-    }
-    return s.size();
-  }
-  std::size_t j = i;
-  while (j < s.size() && s[j] != ',' && s[j] != '}' && s[j] != ']') ++j;
-  return j;
-}
-
-std::size_t skip_ws(std::string_view s, std::size_t i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t')) ++i;
-  return i;
-}
-
-/// Raw text of top-level field `key` in the object `obj` ("" if absent).
-std::string_view object_field(std::string_view obj, std::string_view key) {
-  std::size_t i = obj.find('{');
-  if (i == std::string_view::npos) return {};
-  ++i;
-  while (i < obj.size()) {
-    i = skip_ws(obj, i);
-    if (i >= obj.size() || obj[i] == '}') break;
-    if (obj[i] != '"') return {};
-    const std::size_t kend = value_end(obj, i);
-    const std::string_view k = obj.substr(i + 1, kend - i - 2);
-    i = skip_ws(obj, kend);
-    if (i >= obj.size() || obj[i] != ':') return {};
-    i = skip_ws(obj, i + 1);
-    const std::size_t vend = value_end(obj, i);
-    if (k == key) return obj.substr(i, vend - i);
-    i = skip_ws(obj, vend);
-    if (i < obj.size() && obj[i] == ',') ++i;
-  }
-  return {};
-}
-
-/// Top-level elements of the array text `arr` (including "[...]").
-std::vector<std::string_view> array_items(std::string_view arr) {
-  std::vector<std::string_view> out;
-  std::size_t i = arr.find('[');
-  if (i == std::string_view::npos) return out;
-  ++i;
-  while (i < arr.size()) {
-    i = skip_ws(arr, i);
-    if (i >= arr.size() || arr[i] == ']') break;
-    const std::size_t vend = value_end(arr, i);
-    out.push_back(arr.substr(i, vend - i));
-    i = skip_ws(arr, vend);
-    if (i < arr.size() && arr[i] == ',') ++i;
-  }
-  return out;
-}
-
-double num_field(std::string_view obj, std::string_view key, double dflt = 0.0) {
-  const std::string_view v = object_field(obj, key);
-  return v.empty() ? dflt : std::strtod(std::string(v).c_str(), nullptr);
-}
-
-std::uint64_t int_field(std::string_view obj, std::string_view key) {
-  const std::string_view v = object_field(obj, key);
-  return v.empty() ? 0 : std::strtoull(std::string(v).c_str(), nullptr, 10);
-}
-
-std::string str_field(std::string_view obj, std::string_view key) {
-  std::string_view v = object_field(obj, key);
-  if (v.size() >= 2 && v.front() == '"') v = v.substr(1, v.size() - 2);
-  return simx::json_unescape(v);
-}
 
 const std::string& delta_name(const KeyDelta& d) {
   return d.name_str.empty() ? name_of(d.name) : d.name_str;
@@ -200,169 +99,111 @@ std::string end_line(std::uint64_t intervals) {
   return out;
 }
 
-bool parse_timeseries_line(const std::string& line, TimeSeries& ts) {
-  if (line.empty()) return true;
-  if (!object_field(line, "ipm_timeseries").empty()) {
-    ts.command = str_field(line, "command");
-    ts.interval = num_field(line, "interval");
-    return true;
-  }
-  const std::string_view type = object_field(line, "type");
-  if (type == "\"sample\"") {
-    Sample s;
-    s.rank = static_cast<int>(int_field(line, "rank"));
-    s.seq = int_field(line, "seq");
-    s.t0 = num_field(line, "t0");
-    s.t1 = num_field(line, "t1");
-    s.final_flush = int_field(line, "final") != 0;
-    s.ddev_flops = num_field(line, "gf");
-    s.ddev_bytes = num_field(line, "gb");
-    for (const std::string_view r : array_items(object_field(line, "regions"))) {
-      std::string_view v = r;
-      if (v.size() >= 2 && v.front() == '"') v = v.substr(1, v.size() - 2);
-      s.regions.push_back(simx::json_unescape(v));
-    }
-    for (const std::string_view dv : array_items(object_field(line, "deltas"))) {
-      KeyDelta d;
-      d.name_str = str_field(dv, "n");
-      d.region = static_cast<std::uint32_t>(int_field(dv, "r"));
-      d.select = static_cast<std::int32_t>(
-          std::strtol(std::string(object_field(dv, "s")).c_str(), nullptr, 10));
-      d.dcount = int_field(dv, "c");
-      d.dbytes = int_field(dv, "b");
-      d.dtsum = num_field(dv, "t");
-      d.dflops = num_field(dv, "f");
-      s.deltas.push_back(std::move(d));
-    }
-    ts.samples.push_back(std::move(s));
-  } else if (type == "\"point\"") {
-    ClusterPoint p;
-    p.k = int_field(line, "k");
-    p.t0 = num_field(line, "t0");
-    p.t1 = num_field(line, "t1");
-    p.ranks = static_cast<int>(int_field(line, "ranks"));
-    p.ranks_live = static_cast<int>(int_field(line, "ranks_live"));
-    p.samples = int_field(line, "samples");
-    p.devents = int_field(line, "devents");
-    p.mpi_s = num_field(line, "mpi_s");
-    p.cuda_s = num_field(line, "cuda_s");
-    p.gpu_s = num_field(line, "gpu_s");
-    p.idle_s = num_field(line, "idle_s");
-    p.blas_s = num_field(line, "blas_s");
-    p.fft_s = num_field(line, "fft_s");
-    p.mpi_bytes = int_field(line, "mpi_bytes");
-    p.cuda_bytes = int_field(line, "cuda_bytes");
-    p.flops = num_field(line, "flops");
-    p.dev_flops = num_field(line, "devflops");
-    p.dev_bytes = num_field(line, "devbytes");
-    for (const std::string_view rv : array_items(object_field(line, "regions"))) {
-      p.region_flops.emplace_back(str_field(rv, "name"), num_field(rv, "flops"));
-    }
-    ts.points.push_back(std::move(p));
-  } else if (type == "\"end\"") {
-    return false;
-  }
-  return true;
+bool parse_header_line(std::string_view line, std::string& command,
+                       double& interval) {
+  simx::JsonlReader r(line);
+  return r.lit("{\"ipm_timeseries\":1,\"command\":") && r.str(command) &&
+         r.lit(",\"interval\":") && r.num(interval) && r.lit("}") && r.done();
 }
 
 bool parse_sample_line(std::string_view line, Sample& out) {
-  const char* p = line.data();
-  const char* const end = p + line.size();
-  // lit() consumes `s` on match and leaves `p` untouched on mismatch, so it
-  // doubles as a probe for the optional fields ("gf"/"gb"/"f").
-  const auto lit = [&](std::string_view s) {
-    if (static_cast<std::size_t>(end - p) < s.size() ||
-        std::memcmp(p, s.data(), s.size()) != 0) {
-      return false;
-    }
-    p += s.size();
-    return true;
-  };
-  const auto parse_int = [&](auto& v) {
-    const auto [np, ec] = std::from_chars(p, end, v);
-    if (ec != std::errc()) return false;
-    p = np;
-    return true;
-  };
-  const auto parse_dbl = [&](double& v) {
-    const auto [np, ec] = std::from_chars(p, end, v);
-    if (ec != std::errc()) return false;
-    p = np;
-    return true;
-  };
-  const auto parse_str = [&](std::string& s) {
-    if (p >= end || *p != '"') return false;
-    ++p;
-    const char* const start = p;
-    bool escaped = false;
-    while (p < end && *p != '"') {
-      if (*p == '\\') {
-        escaped = true;
-        ++p;
-        if (p >= end) return false;
-      }
-      ++p;
-    }
-    if (p >= end) return false;
-    const std::string_view body(start, static_cast<std::size_t>(p - start));
-    s = escaped ? simx::json_unescape(body) : std::string(body);
-    ++p;
-    return true;
-  };
-
+  simx::JsonlReader r(line);
   out = Sample{};
   int final_flag = 0;
-  if (!lit("{\"type\":\"sample\",\"rank\":") || !parse_int(out.rank) ||
-      !lit(",\"seq\":") || !parse_int(out.seq) || !lit(",\"t0\":") ||
-      !parse_dbl(out.t0) || !lit(",\"t1\":") || !parse_dbl(out.t1) ||
-      !lit(",\"final\":") || !parse_int(final_flag)) {
+  if (!r.lit("{\"type\":\"sample\",\"rank\":") || !r.num(out.rank) ||
+      !r.lit(",\"seq\":") || !r.num(out.seq) || !r.lit(",\"t0\":") ||
+      !r.num(out.t0) || !r.lit(",\"t1\":") || !r.num(out.t1) ||
+      !r.lit(",\"final\":") || !r.num(final_flag)) {
     return false;
   }
   out.final_flush = final_flag != 0;
-  if (lit(",\"gf\":") && !parse_dbl(out.ddev_flops)) return false;
-  if (lit(",\"gb\":") && !parse_dbl(out.ddev_bytes)) return false;
-  if (!lit(",\"regions\":[")) return false;
-  if (p < end && *p != ']') {
-    for (;;) {
-      std::string region;
-      if (!parse_str(region)) return false;
-      out.regions.push_back(std::move(region));
-      if (!lit(",")) break;
+  if (r.lit(",\"gf\":") && !r.num(out.ddev_flops)) return false;
+  if (r.lit(",\"gb\":") && !r.num(out.ddev_bytes)) return false;
+  const auto region = [&] { return r.str(out.regions.emplace_back()); };
+  const auto delta = [&] {
+    KeyDelta& d = out.deltas.emplace_back();
+    if (!r.lit("{\"n\":") || !r.str(d.name_str) || !r.lit(",\"r\":") ||
+        !r.num(d.region) || !r.lit(",\"s\":") || !r.num(d.select) ||
+        !r.lit(",\"c\":") || !r.num(d.dcount) || !r.lit(",\"b\":") ||
+        !r.num(d.dbytes) || !r.lit(",\"t\":") || !r.num(d.dtsum)) {
+      return false;
     }
+    if (r.lit(",\"f\":") && !r.num(d.dflops)) return false;
+    return r.lit("}");
+  };
+  return r.lit(",\"regions\":[") && r.list(region) && r.lit(",\"deltas\":[") &&
+         r.list(delta) && r.lit("}") && r.done();
+}
+
+bool parse_point_line(std::string_view line, ClusterPoint& out) {
+  simx::JsonlReader r(line);
+  out = ClusterPoint{};
+  if (!r.lit("{\"type\":\"point\",\"k\":") || !r.num(out.k) ||
+      !r.lit(",\"t0\":") || !r.num(out.t0) || !r.lit(",\"t1\":") ||
+      !r.num(out.t1) || !r.lit(",\"ranks\":") || !r.num(out.ranks) ||
+      !r.lit(",\"ranks_live\":") || !r.num(out.ranks_live) ||
+      !r.lit(",\"samples\":") || !r.num(out.samples) ||
+      !r.lit(",\"devents\":") || !r.num(out.devents) ||
+      !r.lit(",\"mpi_s\":") || !r.num(out.mpi_s) || !r.lit(",\"cuda_s\":") ||
+      !r.num(out.cuda_s) || !r.lit(",\"gpu_s\":") || !r.num(out.gpu_s) ||
+      !r.lit(",\"idle_s\":") || !r.num(out.idle_s) ||
+      !r.lit(",\"blas_s\":") || !r.num(out.blas_s) || !r.lit(",\"fft_s\":") ||
+      !r.num(out.fft_s) || !r.lit(",\"mpi_bytes\":") || !r.num(out.mpi_bytes) ||
+      !r.lit(",\"cuda_bytes\":") || !r.num(out.cuda_bytes) ||
+      !r.lit(",\"flops\":") || !r.num(out.flops)) {
+    return false;
   }
-  if (!lit("],\"deltas\":[")) return false;
-  if (p < end && *p != ']') {
-    for (;;) {
-      KeyDelta d;
-      std::int32_t sel = 0;
-      if (!lit("{\"n\":") || !parse_str(d.name_str) || !lit(",\"r\":") ||
-          !parse_int(d.region) || !lit(",\"s\":") || !parse_int(sel) ||
-          !lit(",\"c\":") || !parse_int(d.dcount) || !lit(",\"b\":") ||
-          !parse_int(d.dbytes) || !lit(",\"t\":") || !parse_dbl(d.dtsum)) {
-        return false;
-      }
-      d.select = sel;
-      if (lit(",\"f\":") && !parse_dbl(d.dflops)) return false;
-      if (!lit("}")) return false;
-      out.deltas.push_back(std::move(d));
-      if (!lit(",")) break;
-    }
+  if (r.lit(",\"devflops\":") && !r.num(out.dev_flops)) return false;
+  if (r.lit(",\"devbytes\":") && !r.num(out.dev_bytes)) return false;
+  const auto region = [&] {
+    auto& [name, flops] = out.region_flops.emplace_back();
+    return r.lit("{\"name\":") && r.str(name) && r.lit(",\"flops\":") &&
+           r.num(flops) && r.lit("}");
+  };
+  return r.lit(",\"regions\":[") && r.list(region) && r.lit("}") && r.done();
+}
+
+bool parse_end_line(std::string_view line, std::uint64_t& intervals) {
+  simx::JsonlReader r(line);
+  return r.lit("{\"type\":\"end\",\"intervals\":") && r.num(intervals) &&
+         r.lit("}") && r.done();
+}
+
+LineKind parse_timeseries_line(std::string_view line, TimeSeries& ts) {
+  if (Sample s; parse_sample_line(line, s)) {
+    ts.samples.push_back(std::move(s));
+    return LineKind::kSample;
   }
-  return lit("]}") && p == end;
+  if (ClusterPoint p; parse_point_line(line, p)) {
+    ts.points.push_back(std::move(p));
+    return LineKind::kPoint;
+  }
+  std::string command;
+  double interval = 0.0;
+  if (parse_header_line(line, command, interval)) {
+    ts.command = std::move(command);
+    ts.interval = interval;
+    return LineKind::kHeader;
+  }
+  std::uint64_t intervals = 0;
+  return parse_end_line(line, intervals) ? LineKind::kEnd : LineKind::kRejected;
 }
 
 TimeSeries read_timeseries_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("ipm: cannot open time-series file " + path);
+  TimeSeries ts;
   std::string line;
-  if (!std::getline(in, line) || object_field(line, "ipm_timeseries").empty()) {
+  if (!std::getline(in, line) || !parse_header_line(line, ts.command, ts.interval)) {
     throw std::runtime_error("ipm: " + path + " is not an ipm_timeseries file");
   }
-  TimeSeries ts;
-  ts.command = str_field(line, "command");
-  ts.interval = num_field(line, "interval");
-  while (std::getline(in, line)) {
-    if (!parse_timeseries_line(line, ts)) break;
+  for (std::size_t n = 2; std::getline(in, line); ++n) {
+    const LineKind kind = parse_timeseries_line(line, ts);
+    if (kind == LineKind::kEnd) break;
+    if (kind == LineKind::kRejected) {
+      throw std::runtime_error(
+          simx::strprintf("%s:%zu: malformed time-series line", path.c_str(), n));
+    }
   }
   return ts;
 }

@@ -1,9 +1,9 @@
 // Frame codec for the ipm_agg wire protocol (see wire.hpp).
 #include "ipm_live/wire.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
+#include "simcommon/jsonl.hpp"
 #include "simcommon/str.hpp"
 
 namespace ipm::live::wire {
@@ -117,46 +117,61 @@ bool Decoder::next(Frame& out) {
 }
 
 std::string hello_payload(const std::string& command, double interval) {
-  std::string cmd;
-  cmd.reserve(command.size());
-  for (const char c : command) {
-    if (c == '"' || c == '\\') cmd.push_back('\\');
-    cmd.push_back(c);
-  }
-  return simx::strprintf("{\"ipm_agg\":1,\"command\":\"%s\",\"interval\":%.17g}",
-                         cmd.c_str(), interval);
+  std::string out;
+  simx::JsonlWriter(out).lit("{\"ipm_agg\":1,\"command\":").str(command)
+      .lit(",\"interval\":").num(interval).lit("}");
+  return out;
+}
+
+bool parse_hello(std::string_view payload, std::string& command, double& interval) {
+  simx::JsonlReader r(payload);
+  return r.lit("{\"ipm_agg\":1,\"command\":") && r.str(command) &&
+         r.lit(",\"interval\":") && r.num(interval) && r.lit("}") && r.done();
 }
 
 std::string welcome_payload(
     const std::vector<std::pair<std::uint32_t, std::uint64_t>>& epochs) {
-  std::string out = "{\"ranks\":[";
+  std::string out;
+  simx::JsonlWriter w(out);
+  w.lit("{\"ranks\":[");
   for (std::size_t i = 0; i < epochs.size(); ++i) {
-    if (i != 0) out += ',';
-    out += simx::strprintf("{\"rank\":%u,\"epoch\":%llu}", epochs[i].first,
-                           static_cast<unsigned long long>(epochs[i].second));
+    w.lit(i == 0 ? "{\"rank\":" : ",{\"rank\":").num(epochs[i].first);
+    w.lit(",\"epoch\":").num(epochs[i].second).lit("}");
   }
-  out += "]}";
+  w.lit("]}");
   return out;
 }
 
 std::vector<std::pair<std::uint32_t, std::uint64_t>> parse_welcome(
-    const std::string& payload) {
-  // The payload is machine-generated; a tolerant scan for the two numeric
-  // fields of each object keeps this free of a JSON dependency.
+    std::string_view payload) {
   std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-  std::size_t i = 0;
-  while ((i = payload.find("{\"rank\":", i)) != std::string::npos) {
-    const char* p = payload.c_str() + i + 8;
-    char* end = nullptr;
-    const unsigned long rank = std::strtoul(p, &end, 10);
-    const char* e = std::strstr(end, "\"epoch\":");
-    if (e == nullptr) break;
-    const unsigned long long epoch = std::strtoull(e + 8, &end, 10);
-    out.emplace_back(static_cast<std::uint32_t>(rank),
-                     static_cast<std::uint64_t>(epoch));
-    i = static_cast<std::size_t>(end - payload.c_str());
+  simx::JsonlReader r(payload);
+  const auto rank = [&] {
+    auto& [rank_id, epoch] = out.emplace_back();
+    return r.lit("{\"rank\":") && r.num(rank_id) && r.lit(",\"epoch\":") &&
+           r.num(epoch) && r.lit("}");
+  };
+  if (!r.lit("{\"ranks\":[") || !r.list(rank) || !r.lit("}") || !r.done()) {
+    out.clear();
   }
   return out;
+}
+
+std::string rank_fin_payload(std::uint64_t samples, std::uint64_t drops) {
+  std::string out;
+  simx::JsonlWriter(out).lit("{\"samples\":").num(samples).lit(",\"drops\":")
+      .num(drops).lit("}");
+  return out;
+}
+
+bool parse_rank_fin(std::string_view payload, std::uint64_t& samples,
+                    std::uint64_t& drops) {
+  samples = 0;
+  drops = 0;
+  if (payload.empty()) return true;
+  simx::JsonlReader r(payload);
+  return r.lit("{\"samples\":") && r.num(samples) && r.lit(",\"drops\":") &&
+         r.num(drops) && r.lit("}") && r.done();
 }
 
 }  // namespace ipm::live::wire

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -29,6 +30,7 @@
 #include "ipm_parse/advisor.hpp"
 #include "ipm_parse/export.hpp"
 #include "ipm_parse/trace.hpp"
+#include "simcommon/str.hpp"
 
 namespace {
 
@@ -46,13 +48,15 @@ int usage() {
 /// sparkline roll-up whenever new cluster points land.  Terminates when the
 /// writer appends its {"type":"end",...} trailer, or after `timeout_s`
 /// seconds without progress (0 = wait forever).  On a terminal each render
-/// repaints in place; otherwise successive reports are appended.
+/// repaints in place; otherwise successive reports are appended.  Throws,
+/// naming "<path>:<line>", on a complete line no time-series writer emits.
 int follow_timeseries(const std::string& path, double timeout_s) {
   using Clock = std::chrono::steady_clock;
   const auto idle_budget = std::chrono::duration<double>(timeout_s);
   auto deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(idle_budget);
   std::ifstream in;
   ipm::live::TimeSeries ts;
+  std::size_t lines = 0;
   std::size_t rendered_points = 0;
   bool rendered_once = false;
   bool complete = false;
@@ -73,8 +77,13 @@ int follow_timeseries(const std::string& path, double timeout_s) {
         break;
       }
       progressed = true;
-      if (line.empty()) continue;
-      if (!ipm::live::parse_timeseries_line(line, ts)) {
+      ++lines;
+      const ipm::live::LineKind kind = ipm::live::parse_timeseries_line(line, ts);
+      if (kind == ipm::live::LineKind::kRejected) {
+        throw std::runtime_error(simx::strprintf(
+            "%s:%zu: malformed time-series line", path.c_str(), lines));
+      }
+      if (kind == ipm::live::LineKind::kEnd) {
         complete = true;
         break;
       }
@@ -210,8 +219,8 @@ int main(int argc, char** argv) {
     return usage();
   }
   const std::string& input = inputs[0];
-  if (do_follow) return follow_timeseries(input, follow_timeout);
   try {
+    if (do_follow) return follow_timeseries(input, follow_timeout);
     if (do_conserve) return check_conservation(inputs[0], inputs[1]);
     if (do_compare) {
       const ipm::JobProfile a = ipm::parse_xml_file(inputs[0]);

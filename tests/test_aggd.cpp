@@ -44,14 +44,9 @@ using ipm::live::wire::FrameType;
 
 // --- fault matrix ------------------------------------------------------------
 
-/// File-tail fallback transport: a finished collector run's JSONL is
-/// ingested by a tail-only daemon, which re-derives the job and conserves
-/// every rank bit-exactly.  The output collides with the tailed file's name
-/// and must be redirected to *_agg_timeseries.jsonl.
-TEST(Aggd, TailFallbackConservesFinishedStream) {
+/// A finished 4-rank collector run whose time series lands at `ts_path`.
+ipm::JobProfile collector_run(const std::string& ts_path) {
   simx::reset_default_context();
-  const std::string dir = test_dir("aggd_tail");
-  const std::string ts_path = dir + "/hplmini_timeseries.jsonl";
   ipm::Config cfg;
   cfg.snapshot_interval = 0.5;
   cfg.timeseries_path = ts_path;
@@ -68,9 +63,21 @@ TEST(Aggd, TailFallbackConservesFinishedStream) {
     }
     MPI_Finalize();
   });
-  const ipm::JobProfile job = ipm::job_end();
+  ipm::JobProfile job = ipm::job_end();
+  EXPECT_EQ(job.ranks.size(), 4u);
+  EXPECT_GT(job.snapshot_samples(), 0u);
+  return job;
+}
+
+/// File-tail fallback transport: a finished collector run's JSONL is
+/// ingested by a tail-only daemon, which re-derives the job and conserves
+/// every rank bit-exactly.  The output collides with the tailed file's name
+/// and must be redirected to *_agg_timeseries.jsonl.
+TEST(Aggd, TailFallbackConservesFinishedStream) {
+  const std::string dir = test_dir("aggd_tail");
+  const std::string ts_path = dir + "/hplmini_timeseries.jsonl";
+  const ipm::JobProfile job = collector_run(ts_path);
   ASSERT_EQ(job.ranks.size(), 4u);
-  ASSERT_GT(job.snapshot_samples(), 0u);
 
   ipm::aggd::Options opt;
   opt.out_dir = dir;
@@ -96,6 +103,37 @@ TEST(Aggd, TailFallbackConservesFinishedStream) {
   EXPECT_EQ(ranks->size(), 4u);
   for (const auto& [rank, rs] : *ranks) EXPECT_TRUE(rs.finalized) << rank;
   EXPECT_EQ(d.protocol_errors(), 0u);
+}
+
+/// A garbage line spliced into the middle of a tailed file is one counted
+/// protocol error, never skipped silently: every rank still conserves.
+TEST(Aggd, TailCountsAGarbageLineAndConservesTheRest) {
+  const std::string dir = test_dir("aggd_tail_garbage");
+  const std::string ts_path = dir + "/garbage_timeseries.jsonl";
+  const ipm::JobProfile job = collector_run(ts_path);
+  ASSERT_EQ(job.ranks.size(), 4u);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(ts_path);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(lines.size() / 2),
+               "not a time-series line");
+  {
+    std::ofstream out(ts_path, std::ios::trunc);
+    for (const std::string& line : lines) out << line << '\n';
+  }
+
+  ipm::aggd::Options opt;
+  opt.out_dir = dir;
+  opt.tails = {ts_path};
+  opt.fleet_interval = 0.5;
+  ipm::aggd::Daemon d(opt);
+  std::string err;
+  ASSERT_TRUE(d.start(err)) << err;
+  d.run();
+  EXPECT_EQ(d.protocol_errors(), 1u);
+  expect_daemon_conserves(d.job_timeseries_path("garbage"), job);
 }
 
 /// Daemon absent at client startup: the whole run executes against a dead
@@ -255,7 +293,8 @@ TEST(Aggd, TruncatedAndCorruptFramesRejected) {
 
 /// Every SAMPLE payload is a live::sample_line(): a valid sample whose
 /// fields come in another order is a protocol error, acked at the rank's
-/// previous epoch and never applied.
+/// previous epoch and never applied.  The same holds for the HELLO and
+/// RANK_FIN payloads' writers.
 TEST(Aggd, ReorderedSampleFieldsAreAProtocolError) {
   const std::string dir = test_dir("aggd_reorder");
   const std::string sock = "unix:" + dir + "/agg.sock";
@@ -289,16 +328,29 @@ TEST(Aggd, ReorderedSampleFieldsAreAProtocolError) {
   ASSERT_TRUE(read_frame(fd, dec, f));
   ASSERT_EQ(f.type, FrameType::kAck);
   EXPECT_EQ(f.epoch, 1u);  // the previous epoch: nothing applied
+
+  // RANK_FIN and HELLO payloads with reordered fields are counted too; the
+  // rank still finalizes, with zero drops.
+  send_all(fd, frame_bytes(FrameType::kRankFin, "reorder", 0, 0,
+                           R"({"drops":3,"samples":1})"));
+  ASSERT_TRUE(read_frame(fd, dec, f));
+  ASSERT_EQ(f.type, FrameType::kAck);
+  send_all(fd, frame_bytes(FrameType::kHello, "reorder", 0, 0,
+                           R"({"ipm_agg":1,"interval":0.5,"command":"./reorder"})"));
+  ASSERT_TRUE(read_frame(fd, dec, f));
+  ASSERT_EQ(f.type, FrameType::kWelcome);
   ipm::live::net::close_fd(fd);
   runner.d.stop();
   runner.join();
 
-  EXPECT_EQ(runner.d.protocol_errors(), 1u);
+  EXPECT_EQ(runner.d.protocol_errors(), 3u);
   const auto* ranks = runner.d.job_ranks("reorder");
   ASSERT_NE(ranks, nullptr);
   ASSERT_EQ(ranks->size(), 1u);
   EXPECT_EQ(ranks->at(0).samples, 1u);
   EXPECT_EQ(ranks->at(0).last_epoch, 1u);
+  EXPECT_TRUE(ranks->at(0).finalized);
+  EXPECT_EQ(ranks->at(0).drops, 0u);
 }
 
 /// Two concurrent jobs multiplexed into one daemon, with a mid-stream

@@ -9,11 +9,14 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cudasim/control.hpp"
 #include "cudasim/cuda_runtime.h"
 #include "cudasim/kernel.hpp"
 #include "ipm/report.hpp"
+#include "ipm_live/live.hpp"
 #include "ipm_parse/export.hpp"
 #include "mpisim/cluster.hpp"
 #include "mpisim/mpi.h"
@@ -218,6 +221,53 @@ TEST(IpmParseCli, BannerRoundTripsThroughTheBinary) {
   EXPECT_EQ(WEXITSTATUS(rc), 0) << out;
   EXPECT_NE(out.find("##IPMv2.0"), std::string::npos);
   EXPECT_NE(out.find("./parse_app"), std::string::npos);
+}
+
+/// Write `lines` joined by '\n' to `path` (no newline after the last one).
+void write_lines(const std::string& path, const std::vector<std::string>& lines) {
+  std::ofstream out(path, std::ios::trunc);
+  for (std::size_t i = 0; i < lines.size(); ++i) out << (i == 0 ? "" : "\n") << lines[i];
+}
+
+ipm::live::Sample one_delta_sample() {
+  ipm::live::Sample s;
+  s.seq = 3;
+  s.t1 = 0.5;
+  ipm::live::KeyDelta d;
+  d.name_str = "MPI_Allreduce";
+  d.dcount = 2;
+  d.dtsum = 0.125;
+  s.deltas.push_back(d);
+  return s;
+}
+
+TEST(IpmParseCli, FollowFailsOnAMalformedLine) {
+  const std::string path = ::testing::TempDir() + "/cli_follow_timeseries.jsonl";
+  // The trailing "" ends the end line with its newline, so --follow reads it.
+  write_lines(path, {ipm::live::timeseries_header_line("./cli", 0.5),
+                     R"({"type":"sample","rank":0,"bogus":1})",
+                     ipm::live::end_line(0), ""});
+  std::string out;
+  const int rc =
+      run_capture(kParseBin + " --follow --follow-timeout 5 " + path, &out);
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 1) << out;
+  EXPECT_NE(out.find("ipm_parse: " + path + ":2: "), std::string::npos) << out;
+}
+
+TEST(IpmParseCli, ConserveFailsOnATornLastLine) {
+  const std::string dir = ::testing::TempDir();
+  const std::string xml_path = dir + "/cli_conserve_profile.xml";
+  const std::string ts_path = dir + "/cli_conserve_timeseries.jsonl";
+  ipm::write_xml_file(xml_path, make_job());
+  const std::string sample = ipm::live::sample_line(one_delta_sample());
+  write_lines(ts_path, {ipm::live::timeseries_header_line("./cli", 0.5), sample,
+                        sample.substr(0, sample.size() / 2)});
+  std::string out;
+  const int rc = run_capture(kParseBin + " --conserve " + ts_path + " " + xml_path, &out);
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 1) << out;
+  EXPECT_NE(out.find("ipm_parse: " + ts_path + ":3: "), std::string::npos) << out;
 }
 
 }  // namespace

@@ -118,6 +118,21 @@ TEST(MonitorCore, RandomStreamMatchesMapOracle) {
   }
 }
 
+// Rows with equal tsum sort by name, not by NameId: rank threads race to
+// intern names, so NameId order differs between runs of the same binary.
+TEST(MonitorCore, EqualTsumRowsSortByName) {
+  ipm::Monitor& m = fresh();
+  const ipm::PreparedKey b = ipm::prepare_key("MonitorCoreTie_b");  // interned first
+  const ipm::PreparedKey a = ipm::prepare_key("MonitorCoreTie_a");
+  m.record(b, 0, 0.0, 0.5);
+  m.record(a, 0, 0.0, 0.5);
+  const ipm::RankProfile p = ipm::rank_finalize();
+  ipm::job_end();
+  ASSERT_EQ(p.events.size(), 2u);
+  EXPECT_EQ(p.events[0].name, "MonitorCoreTie_a");
+  EXPECT_EQ(p.events[1].name, "MonitorCoreTie_b");
+}
+
 TEST(MonitorCore, RegionsAttributeEvents) {
   ipm::Monitor& m = fresh();
   const ipm::PreparedKey name = ipm::prepare_key("cudaMemcpy(D2H)");

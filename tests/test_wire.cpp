@@ -1,14 +1,19 @@
 // ipm_agg wire protocol (wire.hpp): frame codec round-trips, the strict
 // incremental decoder (truncation, bad version/type/length poisoning), the
-// hello/welcome payload helpers, and aggregator address parsing (net.hpp).
+// line codec (every time-series line and wire payload round-trips through its
+// strict reader, which rejects every proper prefix), and aggregator address
+// parsing (net.hpp).
 #include <gtest/gtest.h>
 
 #include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -383,6 +388,166 @@ TEST(Wire, SampleRoundTripProperty) {
     ASSERT_TRUE(ipm::live::parse_sample_line(out.payload, wired));
     expect_samples_equal(s, wired);
   }
+}
+
+/// Pinned byte for byte: every optional field, doubles needing all 17
+/// digits, -0, and a region name holding '"' and '\\'.
+ipm::live::ClusterPoint golden_point() {
+  ipm::live::ClusterPoint p;
+  p.k = 3;
+  p.t0 = 1.5;
+  p.t1 = 2.0;
+  p.ranks = 16;
+  p.ranks_live = 16;
+  p.samples = 48;
+  p.devents = 1234;
+  p.mpi_s = 0.1;
+  p.cuda_s = 1.0 / 3.0;
+  p.gpu_s = 2.5e-7;
+  p.blas_s = 7.25;
+  p.fft_s = -0.0;
+  p.mpi_bytes = 1ULL << 40;
+  p.cuda_bytes = 4096;
+  p.flops = 6.02e23;
+  p.dev_flops = 1e12;
+  p.dev_bytes = 0.30000000000000004;
+  p.region_flops = {{"ipm_global", 1e9}, {"say \"hi\" C:\\", 0.5}};
+  return p;
+}
+
+constexpr const char* kGoldenPointLine =
+    R"({"type":"point","k":3,"t0":1.5,"t1":2,"ranks":16,"ranks_live":16,)"
+    R"("samples":48,"devents":1234,"mpi_s":0.10000000000000001,)"
+    R"("cuda_s":0.33333333333333331,"gpu_s":2.4999999999999999e-07,"idle_s":0,)"
+    R"("blas_s":7.25,"fft_s":-0,"mpi_bytes":1099511627776,"cuda_bytes":4096,)"
+    R"("flops":6.02e+23,"devflops":1000000000000,"devbytes":0.30000000000000004,)"
+    R"("regions":[{"name":"ipm_global","flops":1000000000},)"
+    R"({"name":"say \"hi\" C:\\","flops":0.5}]})";
+constexpr const char* kGoldenHeaderLine =
+    R"({"ipm_timeseries":1,"command":"./hpl \"x\" \\w","interval":0.25})";
+constexpr const char* kGoldenEndLine = R"({"type":"end","intervals":42})";
+constexpr const char* kGoldenHello =
+    R"({"ipm_agg":1,"command":"./run \"x\"\t\\w","interval":0.10000000000000001})";
+constexpr const char* kGoldenWelcome =
+    R"({"ranks":[{"rank":0,"epoch":12},{"rank":3,"epoch":0},)"
+    R"({"rank":15,"epoch":1099511627775}]})";
+constexpr const char* kGoldenRankFin = R"({"samples":17,"drops":2})";
+
+const std::vector<std::pair<std::uint32_t, std::uint64_t>> kWelcomeEpochs = {
+    {0, 12}, {3, 0}, {15, 0xffffffffffULL}};
+
+/// Sibling of SampleRoundTripProperty for every other writer: each emits
+/// its golden bytes, and its reader reads back values that the writer
+/// turns into the same bytes again (bit-exact for doubles).
+TEST(Wire, LineAndPayloadRoundTrip) {
+  namespace live = ipm::live;
+  namespace wire = ipm::live::wire;
+  const live::ClusterPoint point = golden_point();
+  ASSERT_EQ(live::point_line(point), kGoldenPointLine);
+  live::ClusterPoint p;
+  ASSERT_TRUE(live::parse_point_line(kGoldenPointLine, p));
+  EXPECT_EQ(live::point_line(p), kGoldenPointLine);
+  EXPECT_EQ(p.region_flops, point.region_flops);
+  EXPECT_TRUE(std::signbit(p.fft_s));
+
+  ASSERT_EQ(live::timeseries_header_line("./hpl \"x\" \\w", 0.25), kGoldenHeaderLine);
+  std::string command;
+  double interval = 0.0;
+  ASSERT_TRUE(live::parse_header_line(kGoldenHeaderLine, command, interval));
+  EXPECT_EQ(command, "./hpl \"x\" \\w");
+  EXPECT_EQ(interval, 0.25);
+
+  ASSERT_EQ(live::end_line(42), kGoldenEndLine);
+  std::uint64_t intervals = 0;
+  ASSERT_TRUE(live::parse_end_line(kGoldenEndLine, intervals));
+  EXPECT_EQ(intervals, 42u);
+
+  // A control character in the command is escaped like any JSON string.
+  ASSERT_EQ(wire::hello_payload("./run \"x\"\t\\w", 0.1), kGoldenHello);
+  ASSERT_TRUE(wire::parse_hello(kGoldenHello, command, interval));
+  EXPECT_EQ(command, "./run \"x\"\t\\w");
+  EXPECT_EQ(interval, 0.1);
+
+  ASSERT_EQ(wire::welcome_payload(kWelcomeEpochs), kGoldenWelcome);
+  EXPECT_EQ(wire::parse_welcome(kGoldenWelcome), kWelcomeEpochs);
+
+  ASSERT_EQ(wire::rank_fin_payload(17, 2), kGoldenRankFin);
+  std::uint64_t samples = 0;
+  std::uint64_t drops = 0;
+  ASSERT_TRUE(wire::parse_rank_fin(kGoldenRankFin, samples, drops));
+  EXPECT_EQ(samples, 17u);
+  EXPECT_EQ(drops, 2u);
+  ASSERT_TRUE(wire::parse_rank_fin("", samples, drops));  // tail transport
+  EXPECT_EQ(drops, 0u);
+
+  // parse_timeseries_line dispatches each line to the reader of its kind.
+  live::TimeSeries ts;
+  EXPECT_EQ(live::parse_timeseries_line(kGoldenHeaderLine, ts), live::LineKind::kHeader);
+  EXPECT_EQ(live::parse_timeseries_line(kGoldenSampleLine, ts), live::LineKind::kSample);
+  EXPECT_EQ(live::parse_timeseries_line(kGoldenPointLine, ts), live::LineKind::kPoint);
+  EXPECT_EQ(live::parse_timeseries_line(kGoldenEndLine, ts), live::LineKind::kEnd);
+  EXPECT_EQ(ts.command, "./hpl \"x\" \\w");
+  ASSERT_EQ(ts.samples.size(), 1u);
+  expect_samples_equal(golden_sample(), ts.samples[0]);
+  ASSERT_EQ(ts.points.size(), 1u);
+  EXPECT_EQ(live::point_line(ts.points[0]), kGoldenPointLine);
+}
+
+/// A torn line is what a crashed writer leaves: every reader rejects every
+/// proper prefix of its writer's bytes rather than returning a half-read
+/// record, and parse_timeseries_line then leaves the series untouched.
+TEST(Wire, ReadersRejectEveryProperPrefix) {
+  namespace live = ipm::live;
+  namespace wire = ipm::live::wire;
+  for (const std::string line : {kGoldenSampleLine, kGoldenPointLine, kGoldenHeaderLine,
+                                 kGoldenEndLine}) {
+    for (std::size_t n = 0; n < line.size(); ++n) {
+      live::TimeSeries ts;
+      EXPECT_EQ(live::parse_timeseries_line(line.substr(0, n), ts),
+                live::LineKind::kRejected)
+          << line.substr(0, n);
+      EXPECT_TRUE(ts.samples.empty() && ts.points.empty() && ts.command.empty());
+    }
+  }
+  const std::string hello = kGoldenHello;
+  const std::string welcome = kGoldenWelcome;
+  const std::string fin = kGoldenRankFin;
+  std::string command;
+  double interval = 0.0;
+  std::uint64_t samples = 0;
+  std::uint64_t drops = 0;
+  for (std::size_t n = 0; n < hello.size(); ++n) {
+    EXPECT_FALSE(wire::parse_hello(hello.substr(0, n), command, interval)) << n;
+  }
+  for (std::size_t n = 0; n < welcome.size(); ++n) {
+    EXPECT_TRUE(wire::parse_welcome(welcome.substr(0, n)).empty()) << n;
+  }
+  for (std::size_t n = 1; n < fin.size(); ++n) {  // "" is the tail transport's
+    EXPECT_FALSE(wire::parse_rank_fin(fin.substr(0, n), samples, drops)) << n;
+  }
+}
+
+/// read_timeseries_file throws on a torn last line, naming it, at every cut
+/// point of a sample line.
+TEST(Wire, TornLastLineThrowsNamingIt) {
+  const std::string path = ::testing::TempDir() + "/wire_torn_timeseries.jsonl";
+  const std::string sample = kGoldenSampleLine;
+  for (std::size_t n = 1; n < sample.size(); ++n) {
+    {
+      std::ofstream out(path, std::ios::trunc);
+      out << kGoldenHeaderLine << '\n' << sample << '\n' << sample.substr(0, n);
+    }
+    try {
+      (void)ipm::live::read_timeseries_file(path);
+      ADD_FAILURE() << "torn line accepted at cut " << n;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":3: "), std::string::npos)
+          << e.what();
+    }
+  }
+  std::ofstream(path, std::ios::trunc) << kGoldenHeaderLine << '\n' << sample;
+  EXPECT_EQ(ipm::live::read_timeseries_file(path).samples.size(), 1u);
+  std::remove(path.c_str());
 }
 
 /// A valid multi-frame stream for the mutator: hello + samples + fin + end.
