@@ -195,12 +195,13 @@ void BM_TraceFlush(benchmark::State& state) {
 BENCHMARK(BM_TraceFlush)->Unit(benchmark::kMillisecond);
 
 /// Live-telemetry variant of the prepared-key path: snapshot publishing is
-/// armed (IPM_SNAPSHOT), so every table hit pays the per-slot epoch bump
-/// (seqlock write) instead of plain stat stores.  The interval is far past
-/// the virtual run time, so no capture fires mid-loop — this is the
-/// steady-state per-event cost of being observable.  Acceptance:
-/// <= 1.5x BM_MonitorUpdatePrepared, enforced by bench_smoke via the
-/// IPM_BENCH_LIVE_RATIO_MAX hook in main() below.
+/// on (IPM_SNAPSHOT), so every record adds the live due check (a publisher
+/// pointer test and a clock read against the next due time) to the same
+/// plain table update.  The interval is far past the virtual run time, so
+/// no capture fires mid-loop — this is the steady-state per-event cost of
+/// being observable.  Acceptance: <= 1.5x BM_MonitorUpdatePrepared,
+/// enforced by bench_smoke via the IPM_BENCH_LIVE_RATIO_MAX hook in main()
+/// below.
 void BM_MonitorUpdateLive(benchmark::State& state) {
   simx::reset_default_context();
   ipm::Config cfg;
@@ -216,7 +217,7 @@ void BM_MonitorUpdateLive(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorUpdateLive);
 
-/// One live capture on the owning thread: the slot-order fold of an armed
+/// One live capture on the owning thread: the slot-order fold of a
 /// default-size table (8192 slots) holding 64 signatures, every one changed
 /// since the previous capture, into a published delta sample.  The loop
 /// drains the channel itself, as the collector would; `ns_per_capture`
@@ -429,8 +430,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Optional acceptance gate (set by bench_smoke with a filtered, longer
-  // run): the armed live-snapshot path must stay within RATIO_MAX x the
-  // plain prepared-key path.
+  // run): the live-telemetry path must stay within RATIO_MAX x the plain
+  // prepared-key path.
   if (const char* max_str = std::getenv("IPM_BENCH_LIVE_RATIO_MAX")) {
     const double ratio_max = std::strtod(max_str, nullptr);
     double prepared = 0.0;

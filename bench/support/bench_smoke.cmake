@@ -9,10 +9,11 @@ if(NOT BENCH_BIN OR NOT WORK_DIR)
   message(FATAL_ERROR "bench_smoke: BENCH_BIN and WORK_DIR are required")
 endif()
 
-# 1. Live-snapshot overhead gate: a filtered, longer run of the prepared vs
-# armed-live monitor update pair; the binary itself enforces the <= 1.5x
-# ratio when IPM_BENCH_LIVE_RATIO_MAX is set (float math is easier there
-# than in CMake).  Runs first: the full run below rewrites the JSON.
+# 1. Live-telemetry overhead gate: a filtered, longer run of the prepared
+# vs live monitor update pair (the live row adds the snapshot due check to
+# the same table update); the binary itself enforces the <= 1.5x ratio
+# when IPM_BENCH_LIVE_RATIO_MAX is set (float math is easier there than in
+# CMake).  Runs first: the full run below rewrites the JSON.
 # The test is RUN_SERIAL, but scheduler noise can still skew a ~7 ns
 # measurement, so allow a couple of retries before declaring a regression.
 set(ratio_ok FALSE)

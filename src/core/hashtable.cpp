@@ -1,7 +1,5 @@
 #include "ipm/hashtable.hpp"
 
-#include <thread>
-
 #if defined(__SSE2__)
 #include <emmintrin.h>
 #endif
@@ -18,77 +16,6 @@ PerfHashTable::PerfHashTable(unsigned log2_slots) {
   keys_.resize(n);
   stats_.resize(n);
   mask_ = n - 1;
-}
-
-void PerfHashTable::enable_live_snapshots() {
-  if (epoch_storage_) return;
-  // Value-initialized: every slot starts at epoch 0 (even = stable).
-  epoch_storage_ = std::make_unique<std::atomic<std::uint32_t>[]>(mask_ + 1);
-  epochs_.store(epoch_storage_.get(), std::memory_order_release);
-}
-
-void PerfHashTable::live_insert(std::size_t pos, std::uint8_t tag, const EventKey& key,
-                                double duration) noexcept {
-  std::atomic<std::uint32_t>& epoch = epochs_.load(std::memory_order_relaxed)[pos];
-  const std::uint32_t e = epoch.load(std::memory_order_relaxed);
-  epoch.store(e + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  std::atomic_ref<NameId>(keys_[pos].name).store(key.name, std::memory_order_relaxed);
-  std::atomic_ref<std::uint32_t>(keys_[pos].region)
-      .store(key.region, std::memory_order_relaxed);
-  std::atomic_ref<std::uint64_t>(keys_[pos].bytes)
-      .store(key.bytes, std::memory_order_relaxed);
-  std::atomic_ref<std::int32_t>(keys_[pos].select)
-      .store(key.select, std::memory_order_relaxed);
-  std::atomic_ref<std::uint64_t>(stats_[pos].count).store(1, std::memory_order_relaxed);
-  std::atomic_ref<double>(stats_[pos].tsum).store(duration, std::memory_order_relaxed);
-  std::atomic_ref<double>(stats_[pos].tmin).store(duration, std::memory_order_relaxed);
-  std::atomic_ref<double>(stats_[pos].tmax).store(duration, std::memory_order_relaxed);
-  std::atomic_ref<std::uint8_t>(tags_[pos]).store(tag, std::memory_order_relaxed);
-  // The mirror bytes past the end are read only by the owner's group loads,
-  // never by a snapshot reader: a plain store suffices.
-  if (pos < kGroup) tags_[mask_ + 1 + pos] = tag;
-  epoch.store(e + 2, std::memory_order_release);
-}
-
-bool PerfHashTable::read_live_slot(std::size_t i, EventKey& key,
-                                   EventStats& st) const noexcept {
-  std::atomic<std::uint32_t>* const ep = epochs_.load(std::memory_order_acquire);
-  if (ep == nullptr) {  // no concurrent writer possible: plain owner read
-    if (tags_[i] == kEmpty) return false;
-    key = keys_[i];
-    st = stats_[i];
-    return true;
-  }
-  // atomic_ref cannot bind const lvalues; the loads below never write.
-  auto* self = const_cast<PerfHashTable*>(this);
-  std::atomic<std::uint32_t>& epoch = ep[i];
-  for (unsigned spins = 0;; ++spins) {
-    const std::uint32_t e0 = epoch.load(std::memory_order_acquire);
-    if ((e0 & 1U) == 0) {
-      const std::uint8_t tag =
-          std::atomic_ref<std::uint8_t>(self->tags_[i]).load(std::memory_order_relaxed);
-      key.name =
-          std::atomic_ref<NameId>(self->keys_[i].name).load(std::memory_order_relaxed);
-      key.region = std::atomic_ref<std::uint32_t>(self->keys_[i].region)
-                       .load(std::memory_order_relaxed);
-      key.bytes = std::atomic_ref<std::uint64_t>(self->keys_[i].bytes)
-                      .load(std::memory_order_relaxed);
-      key.select = std::atomic_ref<std::int32_t>(self->keys_[i].select)
-                       .load(std::memory_order_relaxed);
-      st.count = std::atomic_ref<std::uint64_t>(self->stats_[i].count)
-                     .load(std::memory_order_relaxed);
-      st.tsum =
-          std::atomic_ref<double>(self->stats_[i].tsum).load(std::memory_order_relaxed);
-      st.tmin =
-          std::atomic_ref<double>(self->stats_[i].tmin).load(std::memory_order_relaxed);
-      st.tmax =
-          std::atomic_ref<double>(self->stats_[i].tmax).load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (epoch.load(std::memory_order_relaxed) == e0) return tag != kEmpty;
-    }
-    if ((spins & 1023U) == 1023U) std::this_thread::yield();
-  }
 }
 
 bool PerfHashTable::update_probe(const EventKey& key, std::uint64_t hash,
@@ -114,12 +41,7 @@ bool PerfHashTable::update_probe(const EventKey& key, std::uint64_t hash,
       if (off > first_empty) break;  // key can never live past an empty slot
       const std::size_t pos = (idx + off) & mask_;
       if (keys_[pos] == key) {
-        std::atomic<std::uint32_t>* const ep = epochs_.load(std::memory_order_relaxed);
-        if (ep == nullptr) {
-          stats_[pos].add(duration);
-        } else {
-          live_add(ep[pos], stats_[pos], duration);
-        }
+        stats_[pos].add(duration);
         probe_steps_ += probes + off;
         return true;
       }
@@ -128,14 +50,10 @@ bool PerfHashTable::update_probe(const EventKey& key, std::uint64_t hash,
     if (empty) {
       if (used_ == slots - 1) break;  // keep one free slot: probe terminator
       const std::size_t pos = (idx + first_empty) & mask_;
-      if (epochs_.load(std::memory_order_relaxed) == nullptr) {
-        set_tag(pos, tag);
-        keys_[pos] = key;
-        stats_[pos] = EventStats{};
-        stats_[pos].add(duration);
-      } else {
-        live_insert(pos, tag, key, duration);
-      }
+      set_tag(pos, tag);
+      keys_[pos] = key;
+      stats_[pos] = EventStats{};
+      stats_[pos].add(duration);
       used_ += 1;
       probe_steps_ += probes + first_empty;
       return true;
@@ -147,25 +65,16 @@ bool PerfHashTable::update_probe(const EventKey& key, std::uint64_t hash,
     const std::uint8_t t = tags_[idx];
     if (t == kEmpty) {
       if (used_ == slots - 1) break;  // keep one free slot: probe terminator
-      if (epochs_.load(std::memory_order_relaxed) == nullptr) {
-        set_tag(idx, tag);
-        keys_[idx] = key;
-        stats_[idx] = EventStats{};
-        stats_[idx].add(duration);
-      } else {
-        live_insert(idx, tag, key, duration);
-      }
+      set_tag(idx, tag);
+      keys_[idx] = key;
+      stats_[idx] = EventStats{};
+      stats_[idx].add(duration);
       used_ += 1;
       probe_steps_ += probes;
       return true;
     }
     if (t == tag && keys_[idx] == key) {
-      std::atomic<std::uint32_t>* const ep = epochs_.load(std::memory_order_relaxed);
-      if (ep == nullptr) {
-        stats_[idx].add(duration);
-      } else {
-        live_add(ep[idx], stats_[idx], duration);
-      }
+      stats_[idx].add(duration);
       probe_steps_ += probes;
       return true;
     }
@@ -216,8 +125,6 @@ const EventStats* PerfHashTable::find(const EventKey& key) const noexcept {
   return nullptr;
 }
 
-// Not safe while a live snapshot reader is attached: clearing is a bulk
-// plain store.  Callers (benchmarks, tests) clear between jobs only.
 void PerfHashTable::clear() noexcept {
   tags_.assign(tags_.size(), kEmpty);
   used_ = 0;

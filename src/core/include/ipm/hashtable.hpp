@@ -15,22 +15,15 @@
 // The tag array carries a 16-byte mirror of its first group after the end,
 // so a group load starting at any slot index never has to wrap.
 //
-// Live snapshots (src/ipm_live): enable_live_snapshots() arms a per-slot
-// seqlock so a concurrent reader thread can take consistent copies of
-// occupied slots while the owning rank thread keeps updating.  Slots never
-// move (the table never rehashes), so a slot index is a stable identity
-// for delta computation.  The writer protocol is: bump the slot epoch to
-// odd, store the data fields through relaxed std::atomic_ref accesses
-// (plain machine stores on x86, but data-race-free for TSan and for the
-// C++ memory model), then release-store the epoch back to even.  When live
-// snapshots are off — the default — the only hot-path cost is one relaxed
-// pointer load and a predictable branch, the same gate discipline as the
-// fault-injection hooks.
+// Single owner: a rank's table is written and read only by the thread that
+// owns its Monitor (record, live capture, the finalize snapshot), so no
+// field is atomic and no update pays for synchronisation.  Live telemetry
+// crosses threads as published samples (ipm_live's SampleChannel), never as
+// table reads; a read from a second thread is a data race, and the TSan CI
+// leg reports it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ipm/key.hpp"
@@ -56,12 +49,7 @@ class PerfHashTable {
   bool update_hashed(const EventKey& key, std::uint64_t hash, double duration) noexcept {
     const std::size_t idx = hash & mask_;
     if (tags_[idx] == tag_of(hash) && keys_[idx] == key) {
-      std::atomic<std::uint32_t>* const ep = epochs_.load(std::memory_order_relaxed);
-      if (ep == nullptr) {
-        stats_[idx].add(duration);
-      } else {
-        live_add(ep[idx], stats_[idx], duration);
-      }
+      stats_[idx].add(duration);
       return true;
     }
     return update_probe(key, hash, duration);
@@ -78,51 +66,13 @@ class PerfHashTable {
 
   void clear() noexcept;
 
-  /// Visit every occupied slot.
+  /// Visit every occupied slot, in slot-index order: the order both
+  /// Monitor::snapshot() and a live capture merge rows in, so their sums
+  /// agree bit-exactly.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (std::size_t i = 0; i <= mask_; ++i) {
       if (tags_[i] != kEmpty) fn(keys_[i], stats_[i]);
-    }
-  }
-
-  // --- live snapshot API (seqlock per slot) ---------------------------------
-
-  /// Arm the per-slot epoch counters.  Must be called before the first
-  /// concurrent read (the owning thread may already be updating: the gate
-  /// flips from "plain stores" to "epoch-guarded atomic stores" at the next
-  /// update).  Idempotent.  Not thread-safe itself: call from the owner.
-  void enable_live_snapshots();
-
-  [[nodiscard]] bool live_snapshots() const noexcept {
-    return epochs_.load(std::memory_order_relaxed) != nullptr;
-  }
-
-  /// Consistent copy of slot `i` while the owner keeps updating: seqlock
-  /// read with retry.  Returns false when the slot is empty.  Without
-  /// enable_live_snapshots() this degrades to a plain (owner-only) read.
-  [[nodiscard]] bool read_live_slot(std::size_t i, EventKey& key,
-                                    EventStats& st) const noexcept;
-
-  /// Visit every occupied slot via consistent live reads, in slot-index
-  /// order; fn(slot_index, key, stats).  Safe from a concurrent reader
-  /// thread once live snapshots are enabled.
-  template <typename Fn>
-  void for_each_live(Fn&& fn) const {
-    // Pairs with enable_live_snapshots(): tags stored before it are visible.
-    (void)epochs_.load(std::memory_order_acquire);
-    auto* self = const_cast<PerfHashTable*>(this);  // atomic_ref needs non-const
-    EventKey key;
-    EventStats st;
-    for (std::size_t i = 0; i <= mask_; ++i) {
-      // A tag never returns to empty while a reader may be attached, so one
-      // relaxed byte load skips an empty slot without its seqlock read; a
-      // slot filled meanwhile is seen by the next pass.
-      if (std::atomic_ref<std::uint8_t>(self->tags_[i]).load(std::memory_order_relaxed) ==
-          kEmpty) {
-        continue;
-      }
-      if (read_live_slot(i, key, st)) fn(i, key, st);
     }
   }
 
@@ -139,35 +89,6 @@ class PerfHashTable {
   /// chains, first touches of a signature, and overflow.
   bool update_probe(const EventKey& key, std::uint64_t hash, double duration) noexcept;
 
-  /// Seqlock-guarded EventStats::add.  The owner is the only writer, so
-  /// reads of the current values stay plain; only the *stores* go through
-  /// atomic_ref (a concurrent snapshot reader may be copying the slot).
-  static void live_add(std::atomic<std::uint32_t>& epoch, EventStats& st,
-                       double duration) noexcept {
-    const std::uint32_t e = epoch.load(std::memory_order_relaxed);
-    epoch.store(e + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    if (st.count == 0) {
-      std::atomic_ref<double>(st.tmin).store(duration, std::memory_order_relaxed);
-      std::atomic_ref<double>(st.tmax).store(duration, std::memory_order_relaxed);
-    } else {
-      if (duration < st.tmin) {
-        std::atomic_ref<double>(st.tmin).store(duration, std::memory_order_relaxed);
-      }
-      if (duration > st.tmax) {
-        std::atomic_ref<double>(st.tmax).store(duration, std::memory_order_relaxed);
-      }
-    }
-    std::atomic_ref<double>(st.tsum).store(st.tsum + duration, std::memory_order_relaxed);
-    std::atomic_ref<std::uint64_t>(st.count).store(st.count + 1,
-                                                   std::memory_order_relaxed);
-    epoch.store(e + 2, std::memory_order_release);
-  }
-
-  /// Seqlock-guarded first write of a slot (tag + key + stats).
-  void live_insert(std::size_t pos, std::uint8_t tag, const EventKey& key,
-                   double duration) noexcept;
-
   /// Writes a tag, keeping the wrap-around mirror of the first group in sync.
   void set_tag(std::size_t i, std::uint8_t t) noexcept {
     tags_[i] = t;
@@ -181,10 +102,6 @@ class PerfHashTable {
   std::size_t used_ = 0;
   std::uint64_t overflow_ = 0;
   std::uint64_t probe_steps_ = 0;
-  /// Per-slot seqlock epochs; allocated by enable_live_snapshots().  The
-  /// pointer doubles as the hot-path gate: nullptr = plain stores.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> epoch_storage_;
-  std::atomic<std::atomic<std::uint32_t>*> epochs_{nullptr};
 };
 
 }  // namespace ipm

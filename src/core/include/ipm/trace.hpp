@@ -10,15 +10,16 @@
 // overwriting history (the head of a run is where initialization bugs
 // live).
 //
-// One ring per rank, written only by the owning rank thread (the monitor
-// is thread-local), so pushes are wait-free single-producer appends; the
-// ring is drained once, at rank finalize, on the same thread: the flush
-// streams the records straight into a per-rank binary file of fixed-width
-// records (names and regions go once each into tables at its head), and
-// `ipm_parse --trace` merges the files into a single Chrome-tracing JSON.
+// One ring per rank, written and read only by the thread that owns its
+// Monitor (the monitor is thread-local), so a push is a plain append with
+// no atomics, like a hash-table update; a read from another thread is a
+// data race, and the TSan CI leg reports it.  The ring is drained once, at
+// rank finalize, on the same thread: the flush streams the records
+// straight into a per-rank binary file of fixed-width records (names and
+// regions go once each into tables at its head), and `ipm_parse --trace`
+// merges the files into a single Chrome-tracing JSON.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -54,12 +55,10 @@ struct TraceRecord {
   TraceKind kind = TraceKind::kHost;
 };
 
-/// Bounded single-producer append buffer of TraceRecords.
+/// Bounded append buffer of TraceRecords, owned by one rank thread.
 ///
-/// push() is wait-free and allocation-free: one bounds check, one struct
-/// store, one release store of the count.  The count is atomic so a
-/// concurrent *reader* (tests, a future sampling exporter) sees fully
-/// written records; the producing rank thread itself needs no fences.
+/// push() is wait-free and allocation-free: one bounds check and one
+/// struct store.
 class TraceRing {
  public:
   /// Ring holds 2^log2_records records (clamped to [4, 24] bits).
@@ -67,38 +66,32 @@ class TraceRing {
 
   /// Append one record; returns false (and counts a drop) when full.
   bool push(const TraceRecord& rec) noexcept {
-    const std::size_t idx = count_.load(std::memory_order_relaxed);
-    if (idx >= cap_) {
-      drops_.fetch_add(1, std::memory_order_relaxed);
+    if (count_ >= cap_) {
+      drops_ += 1;
       return false;
     }
-    slots_[idx] = rec;
-    count_.store(idx + 1, std::memory_order_release);
+    slots_[count_++] = rec;
     return true;
   }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return count_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
-  [[nodiscard]] std::uint64_t drops() const noexcept {
-    return drops_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t drops() const noexcept { return drops_; }
   [[nodiscard]] const TraceRecord& operator[](std::size_t i) const noexcept {
     return slots_[i];
   }
 
   /// Forget all records and drops (benchmark reuse; not used on live rings).
   void clear() noexcept {
-    count_.store(0, std::memory_order_release);
-    drops_.store(0, std::memory_order_relaxed);
+    count_ = 0;
+    drops_ = 0;
   }
 
  private:
   std::unique_ptr<TraceRecord[]> slots_;
   std::size_t cap_;
-  std::atomic<std::size_t> count_{0};
-  std::atomic<std::uint64_t> drops_{0};
+  std::size_t count_ = 0;
+  std::uint64_t drops_ = 0;
 };
 
 // --- flushed form ------------------------------------------------------------

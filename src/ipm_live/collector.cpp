@@ -71,7 +71,14 @@ class CollectorSink final : public SampleSink {
     out_ << end_line(merger_.intervals_emitted()) << '\n';
     out_.flush();
     CollectorSummary sum;
-    sum.timeseries_file = ts_path_;
+    // The stream's failbit is sticky, so this also catches a failed mid-run
+    // flush.  An unwritten file is not referenced, as flush_trace does for
+    // trace files: the banner says "(unwritten)" and the XML omits it.
+    if (out_) {
+      sum.timeseries_file = ts_path_;
+    } else {
+      std::fprintf(stderr, "ipm: time-series write failed for %s\n", ts_path_.c_str());
+    }
     sum.interval = merger_.interval();
     sum.intervals = merger_.intervals_emitted();
     return sum;

@@ -3,8 +3,8 @@
 // The paper's IPM reports only at MPI_Finalize; a 48-rank run is a black
 // box until it exits.  This subsystem adds the operational layer: with
 // Config::snapshot_interval > 0 (IPM_SNAPSHOT) each rank's monitor
-// periodically captures a consistent view of its performance hash table
-// (hashtable.hpp live snapshot API), computes *deltas* against the
+// periodically folds its performance hash table (PerfHashTable::for_each,
+// the visitor the finalize snapshot uses), computes *deltas* against the
 // previous sample, and pushes them onto a bounded SPSC channel — the same
 // drop-counting, never-blocking discipline as the trace ring.  A process-
 // wide collector thread merges all ranks in virtual time into per-interval
@@ -14,8 +14,10 @@
 //
 // Capture runs on the owning rank thread, piggybacked on Monitor::record —
 // virtual time only advances there, so that is the one place an interval
-// boundary can be observed.  The collector never touches a table; it only
-// consumes published samples.
+// boundary can be observed.  The table and trace ring therefore have one
+// owner and no synchronisation; what crosses threads is a published
+// sample, through SampleChannel, and the publisher list in the collector
+// registry.  The collector never touches a table.
 //
 // Conservation invariant: for every rank, folding all published deltas (in
 // publish order) reproduces the finalize RankProfile bit-exactly — counts
@@ -183,7 +185,7 @@ class LivePublisher {
 // --- publisher seam (called from ipm core) ----------------------------------
 
 /// Create and register this monitor's publisher (Monitor constructor calls
-/// this when cfg.snapshot_interval > 0).  Arms the table's live snapshots.
+/// this when cfg.snapshot_interval > 0).
 void attach_rank(Monitor& m);
 
 /// Forced capture now (due-check lives in the Monitor hot path; tests call

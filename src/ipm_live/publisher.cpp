@@ -78,11 +78,12 @@ void LivePublisher::capture(bool final_flush) noexcept {
   const double t1 = m.clock_->now();
   const double grid = m.cfg_.snapshot_interval * static_cast<double>(backoff_);
   m.live_next_due_ = next_due(t1, grid);
-  // Fold the current per-(name, region, select) totals in slot-index order
-  // — the exact merge Monitor::snapshot() performs, so the cumulative fold
-  // of every published delta lands on the finalize profile bit-exactly.
+  // Fold the current per-(name, region, select) totals with the visitor
+  // Monitor::snapshot() merges with — the same slot order, so the
+  // cumulative fold of every published delta lands on the finalize profile
+  // bit-exactly.  The table is this thread's own: no other thread reads it.
   std::map<std::tuple<NameId, std::uint32_t, std::int32_t>, Mirror> cur;
-  m.table_.for_each_live([&](std::size_t, const EventKey& key, const EventStats& st) {
+  m.table_.for_each([&](const EventKey& key, const EventStats& st) {
     Mirror& c = cur[{key.name, key.region, key.select}];
     c.count += st.count;
     c.bytes += key.bytes * st.count;
@@ -191,7 +192,6 @@ void LivePublisher::adapt_cadence(Monitor& m, double now, bool published) noexce
 
 void LivePublisher::do_attach(Monitor& m) {
   if (m.live_pub_ != nullptr) return;
-  m.table_.enable_live_snapshots();
   auto* pub = new LivePublisher(m, simx::current_context().world_rank);
   {
     detail::Registry& reg = detail::registry();

@@ -1,6 +1,8 @@
-// Live telemetry (ipm_live): the lock-free snapshot/epoch API on the hash
-// table, the per-rank delta publisher, the channel drop accounting, and the
-// cluster collector's JSONL export.
+// Live telemetry (ipm_live): the per-rank delta publisher, the channel
+// drop accounting, and the cluster collector's JSONL export.  A capture
+// folds its rank's hash table on the owning thread; the multi-rank tests
+// here (8 rank threads plus the collector thread) run under TSan in CI, so
+// a table read from any thread but its owner's is a reported race.
 //
 // The subsystem's core correctness property is *conservation*: folding every
 // published delta sample reproduces the finalize profile bit-exactly — in
@@ -9,20 +11,19 @@
 // successful capture.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cudasim/control.hpp"
 #include "cudasim/kernel.hpp"
-#include "ipm/hashtable.hpp"
 #include "ipm/monitor.hpp"
 #include "ipm/report.hpp"
 #include "ipm_live/live.hpp"
@@ -69,102 +70,6 @@ void expect_conserved(const ipm::RankProfile& p, const std::map<TripleKey, Fold>
     EXPECT_EQ(it->second.tsum, e.tsum) << e.name;  // bit-exact, not NEAR
   }
   EXPECT_EQ(fold.size(), p.events.size());
-}
-
-// --- hash-table snapshot API -------------------------------------------------
-
-TEST(LiveSnapshot, TableReadersSeeConsistentSlots) {
-  ipm::PerfHashTable table(8);
-  table.enable_live_snapshots();
-  EXPECT_TRUE(table.live_snapshots());
-  ipm::EventKey key{ipm::intern_name("live_evt"), 2, 64, 1};
-  table.update(key, 0.5);
-  table.update(key, 1.5);
-  std::size_t seen = 0;
-  table.for_each_live([&](std::size_t, const ipm::EventKey& k, const ipm::EventStats& st) {
-    ++seen;
-    EXPECT_EQ(k.name, key.name);
-    EXPECT_EQ(k.region, 2u);
-    EXPECT_EQ(k.bytes, 64u);
-    EXPECT_EQ(k.select, 1);
-    EXPECT_EQ(st.count, 2u);
-    EXPECT_DOUBLE_EQ(st.tsum, 2.0);
-    EXPECT_DOUBLE_EQ(st.tmin, 0.5);
-    EXPECT_DOUBLE_EQ(st.tmax, 1.5);
-  });
-  EXPECT_EQ(seen, 1u);
-}
-
-/// The TSan oracle: two owner threads hammer their own tables (the table is
-/// single-writer by design) while a third thread snapshots both through the
-/// epoch API.  Every cross-thread access goes through atomics; a torn read
-/// would trip the per-slot invariants below, a data race trips TSan in CI.
-TEST(LiveSnapshot, ConcurrentReaderHammer) {
-  constexpr int kWriters = 2;
-  constexpr int kKeys = 64;
-  constexpr int kRounds = 20000;
-  // PerfHashTable is pinned in place once live (the epoch array is handed
-  // out); two named instances instead of a vector.
-  ipm::PerfHashTable table0(10u);
-  ipm::PerfHashTable table1(10u);
-  ipm::PerfHashTable* const tables[kWriters] = {&table0, &table1};
-  for (ipm::PerfHashTable* t : tables) t->enable_live_snapshots();
-  const ipm::NameId name = ipm::intern_name("hammer_evt");
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    std::uint64_t scans = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      for (ipm::PerfHashTable* t : tables) {
-        t->for_each_live(
-            [&](std::size_t, const ipm::EventKey& k, const ipm::EventStats& st) {
-              // Seqlock-consistent slot: all durations are in (0, 2e-6], so
-              // these hold for any prefix of the update stream.
-              EXPECT_EQ(k.name, name);
-              EXPECT_GE(st.count, 1u);
-              EXPECT_GT(st.tmin, 0.0);
-              EXPECT_LE(st.tmin, st.tmax);
-              EXPECT_GE(st.tsum, st.tmax);
-              EXPECT_LE(st.tsum, static_cast<double>(st.count) * st.tmax * 1.0001);
-            });
-      }
-      ++scans;
-    }
-    EXPECT_GT(scans, 0u);
-  });
-  std::vector<std::thread> writers;
-  writers.reserve(kWriters);
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      simx::Xoshiro256 rng(static_cast<std::uint64_t>(17 + w));
-      ipm::EventKey key{name, 0, 0, w};
-      for (int i = 0; i < kRounds; ++i) {
-        key.bytes = (rng.uniform_u64(kKeys) + 1) * 8;
-        tables[w]->update(key,
-                          1e-6 + 1e-9 * static_cast<double>(rng.uniform_u64(1000)));
-      }
-    });
-  }
-  for (std::thread& t : writers) t.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  // Quiescent check: the snapshot view equals the plain view.
-  for (ipm::PerfHashTable* t : tables) {
-    std::uint64_t live_count = 0;
-    double live_tsum = 0.0;
-    t->for_each_live([&](std::size_t, const ipm::EventKey&, const ipm::EventStats& st) {
-      live_count += st.count;
-      live_tsum += st.tsum;
-    });
-    std::uint64_t plain_count = 0;
-    double plain_tsum = 0.0;
-    t->for_each([&](const ipm::EventKey&, const ipm::EventStats& st) {
-      plain_count += st.count;
-      plain_tsum += st.tsum;
-    });
-    EXPECT_EQ(live_count, plain_count);
-    EXPECT_EQ(live_count, static_cast<std::uint64_t>(kRounds));
-    EXPECT_EQ(live_tsum, plain_tsum);
-  }
 }
 
 // --- publisher conservation --------------------------------------------------
@@ -388,6 +293,43 @@ TEST(LiveSnapshot, ClusterJsonlConservation) {
   EXPECT_NE(ss.str().find("ipm_up 0"), std::string::npos);
   EXPECT_NE(ss.str().find("ipm_ranks 8"), std::string::npos);
   EXPECT_NE(ss.str().find("ipm_mpi_seconds_total"), std::string::npos);
+}
+
+/// A time series that never reached the disk is not reported as written:
+/// the job references no file, the banner says "(unwritten)", the XML has
+/// no <timeseries> element, and stderr names the failed path.
+TEST(LiveSnapshot, FullDiskLeavesTheTimeSeriesUnwritten) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "/dev/full not available";
+  simx::reset_default_context();
+  ipm::Config cfg;
+  cfg.snapshot_interval = 0.5;
+  cfg.timeseries_path = "/dev/full";
+  ipm::job_begin(cfg, "./live_full_disk");
+  mpisim::ClusterConfig cluster;
+  cluster.ranks = 2;
+  ::testing::internal::CaptureStderr();
+  mpisim::run_cluster(cluster, [](int) {
+    MPI_Init(nullptr, nullptr);
+    for (int i = 0; i < 10; ++i) {
+      simx::host_compute(0.25);
+      MPI_Barrier(MPI_COMM_WORLD);
+    }
+    MPI_Finalize();
+  });
+  const ipm::JobProfile job = ipm::job_end();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("ipm: time-series write failed for /dev/full"), std::string::npos)
+      << err;
+  EXPECT_TRUE(job.timeseries_file.empty());
+  EXPECT_GT(job.snapshot_samples(), 0u);
+  const std::string banner = ipm::banner_string(job);
+  EXPECT_NE(banner.find("# timeseries : "), std::string::npos) << banner;
+  EXPECT_NE(banner.find(" in (unwritten) ("), std::string::npos) << banner;
+  EXPECT_EQ(banner.find("/dev/full"), std::string::npos) << banner;
+  std::ostringstream xml;
+  ipm::write_xml(xml, job);
+  EXPECT_EQ(xml.str().find("<timeseries"), std::string::npos);
+  EXPECT_EQ(xml.str().find("/dev/full"), std::string::npos);
 }
 
 // --- serialization + report helpers ------------------------------------------

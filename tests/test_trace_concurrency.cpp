@@ -1,8 +1,9 @@
 // Concurrency stress for the tracing path, written to run clean under
 // ThreadSanitizer: the lock-free name-interning fast path hammered from
-// many threads, a trace ring observed by a concurrent reader while its
-// producer appends, and per-rank ring isolation on a monitored cluster
-// (threads-as-ranks: one rank's spans must never leak into another's ring).
+// many threads, and per-rank ring isolation on a monitored cluster
+// (threads-as-ranks: one rank's spans must never leak into another's
+// ring).  A ring has one owner and plain counters, so TSan also reports
+// any read of a ring from a thread other than its rank's.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -55,36 +56,6 @@ TEST(TraceConcurrency, InternNameHammer) {
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(shared_ids[static_cast<std::size_t>(t)], shared_ids[0]);
   }
-}
-
-TEST(TraceConcurrency, RingReaderSeesFullyWrittenRecords) {
-  // SPSC contract: the release store of count_ publishes the record, so a
-  // reader that loads size() with acquire may touch every slot below it.
-  ipm::TraceRing ring(12);  // 4096
-  const ipm::NameId name = ipm::intern_name("spsc_event");
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> torn{0};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const std::size_t n = ring.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        // Each record is self-consistent: t0 encodes the index, dur = 2*t0.
-        const ipm::TraceRecord& r = ring[i];
-        if (r.dur != 2.0 * r.t0 || r.name != name) torn.fetch_add(1);
-      }
-    }
-  });
-  for (std::size_t i = 0; i < ring.capacity(); ++i) {
-    ipm::TraceRecord r;
-    r.t0 = static_cast<double>(i);
-    r.dur = 2.0 * static_cast<double>(i);
-    r.name = name;
-    ASSERT_TRUE(ring.push(r));
-  }
-  stop.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(torn.load(), 0u);
-  EXPECT_EQ(ring.size(), ring.capacity());
 }
 
 TEST(TraceConcurrency, PerRankRingsNeverInterleave) {
