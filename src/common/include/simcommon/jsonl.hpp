@@ -1,6 +1,6 @@
 // JSONL line codec: the one encoder behind every JSONL line and wire
-// payload (time-series lines, HELLO/WELCOME/RANK_FIN payloads, the spill
-// file's strings, ipm-bench-v1) and the Chrome-trace strings, and the strict
+// payload (time-series lines, HELLO/WELCOME/RANK_FIN payloads,
+// ipm-bench-v1) and the Chrome-trace strings, and the strict
 // cursor every reader of those bytes is built on.  The writer appends fields
 // to a caller-owned std::string without temporaries: integers via
 // std::to_chars, doubles via std::to_chars(general, 17) — byte for byte what

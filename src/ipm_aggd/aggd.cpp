@@ -1,8 +1,8 @@
 // Sharded ipm_aggd daemon core (see aggd.hpp): epoll IO thread routes
 // frames to per-job FIFO queues executed by a work-stealing pool; per-job
 // state is worker-exclusive (scheduled-flag protocol), the fleet merge
-// folds batches under one narrow mutex, idle jobs spill to disk, and slow
-// clients are disconnected on a bounded stall budget.
+// folds batches under one narrow mutex, idle jobs close their JSONL stream,
+// and slow clients are disconnected on a bounded stall budget.
 #include "ipm_aggd/aggd.hpp"
 
 #include <sys/epoll.h>
@@ -21,8 +21,6 @@
 
 #include "aggd_util.hpp"
 #include "ipm_live/live.hpp"
-#include "simcommon/jsonl.hpp"
-#include "simcommon/str.hpp"
 
 namespace ipm::aggd {
 
@@ -30,6 +28,7 @@ using live::wire::Frame;
 using live::wire::FrameType;
 
 using detail::kFleetStride;
+using detail::kPollMs;
 using detail::prom_escape;
 using detail::read_hello;
 using detail::read_rank_fin_drops;
@@ -128,9 +127,7 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
   slot = std::make_unique<Job>();
   Job& job = *slot;
   job.id = id;
-  job.st.command = command;
-  job.st.merger =
-      std::make_unique<live::JobMerger>(interval > 0.0 ? interval : 1.0);
+  job.st.merger = live::JobMerger(interval > 0.0 ? interval : 1.0);
   job.ts_path = opt_.out_dir + "/" + sanitize(id) + "_timeseries.jsonl";
   // A tailed file in out_dir would be its own output: write beside it.
   for (const Tail& t : tails_) {
@@ -139,7 +136,6 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
       break;
     }
   }
-  job.spill_path = job.ts_path + ".spill";
   job.fleet_base = fleet_next_base_;
   fleet_next_base_ += kFleetStride;
   job.home = static_cast<unsigned>(n_jobs_.load(std::memory_order_relaxed));
@@ -148,12 +144,12 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
     std::fprintf(stderr, "ipm_aggd: cannot open %s\n", job.ts_path.c_str());
   } else {
     job.st.out << live::timeseries_header_line(command,
-                                               job.st.merger->interval())
+                                               job.st.merger.interval())
                << '\n';
   }
   // Initial exposition snapshot so the job appears in ipm_agg.prom before
   // its first batch completes (the worker refreshes it afterwards).
-  job.snap.items = prom_items(*job.st.merger, 0, /*up=*/true);
+  job.snap.items = prom_items(job.st.merger, 0, /*up=*/true);
   n_jobs_.fetch_add(1, std::memory_order_relaxed);
   prom_dirty_.store(true, std::memory_order_relaxed);
   return job;
@@ -225,7 +221,7 @@ void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
   // correctness step (end_job/shutdown emit_all everything pending), so
   // run the bucket scan at a bounded cadence instead of per batch —
   // trickling clients otherwise pay it per sample.
-  if (!st.ended && !st.spilled && any_frame) {
+  if (!st.ended && any_frame) {
     const std::int64_t nowm = now_ms();
     if (st.last_emit_ms < 0 || nowm - st.last_emit_ms >= kJobEmitMs) {
       emit_due_job(job);
@@ -238,13 +234,11 @@ void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
   // trickle-load CPU, so refresh at the prom cadence instead.  A terminal
   // batch (job end) refreshes unconditionally; shutdown_flush re-snapshots
   // every job post-drain, so final values are always exact.
-  if (!st.spilled) {
-    const std::int64_t nowm = now_ms();
-    if (st.ended || st.last_snap_ms < 0 ||
-        nowm - st.last_snap_ms >= std::max(opt_.prom_interval_ms, 0)) {
-      update_snap(job);
-      st.last_snap_ms = nowm;
-    }
+  const std::int64_t nowm = now_ms();
+  if (st.ended || st.last_snap_ms < 0 ||
+      nowm - st.last_snap_ms >= std::max(opt_.prom_interval_ms, 0)) {
+    update_snap(job);
+    st.last_snap_ms = nowm;
   }
   prom_dirty_.store(true, std::memory_order_relaxed);
   job.last_active_ms.store(st.spilled || st.ended ? kInactive : now_ms(),
@@ -342,7 +336,7 @@ void Daemon::apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
   rs.last_epoch = epoch;
   rs.samples += 1;
   if (st.out) st.out << raw_line << '\n';
-  st.merger->add_sample(s);
+  st.merger.add_sample(s);
   s.rank = static_cast<int>(job.fleet_base + rank);
   fb.add.push_back(std::move(s));
 }
@@ -360,7 +354,7 @@ void Daemon::finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
   if (!read_rank_fin_drops(payload, rs.drops)) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   }
-  st.merger->finalize_rank(static_cast<int>(rank));
+  st.merger.finalize_rank(static_cast<int>(rank));
   fb.fin_ranks.push_back(static_cast<int>(job.fleet_base + rank));
 }
 
@@ -370,19 +364,19 @@ void Daemon::end_job(Job& job, FleetBatch& fb) {
   for (auto& [rank, rs] : st.ranks) {
     if (!rs.finalized) {
       rs.finalized = true;
-      st.merger->finalize_rank(static_cast<int>(rank));
+      st.merger.finalize_rank(static_cast<int>(rank));
       fb.fin_ranks.push_back(static_cast<int>(job.fleet_base + rank));
     }
   }
   std::vector<live::ClusterPoint> pts;
-  st.merger->emit_all(static_cast<int>(st.ranks.size()), pts);
+  st.merger.emit_all(static_cast<int>(st.ranks.size()), pts);
   if (st.out) {
     for (const live::ClusterPoint& p : pts) {
       st.out << live::point_line(p) << '\n';
     }
-    st.out << live::end_line(st.merger->intervals_emitted()) << '\n';
-    st.out.flush();
+    st.out << live::end_line(st.merger.intervals_emitted()) << '\n';
   }
+  close_stream(job);
   st.ended = true;
   jobs_ended_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -395,7 +389,7 @@ void Daemon::emit_due_job(Job& job) {
   }
   if (live_ranks.empty() && st.ranks.empty()) return;  // nothing seen yet
   std::vector<live::ClusterPoint> pts;
-  st.merger->emit_due(live_ranks, static_cast<int>(st.ranks.size()), pts);
+  st.merger.emit_due(live_ranks, static_cast<int>(st.ranks.size()), pts);
   if (pts.empty() || !st.out) return;
   for (const live::ClusterPoint& p : pts) st.out << live::point_line(p) << '\n';
   st.out.flush();
@@ -418,97 +412,37 @@ void Daemon::update_snap(Job& job) {
   JobState& st = job.st;
   const std::lock_guard<std::mutex> lock(job.snap_mu);
   job.snap.items =
-      prom_items(*st.merger, static_cast<int>(st.ranks.size()), !st.ended);
+      prom_items(st.merger, static_cast<int>(st.ranks.size()), !st.ended);
   job.snap.ranks.assign(st.ranks.begin(), st.ranks.end());
   job.snap.ended = st.ended;
 }
 
+void Daemon::close_stream(Job& job) {
+  std::ofstream& out = job.st.out;
+  if (!out.is_open()) return;
+  // close() flushes: a failed write, flush or close leaves `out` failed.
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "ipm_aggd: time-series write failed for %s\n",
+                 job.ts_path.c_str());
+  }
+}
+
 void Daemon::spill_job(Job& job) {
-  JobState& st = job.st;
-  std::ofstream os(job.spill_path, std::ios::trunc);
-  if (!os) {
-    std::fprintf(stderr, "ipm_aggd: cannot open spill %s\n",
-                 job.spill_path.c_str());
-    return;
-  }
-  std::string command_line;
-  simx::JsonlWriter(command_line).lit("command ").str(st.command);
-  os << "ipm-aggd-spill-v1\n" << command_line << '\n';
-  os << "ranks " << st.ranks.size() << '\n';
-  for (const auto& [rank, rs] : st.ranks) {
-    os << simx::strprintf("rank %u %llu %llu %llu %llu %d\n", rank,
-                          static_cast<unsigned long long>(rs.last_epoch),
-                          static_cast<unsigned long long>(rs.samples),
-                          static_cast<unsigned long long>(rs.resent),
-                          static_cast<unsigned long long>(rs.drops),
-                          rs.finalized ? 1 : 0);
-  }
-  st.merger->serialize(os);
-  os << "end\n";
-  os.flush();
-  if (!os) {  // disk trouble: keep the job in memory
-    std::fprintf(stderr, "ipm_aggd: spill write failed for %s\n",
-                 job.id.c_str());
-    std::remove(job.spill_path.c_str());
-    return;
-  }
-  st.out.flush();
-  st.out.close();
-  st.merger.reset();
-  st.ranks.clear();
-  st.spilled = true;
+  // The JSONL is the job's only file: spilling closes it, releasing its
+  // descriptor and stream buffer, while the merger and rank epochs stay in
+  // memory for the next frame.
+  close_stream(job);
+  job.st.spilled = true;
   spills_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Daemon::rehydrate_job(Job& job) {
-  JobState& st = job.st;
-  std::ifstream is(job.spill_path);
-  bool ok = static_cast<bool>(is);
-  std::string line;
-  if (ok) ok = std::getline(is, line) && line == "ipm-aggd-spill-v1";
-  if (ok) {
-    ok = static_cast<bool>(std::getline(is, line));
-    simx::JsonlReader r(line);
-    ok = ok && r.lit("command ") && r.str(st.command) && r.done();
+  job.st.out.open(job.ts_path, std::ios::app);
+  if (!job.st.out) {
+    std::fprintf(stderr, "ipm_aggd: cannot open %s\n", job.ts_path.c_str());
   }
-  std::size_t nranks = 0;
-  if (ok) {
-    ok = std::getline(is, line) &&
-         std::sscanf(line.c_str(), "ranks %zu", &nranks) == 1;
-  }
-  for (std::size_t i = 0; ok && i < nranks; ++i) {
-    unsigned rank = 0;
-    unsigned long long e = 0, sm = 0, rsnt = 0, dr = 0;
-    int fin = 0;
-    ok = std::getline(is, line) &&
-         std::sscanf(line.c_str(), "rank %u %llu %llu %llu %llu %d", &rank, &e,
-                     &sm, &rsnt, &dr, &fin) == 6;
-    if (ok) {
-      RankState& rs = st.ranks[rank];
-      rs.last_epoch = e;
-      rs.samples = sm;
-      rs.resent = rsnt;
-      rs.drops = dr;
-      rs.finalized = fin != 0;
-    }
-  }
-  if (ok) {
-    st.merger = std::make_unique<live::JobMerger>(1.0);
-    ok = st.merger->deserialize(is);
-  }
-  if (ok) ok = std::getline(is, line) && line == "end";
-  if (!ok) {
-    // Should not happen (we wrote the file); resume with fresh merge state
-    // rather than dying, but flag it loudly.
-    std::fprintf(stderr, "ipm_aggd: corrupt spill for %s — state reset\n",
-                 job.id.c_str());
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    if (!st.merger) st.merger = std::make_unique<live::JobMerger>(1.0);
-  }
-  is.close();
-  std::remove(job.spill_path.c_str());
-  st.out.open(job.ts_path, std::ios::app);
-  st.spilled = false;
+  job.st.spilled = false;
   rehydrations_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -878,10 +812,7 @@ void Daemon::maintenance() {
 
 void Daemon::write_prom() {
   prom_writes_.fetch_add(1, std::memory_order_relaxed);
-  const std::string tmp = prom_path_ + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) return;
+  live::publish_exposition(prom_path_, [this](std::ostream& os) {
     char buf[64];
     const auto num = [&buf](double v) -> const char* {
       std::snprintf(buf, sizeof buf, "%.17g", v);
@@ -963,12 +894,13 @@ void Daemon::write_prom() {
           "# TYPE ipm_agg_stalled_disconnects_total counter\n"
        << "ipm_agg_stalled_disconnects_total "
        << stalled_disconnects_.load(std::memory_order_relaxed) << '\n';
-    os << "# HELP ipm_agg_spills_total Idle jobs spilled to disk.\n"
+    os << "# HELP ipm_agg_spills_total Idle jobs whose JSONL stream was "
+          "closed.\n"
           "# TYPE ipm_agg_spills_total counter\n"
        << "ipm_agg_spills_total " << spills_.load(std::memory_order_relaxed)
        << '\n';
-    os << "# HELP ipm_agg_rehydrations_total Spilled jobs restored on new "
-          "traffic.\n"
+    os << "# HELP ipm_agg_rehydrations_total Spilled jobs whose stream "
+          "reopened on new traffic.\n"
           "# TYPE ipm_agg_rehydrations_total counter\n"
        << "ipm_agg_rehydrations_total "
        << rehydrations_.load(std::memory_order_relaxed) << '\n';
@@ -980,8 +912,7 @@ void Daemon::write_prom() {
     os << "# HELP ipm_agg_workers Worker threads (0 = serial mode).\n"
           "# TYPE ipm_agg_workers gauge\n"
        << "ipm_agg_workers " << (pool_ ? pool_->size() : 0) << '\n';
-  }
-  std::rename(tmp.c_str(), prom_path_.c_str());
+  });
 }
 
 void Daemon::drain_outbounds() {
@@ -1022,9 +953,7 @@ void Daemon::shutdown_flush() {
   // this thread (the drain gave us the happens-before edge).
   const std::lock_guard<std::mutex> lock(jobs_mu_);
   for (auto& [id, job] : jobs_) {
-    if (job->st.spilled) rehydrate_job(*job);
-  }
-  for (auto& [id, job] : jobs_) {
+    if (job->st.spilled) rehydrate_job(*job);  // reopen for the end line
     FleetBatch fb;
     end_job(*job, fb);
     fold_fleet(fb);
@@ -1046,7 +975,7 @@ void Daemon::run() {
   std::vector<epoll_event> evs(128);
   while (!stop_.load(std::memory_order_relaxed)) {
     const int n = ::epoll_wait(epoll_fd_, evs.data(),
-                               static_cast<int>(evs.size()), opt_.poll_ms);
+                               static_cast<int>(evs.size()), kPollMs);
     if (n < 0 && errno != EINTR) break;
     for (int i = 0; i < n; ++i) {
       const int fd = evs[i].data.fd;

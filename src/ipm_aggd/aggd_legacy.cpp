@@ -20,6 +20,7 @@ using live::wire::Frame;
 using live::wire::FrameType;
 
 using detail::kFleetStride;
+using detail::kPollMs;
 using detail::prom_escape;
 using detail::read_hello;
 using detail::read_rank_fin_drops;
@@ -349,7 +350,7 @@ void LegacyDaemon::poll_once() {
                    0});
   }
   if (!fds.empty()) {
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), opt_.poll_ms);
+    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), kPollMs);
   }
   if (listen_fd_ >= 0) {
     for (;;) {

@@ -13,6 +13,9 @@ namespace ipm::aggd::detail {
 /// per-rank provenance survives the fleet-wide watermark barrier.
 inline constexpr std::uint64_t kFleetStride = 1'000'000;
 
+/// IO loop wakeup budget per poll()/epoll_wait(), in milliseconds.
+inline constexpr int kPollMs = 2;
+
 inline std::string sanitize(const std::string& id) {
   std::string out;
   out.reserve(id.size());

@@ -19,8 +19,10 @@
 // merging folds each batch's samples under one narrow mutex.  Responses
 // travel back through per-session outbound buffers with a bounded stall
 // budget (a client that stops reading is disconnected and counted, never
-// blocks the daemon).  Idle jobs spill their state to disk and rehydrate
-// on the next frame.
+// blocks the daemon).  A job's JSONL is its one on-disk format: an idle
+// job's spill closes that stream and keeps its merge state and rank epochs
+// in memory, and its next frame reopens the stream in append mode.  An
+// ended job closes its stream after the end line.
 //
 // Conservation: a sample frame is applied (written + merged) only when its
 // epoch exceeds the rank's last applied epoch, so client resends after a
@@ -68,13 +70,11 @@ struct Options {
   std::vector<std::string> tails;
   /// Exit run() once this many jobs ended (0 = run until stop()).
   int exit_after_jobs = 0;
-  /// IO loop wakeup budget per iteration, in milliseconds.
-  int poll_ms = 2;
   /// Worker threads: <0 auto-sizes from the host, 0 runs serial (frames
   /// applied inline on the IO thread), >0 is an explicit pool size.
   int workers = -1;
-  /// Spill a job's state to disk after this much idle wall time in
-  /// milliseconds (0 = never spill).
+  /// Close an idle job's JSONL stream after this much idle wall time in
+  /// milliseconds (0 = never spill); its next frame reopens it.
   int spill_idle_ms = 0;
   /// Disconnect a session once its queued outbound bytes exceed this.
   std::size_t session_outbuf_max = 8u << 20;
@@ -203,12 +203,11 @@ class Daemon {
   /// Worker-exclusive job state (scheduled-flag protocol: at most one
   /// batch per job in flight, so no lock needed).
   struct JobState {
-    std::string command = "?";
     std::ofstream out;
-    std::unique_ptr<live::JobMerger> merger;
+    live::JobMerger merger{1.0};  ///< get_or_create_job sets the interval
     std::map<std::uint32_t, RankState> ranks;
-    bool ended = false;
-    bool spilled = false;
+    bool ended = false;    ///< end line written, `out` closed for good
+    bool spilled = false;  ///< idle: `out` closed until the next frame
     std::int64_t last_snap_ms = -1;  ///< worker-owned: last PromSnap refresh
     std::int64_t last_emit_ms = -1;  ///< worker-owned: last emit_due pass
   };
@@ -216,7 +215,6 @@ class Daemon {
   struct Job {
     std::string id;
     std::string ts_path;
-    std::string spill_path;
     std::uint64_t fleet_base = 0;  ///< composite-rank offset, fleet merge
     unsigned home = 0;             ///< pinned worker
     std::mutex q_mu;
@@ -276,6 +274,7 @@ class Daemon {
   void emit_due_job(Job& job);
   void fold_fleet(FleetBatch& fb);
   void update_snap(Job& job);
+  void close_stream(Job& job);
   void spill_job(Job& job);
   void rehydrate_job(Job& job);
   void wake_io();

@@ -31,7 +31,8 @@ int usage(const char* argv0, int code) {
       "  --fleet-interval <s>    fleet-wide merge interval (default 1.0)\n"
       "  --exit-after-jobs <n>   exit once n jobs completed\n"
       "  --workers <n>           worker threads (-1 auto, 0 serial)\n"
-      "  --spill-idle-ms <ms>    spill idle job state to disk (0 = never)\n"
+      "  --spill-idle-ms <ms>    close an idle job's JSONL stream until its\n"
+      "                          next frame (0 = never)\n"
       "  --stall-ms <ms>         disconnect clients stalled this long\n"
       "  --outbuf-max <bytes>    per-session outbound buffer bound\n"
       "  --prom-interval-ms <ms> min gap between exposition rewrites\n"

@@ -93,10 +93,7 @@ class CollectorSink final : public SampleSink {
   }
 
   void write_prom(int ranks_live, bool up) const {
-    const std::string tmp = prom_path_ + ".tmp";
-    {
-      std::ofstream os(tmp, std::ios::trunc);
-      if (!os) return;
+    publish_exposition(prom_path_, [&](std::ostream& os) {
       char buf[64];
       for (const PromItem& it : prom_items(merger_, ranks_live, up)) {
         std::snprintf(buf, sizeof buf, "%.17g", it.value);
@@ -104,9 +101,7 @@ class CollectorSink final : public SampleSink {
            << (it.counter ? " counter\n" : " gauge\n") << it.name << ' ' << buf
            << '\n';
       }
-    }
-    // Atomic publish: readers always see a complete exposition.
-    std::rename(tmp.c_str(), prom_path_.c_str());
+    });
   }
 
   JobMerger merger_;
@@ -157,6 +152,17 @@ void scan(detail::Registry& reg, SampleSink& sink, bool drain_everything) {
 }
 
 }  // namespace
+
+void publish_exposition(const std::string& path,
+                        const std::function<void(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp";
+  std::ofstream os(tmp, std::ios::trunc);
+  if (os) write(os);
+  os.close();  // flushes: a full disk fails here, not at the last <<
+  if (os && std::rename(tmp.c_str(), path.c_str()) == 0) return;
+  std::fprintf(stderr, "ipm: cannot publish exposition %s\n", path.c_str());
+  std::remove(tmp.c_str());
+}
 
 void collector_start(const Config& cfg, const std::string& command) {
   collector_stop();

@@ -33,6 +33,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -286,6 +287,15 @@ void collector_start(const Config& cfg, const std::string& command);
 CollectorSummary collector_stop();
 
 [[nodiscard]] bool collector_running();
+
+// --- exposition file --------------------------------------------------------
+
+/// Publish the exposition file `path` atomically: `write` fills
+/// `<path>.tmp`, which is closed and then renamed over `path`.  When a write,
+/// the close or the rename fails, the failure is printed, the tmp removed
+/// and the previous file kept, so a reader never sees a partial exposition.
+void publish_exposition(const std::string& path,
+                        const std::function<void(std::ostream&)>& write);
 
 // --- time-series file -------------------------------------------------------
 

@@ -4,7 +4,9 @@
 // thread (one job) and the out-of-process `ipm_aggd` daemon (many jobs,
 // one merger each plus a fleet-wide one).  It is pure bookkeeping: the
 // caller feeds samples and asks which intervals are closed; all IO (JSONL
-// lines, exposition files) stays with the caller.
+// lines, exposition files) stays with the caller.  Its state has no
+// serialized form: the daemon keeps an idle job's merger in memory when it
+// spills the job, which only closes the job's JSONL stream.
 //
 // Interval k = [k*interval, (k+1)*interval) closes once every *live* rank
 // (attached, not finalized) has published a sample whose t1 reaches past
@@ -14,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <set>
 #include <string>
@@ -69,15 +70,6 @@ class JobMerger {
   [[nodiscard]] double emitted_virtual_seconds() const noexcept {
     return static_cast<double>(next_emit_) * interval_;
   }
-
-  /// Write the complete merge state (pending buckets, watermarks, totals,
-  /// last point) as text lines; %.17g round-trips keep every double
-  /// bit-exact.  Used by the daemon's idle-job disk spill.
-  void serialize(std::ostream& os) const;
-  /// Restore state written by serialize(), replacing *this entirely
-  /// (including the interval).  Returns false on malformed input, leaving
-  /// *this in an unspecified state.
-  [[nodiscard]] bool deserialize(std::istream& is);
 
  private:
   struct Bucket {

@@ -4,14 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <istream>
 #include <limits>
-#include <ostream>
 
 #include "ipm/key.hpp"
-#include "simcommon/jsonl.hpp"
 #include "simcommon/str.hpp"
 
 namespace ipm::live {
@@ -150,116 +145,6 @@ void JobMerger::emit_all(int ranks_live, std::vector<ClusterPoint>& out) {
     out.push_back(emit_point(next_emit_, ranks_live));
     next_emit_ += 1;
   }
-}
-
-namespace {
-
-using Ull = unsigned long long;
-
-}  // namespace
-
-void JobMerger::serialize(std::ostream& os) const {
-  os << simx::strprintf("merger interval=%.17g next_emit=%llu emitted=%llu\n",
-                        interval_, static_cast<Ull>(next_emit_),
-                        static_cast<Ull>(intervals_emitted_));
-  const MergeTotals& t = totals_;
-  os << simx::strprintf(
-      "totals %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g %.17g "
-      "%llu %llu %llu %llu\n",
-      t.mpi_s, t.cuda_s, t.gpu_s, t.idle_s, t.blas_s, t.fft_s, t.flops,
-      t.dev_flops, t.dev_bytes, static_cast<Ull>(t.mpi_bytes),
-      static_cast<Ull>(t.cuda_bytes), static_cast<Ull>(t.events),
-      static_cast<Ull>(t.samples));
-  os << "last " << point_line(last_) << "\n";
-  for (const auto& [rank, wm] : watermark_) {
-    os << simx::strprintf("wm %d %.17g\n", rank, wm);
-  }
-  for (const auto& [k, b] : buckets_) {
-    os << simx::strprintf(
-        "bucket %llu %llu %llu %llu %llu %.17g %.17g %.17g %.17g %.17g %.17g "
-        "%.17g %.17g %.17g\n",
-        static_cast<Ull>(k), static_cast<Ull>(b.samples),
-        static_cast<Ull>(b.devents), static_cast<Ull>(b.mpi_bytes),
-        static_cast<Ull>(b.cuda_bytes), b.mpi_s, b.cuda_s, b.gpu_s, b.idle_s,
-        b.blas_s, b.fft_s, b.flops, b.dev_flops, b.dev_bytes);
-    for (const int r : b.ranks) os << "brank " << r << "\n";
-    for (const auto& [name, fl] : b.region_flops) {
-      std::string line;
-      simx::JsonlWriter(line).lit("bregion ").num(fl).lit(" ").str(name);
-      os << line << '\n';
-    }
-  }
-  os << "merger_end\n";
-}
-
-bool JobMerger::deserialize(std::istream& is) {
-  buckets_.clear();
-  watermark_.clear();
-  totals_ = MergeTotals{};
-  last_ = ClusterPoint{};
-  std::string line;
-  Ull u0 = 0, u1 = 0, u2 = 0, u3 = 0, u4 = 0;
-  if (!std::getline(is, line) ||
-      std::sscanf(line.c_str(), "merger interval=%lg next_emit=%llu emitted=%llu",
-                  &interval_, &u0, &u1) != 3) {
-    return false;
-  }
-  next_emit_ = u0;
-  intervals_emitted_ = u1;
-  Bucket* cur = nullptr;
-  while (std::getline(is, line)) {
-    if (line == "merger_end") return true;
-    if (line.compare(0, 7, "totals ") == 0) {
-      MergeTotals& t = totals_;
-      if (std::sscanf(line.c_str(),
-                      "totals %lg %lg %lg %lg %lg %lg %lg %lg %lg "
-                      "%llu %llu %llu %llu",
-                      &t.mpi_s, &t.cuda_s, &t.gpu_s, &t.idle_s, &t.blas_s,
-                      &t.fft_s, &t.flops, &t.dev_flops, &t.dev_bytes, &u0, &u1,
-                      &u2, &u3) != 13) {
-        return false;
-      }
-      t.mpi_bytes = u0;
-      t.cuda_bytes = u1;
-      t.events = u2;
-      t.samples = u3;
-    } else if (line.compare(0, 5, "last ") == 0) {
-      if (!parse_point_line(std::string_view(line).substr(5), last_)) return false;
-    } else if (line.compare(0, 3, "wm ") == 0) {
-      int rank = 0;
-      double wm = 0.0;
-      if (std::sscanf(line.c_str(), "wm %d %lg", &rank, &wm) != 2) return false;
-      watermark_[rank] = wm;
-    } else if (line.compare(0, 7, "bucket ") == 0) {
-      Bucket b;
-      if (std::sscanf(line.c_str(),
-                      "bucket %llu %llu %llu %llu %llu %lg %lg %lg %lg %lg "
-                      "%lg %lg %lg %lg",
-                      &u0, &u1, &u2, &u3, &u4, &b.mpi_s, &b.cuda_s, &b.gpu_s,
-                      &b.idle_s, &b.blas_s, &b.fft_s, &b.flops, &b.dev_flops,
-                      &b.dev_bytes) != 14) {
-        return false;
-      }
-      b.samples = u1;
-      b.devents = u2;
-      b.mpi_bytes = u3;
-      b.cuda_bytes = u4;
-      cur = &buckets_.emplace(u0, std::move(b)).first->second;
-    } else if (line.compare(0, 6, "brank ") == 0) {
-      if (cur == nullptr) return false;
-      cur->ranks.insert(std::atoi(line.c_str() + 6));
-    } else if (simx::JsonlReader r(line); r.lit("bregion ")) {
-      double fl = 0.0;
-      std::string name;
-      if (cur == nullptr || !r.num(fl) || !r.lit(" ") || !r.str(name) || !r.done()) {
-        return false;
-      }
-      cur->region_flops[std::move(name)] = fl;
-    } else {
-      return false;
-    }
-  }
-  return false;  // truncated: no merger_end
 }
 
 std::vector<PromItem> prom_items(const JobMerger& m, int ranks_live, bool up) {

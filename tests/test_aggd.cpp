@@ -8,7 +8,9 @@
 // bit-exactly — under the faults the wire can throw at it: daemon absent at
 // client startup, connection killed mid-run (reconnect + epoch resume, no
 // double count), truncated/corrupt frames (rejected, never partially
-// applied), and two concurrent jobs multiplexed into one daemon.
+// applied), and two concurrent jobs multiplexed into one daemon.  Two
+// file-side checks close it: ended jobs release their JSONL descriptor,
+// and a failed exposition write keeps the previous exposition.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +24,8 @@
 #include <thread>
 #include <tuple>
 #include <vector>
+
+#include <unistd.h>
 
 #include "ipm/monitor.hpp"
 #include "support/aggd_test_client.hpp"
@@ -500,6 +504,96 @@ TEST(Aggd, TwoConcurrentJobsStaySeparate) {
             std::string::npos);
   EXPECT_NE(prom.find("ipm_agg_rank_drops_total{job=\"beta\",rank=\"0\"} 1"),
             std::string::npos);
+}
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+/// Job churn: an ended job's JSONL is complete, so the daemon closes it.
+/// Many short jobs in a row must not hold one descriptor each until the
+/// daemon exits, and every file still ends with its end line.
+TEST(Aggd, EndedJobsCloseTheirStream) {
+  if (!std::filesystem::exists("/proc/self/fd")) GTEST_SKIP() << "no /proc";
+  constexpr int kJobs = 64;
+  const std::string dir = test_dir("aggd_churn");
+  const std::string sock = "unix:" + dir + "/agg.sock";
+  ipm::aggd::Options opt;
+  opt.listen = sock;
+  opt.out_dir = dir;
+  opt.workers = 2;
+  DaemonRunner runner(opt);
+  ASSERT_TRUE(runner.start());
+  const int fd = connect_block(sock);
+  ASSERT_GE(fd, 0);
+  Decoder dec;
+  Frame f;
+  const std::size_t before = open_fds();
+  for (int j = 0; j < kJobs; ++j) {
+    const std::string job = "churn-" + std::to_string(j);
+    send_all(fd, frame_bytes(FrameType::kHello, job, 0, 0,
+                             ipm::live::wire::hello_payload("./churn", 0.5)));
+    send_all(fd, sample_bytes(job, make_sample(0, 0, 0.0, 0.5, "MPI_Barrier", 1,
+                                               0, 0.25)));
+    send_all(fd, frame_bytes(FrameType::kRankFin, job, 0, 2,
+                             R"({"samples":1,"drops":0})"));
+    send_all(fd, frame_bytes(FrameType::kJobEnd, job, 0, 0, ""));
+    bool ended = false;
+    while (!ended && read_frame(fd, dec, f)) {
+      ended = f.type == FrameType::kJobEndAck && f.job == job;
+    }
+    ASSERT_TRUE(ended) << job;
+  }
+  const std::size_t after = open_fds();
+  ipm::live::net::close_fd(fd);
+  runner.d.stop();
+  runner.join();
+
+  // The JOB_END ack follows the close, so ended jobs hold no descriptor;
+  // the slack only covers a concurrent exposition rewrite.
+  EXPECT_LT(after, before + kJobs / 4) << before << " -> " << after;
+  for (int j = 0; j < kJobs; j += 21) {
+    const std::string job = "churn-" + std::to_string(j);
+    const std::string path = runner.d.job_timeseries_path(job);
+    const std::string text = slurp(path);
+    EXPECT_NE(text.find("{\"type\":\"end\","), std::string::npos) << path;
+    EXPECT_EQ(ipm::live::read_timeseries_file(path).samples.size(), 1u) << path;
+  }
+}
+
+/// The exposition is replaced through `<prom>.tmp`: a tmp that cannot be
+/// written (here a symlink to /dev/full) is reported and removed, and the
+/// previously published exposition stays in place; it is never replaced by
+/// the symlink or a partial file.
+TEST(Aggd, FailedExpositionWriteKeepsThePreviousFile) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "/dev/full not available";
+  namespace fs = std::filesystem;
+  const std::string dir = test_dir("aggd_prom_full");
+  ipm::aggd::Options opt;
+  opt.out_dir = dir;
+  ipm::aggd::Daemon d(opt);
+  std::string err;
+  ASSERT_TRUE(d.start(err)) << err;  // publishes the first exposition
+  const std::string prom = d.prom_path();
+  const std::string tmp = prom + ".tmp";
+  const std::string published = slurp(prom);
+  ASSERT_NE(published.find("ipm_agg_jobs 0"), std::string::npos) << published;
+
+  fs::create_symlink("/dev/full", tmp);
+  ::testing::internal::CaptureStderr();
+  d.stop();
+  d.run();  // its final rewrite fails on the full device
+  const std::string log = ::testing::internal::GetCapturedStderr();
+
+  EXPECT_NE(log.find("cannot publish exposition " + prom), std::string::npos) << log;
+  EXPECT_FALSE(fs::is_symlink(prom));
+  EXPECT_EQ(slurp(prom), published);
+  EXPECT_FALSE(fs::exists(fs::symlink_status(tmp)));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // ipm_aggd sharded-daemon concurrency wall (ISSUE 7 satellites): many jobs
 // connecting / chaos-killing / reconnect-replaying simultaneously across an
 // explicit worker pool, clean shutdown with in-flight sessions, the
-// worker-pool chaos matrix (job arriving during drain, disk-spill
+// worker-pool chaos matrix (job arriving during drain, spill
 // rehydration mid-reconnect, JOB_END racing a kill), and the slow-client
 // stall budget.  Designed to run under TSan: the assertions only touch
 // daemon state after stop()/join(), and mid-run progress is observed from
@@ -352,12 +352,13 @@ TEST(AggdConcurrency, JobArrivingDuringWorkerDrainStaysConsistent) {
   }
 }
 
-// --- chaos matrix: disk-spill rehydration mid-reconnect ---------------------
+// --- chaos matrix: spill rehydration mid-reconnect --------------------------
 
-/// A job goes idle long enough to be spilled to disk, then reconnects and
-/// replays its full stream: the WELCOME must carry the resume epochs from
-/// the REHYDRATED state (not a blank job), the replayed prefix must dedupe,
-/// and the final stream must conserve bit-exactly.
+/// A job goes idle long enough to be spilled (its JSONL closed, its state
+/// kept in memory), then reconnects and replays its full stream: the
+/// WELCOME must carry the resume epochs of the spilled job (not a blank
+/// job), the replayed prefix must dedupe, and the final stream, appended
+/// to the reopened JSONL, must conserve bit-exactly.
 TEST(AggdConcurrency, SpillRehydrationMidReconnectResumesByEpoch) {
   const std::string dir = test_dir("aggd_conc_spill");
   const std::string sock = "unix:" + dir + "/agg.sock";
@@ -400,6 +401,12 @@ TEST(AggdConcurrency, SpillRehydrationMidReconnectResumesByEpoch) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_GE(runner.d.spills(), 1u) << "job was never spilled";
+  // The spill only closed the job's JSONL: there is no second file, and
+  // the JSONL already holds every acked sample.
+  const std::string jsonl = dir + "/" + job + "_timeseries.jsonl";
+  EXPECT_FALSE(std::filesystem::exists(jsonl + ".spill"));
+  EXPECT_EQ(ipm::live::read_timeseries_file(jsonl).samples.size(),
+            static_cast<std::size_t>(kRanks * (kSamples / 2)));
 
   {
     // Reconnect mid-spill: the first frames force a rehydration.
