@@ -2,7 +2,8 @@
 // frames to per-job FIFO queues executed by a work-stealing pool; per-job
 // state is worker-exclusive (scheduled-flag protocol), the fleet merge
 // folds batches under one narrow mutex, idle jobs close their JSONL stream,
-// and slow clients are disconnected on a bounded stall budget.
+// and slow clients are disconnected on a bounded stall budget.  The IO
+// thread waits on its sockets, the worker eventfd and its nearest deadline.
 #include "ipm_aggd/aggd.hpp"
 
 #include <sys/epoll.h>
@@ -21,6 +22,7 @@
 
 #include "aggd_util.hpp"
 #include "ipm_live/live.hpp"
+#include "simcommon/jsonl.hpp"
 
 namespace ipm::aggd {
 
@@ -28,7 +30,6 @@ using live::wire::Frame;
 using live::wire::FrameType;
 
 using detail::kFleetStride;
-using detail::kPollMs;
 using detail::prom_escape;
 using detail::read_hello;
 using detail::read_rank_fin_drops;
@@ -37,12 +38,22 @@ using detail::tail_job_id;
 
 namespace {
 
-/// last_active_ms sentinel: job is spilled or ended — never a spill
-/// candidate until a worker touches it again.
-constexpr std::int64_t kInactive = std::numeric_limits<std::int64_t>::max();
+/// Job::last_frame_ms sentinel: not a spill candidate until its next frame.
+constexpr std::int64_t kInactive = -1;
 // Cadence for per-job point emission from the worker (live tailing only;
 // terminal paths emit everything pending regardless).
 constexpr std::int64_t kJobEmitMs = 20;
+// Fleet emission runs this long after the first fold since the last one,
+// the same floor as the exposition rewrite: the O(fleet ranks) watermark
+// scan then costs at most once a second, not once per fold.
+constexpr std::chrono::milliseconds kFleetEmitDelay{1000};
+// Tailed files are re-read at this period while any of them is open.
+constexpr std::chrono::milliseconds kTailPollPeriod{10};
+// A long batch hands its replies to the IO thread at this period, so its
+// first acks do not wait for its last frame.
+constexpr std::chrono::microseconds kReplyFlushPeriod{250};
+constexpr std::chrono::steady_clock::time_point kNever =
+    std::chrono::steady_clock::time_point::max();
 
 std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -117,6 +128,11 @@ bool Daemon::start(std::string& err) {
   return true;
 }
 
+void Daemon::stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  wake_io();
+}
+
 Daemon::Job& Daemon::get_or_create_job(const std::string& id,
                                        const std::string& command,
                                        double interval) {
@@ -150,6 +166,7 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
   // Initial exposition snapshot so the job appears in ipm_agg.prom before
   // its first batch completes (the worker refreshes it afterwards).
   job.snap.items = prom_items(job.st.merger, 0, /*up=*/true);
+  job.snap.version = 1;
   n_jobs_.fetch_add(1, std::memory_order_relaxed);
   prom_dirty_.store(true, std::memory_order_relaxed);
   return job;
@@ -207,7 +224,8 @@ void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
   }
   if (st.spilled && any_frame) rehydrate_job(job);
   FleetBatch fb;
-  bool wake = false;
+  bool replied = false;
+  Clock::time_point next_flush = Clock::now() + kReplyFlushPeriod;
   for (Work& w : batch) {
     if (w.kind == Work::Kind::kSpill) {
       // Re-check under worker exclusivity; a frame in the same batch means
@@ -215,7 +233,11 @@ void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
       if (!any_frame && !st.ended && !st.spilled) spill_job(job);
       continue;
     }
-    handle_frame(job, w, fb, wake);
+    handle_frame(job, w, fb, replied);
+    if (replied && Clock::now() >= next_flush) {
+      if (claim_ready_wake()) wake_io();
+      next_flush = Clock::now() + kReplyFlushPeriod;
+    }
   }
   // Per-job point emission is a live-tailing convenience, not a
   // correctness step (end_job/shutdown emit_all everything pending), so
@@ -228,7 +250,7 @@ void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
       st.last_emit_ms = nowm;
     }
   }
-  fold_fleet(fb);
+  bool wake = fold_fleet(fb);
   // The snapshot only feeds the rate-limited exposition writer: rebuilding
   // it (prom_items + a full rank-map copy) on every small batch dominates
   // trickle-load CPU, so refresh at the prom cadence instead.  A terminal
@@ -240,24 +262,38 @@ void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
     update_snap(job);
     st.last_snap_ms = nowm;
   }
-  prom_dirty_.store(true, std::memory_order_relaxed);
-  job.last_active_ms.store(st.spilled || st.ended ? kInactive : now_ms(),
-                           std::memory_order_relaxed);
-  if (wake) wake_io_lazy();
+  if (!prom_dirty_.load(std::memory_order_relaxed) &&
+      !prom_dirty_.exchange(true, std::memory_order_acq_rel)) {
+    wake = true;
+  }
+  if (replied && claim_ready_wake()) wake = true;
+  // Serial mode runs this on the IO thread, which re-reads every flag
+  // before it waits again.
+  if (wake && pool_) wake_io();
 }
 
-void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& wake) {
+void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
   JobState& st = job.st;
   Frame& f = w.frame;
+  // In pool mode the worker that fills an empty reply buffer lists the
+  // session at once, so an IO pass that runs during the batch flushes it;
+  // the eventfd waits for the batch's end (claim_ready_wake).  Serial mode
+  // flushes right after the read.
   const auto append_reply = [&](const std::string& bytes) {
     if (!w.reply) return;
+    bool first = false;
     {
       const std::lock_guard<std::mutex> lock(w.reply->mu);
       if (w.reply->closed) return;
+      first = w.reply->buf.empty();
       w.reply->buf += bytes;
     }
-    w.reply->ready.store(true, std::memory_order_release);
-    wake = true;
+    if (!pool_) return;
+    replied = true;
+    if (first) {
+      const std::lock_guard<std::mutex> lock(ready_mu_);
+      ready_.push_back(w.reply->fd);
+    }
   };
   const auto ensure_rank = [&](std::uint32_t rank) -> RankState& {
     const auto [it, inserted] = st.ranks.try_emplace(rank);
@@ -378,7 +414,9 @@ void Daemon::end_job(Job& job, FleetBatch& fb) {
   }
   close_stream(job);
   st.ended = true;
-  jobs_ended_.fetch_add(1, std::memory_order_relaxed);
+  const int ended = jobs_ended_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // The IO thread checks exit_after_jobs each pass; wake it for the last one.
+  if (ended == opt_.exit_after_jobs && pool_) wake_io();
 }
 
 void Daemon::emit_due_job(Job& job) {
@@ -395,17 +433,23 @@ void Daemon::emit_due_job(Job& job) {
   st.out.flush();
 }
 
-void Daemon::fold_fleet(FleetBatch& fb) {
-  if (fb.empty()) return;
-  const std::lock_guard<std::mutex> lock(fleet_mu_);
-  if (!fb.new_ranks.empty()) fleet_any_ = true;
-  for (const int r : fb.new_ranks) fleet_live_.insert(r);
-  for (const live::Sample& s : fb.add) fleet_.add_sample(s);
-  for (const int r : fb.fin_ranks) {
-    fleet_.finalize_rank(r);
-    fleet_live_.erase(r);
+bool Daemon::fold_fleet(FleetBatch& fb) {
+  if (fb.empty()) return false;
+  {
+    const std::lock_guard<std::mutex> lock(fleet_mu_);
+    if (!fb.new_ranks.empty()) fleet_any_ = true;
+    for (const int r : fb.new_ranks) fleet_live_.insert(r);
+    for (const live::Sample& s : fb.add) fleet_.add_sample(s);
+    for (const int r : fb.fin_ranks) {
+      fleet_.finalize_rank(r);
+      fleet_live_.erase(r);
+    }
+    if (!fb.new_ranks.empty() || !fb.fin_ranks.empty()) fleet_live_dirty_ = true;
   }
-  if (!fb.new_ranks.empty() || !fb.fin_ranks.empty()) fleet_live_dirty_ = true;
+  // True for the first fold since the last emission: the IO thread must
+  // learn of it to arm the emission deadline.
+  return !fleet_folded_.load(std::memory_order_relaxed) &&
+         !fleet_folded_.exchange(true, std::memory_order_acq_rel);
 }
 
 void Daemon::update_snap(Job& job) {
@@ -414,7 +458,7 @@ void Daemon::update_snap(Job& job) {
   job.snap.items =
       prom_items(st.merger, static_cast<int>(st.ranks.size()), !st.ended);
   job.snap.ranks.assign(st.ranks.begin(), st.ranks.end());
-  job.snap.ended = st.ended;
+  ++job.snap.version;
 }
 
 void Daemon::close_stream(Job& job) {
@@ -446,17 +490,20 @@ void Daemon::rehydrate_job(Job& job) {
   rehydrations_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Daemon::wake_io() {
-  const std::uint64_t one = 1;
-  [[maybe_unused]] const auto r = ::write(event_fd_, &one, sizeof one);
+bool Daemon::claim_ready_wake() {
+  // Coalesced wake: one eventfd write per list the IO thread takes.  It
+  // reads the eventfd before it takes the list, and a session listed after
+  // the take is claimed by its own batch's end.
+  const std::lock_guard<std::mutex> lock(ready_mu_);
+  if (ready_.empty() || ready_woken_) return false;
+  ready_woken_ = true;
+  return true;
 }
 
-void Daemon::wake_io_lazy() {
-  // Reply-ready nudge from a worker.  In serial mode the IO thread is the
-  // caller and flushes in the same loop pass — no syscall needed.  With a
-  // pool, coalesce: one eventfd write per IO wake, not one per batch.
-  if (!pool_) return;
-  if (!wake_pending_.exchange(true, std::memory_order_acq_rel)) wake_io();
+void Daemon::wake_io() {
+  if (event_fd_ < 0) return;
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const auto r = ::write(event_fd_, &one, sizeof one);
 }
 
 // --- IO thread --------------------------------------------------------------
@@ -471,6 +518,7 @@ void Daemon::accept_pending() {
     }
     auto ses = std::make_unique<Session>();
     ses->fd = fd;
+    ses->out->fd = fd;
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = fd;
@@ -497,6 +545,7 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       }
       Job& job = remember(get_or_create_job(f.job, command, interval), f.job);
+      note_frame(job, false);
       Work w;
       w.frame = std::move(f);
       w.reply = ses.out;
@@ -508,6 +557,7 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
       Job* jp = cached(f.job);
       Job& job =
           jp != nullptr ? *jp : remember(get_or_create_job(f.job, "?", 0.0), f.job);
+      note_frame(job, false);
       Work w;
       w.frame = std::move(f);
       w.reply = ses.out;
@@ -522,7 +572,9 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
         if (it != jobs_.end()) job = it->second.get();
       }
       if (job == nullptr) {
-        // Unknown job: ack directly, nothing to end (seed behavior).
+        // Unknown job: ack directly, nothing to end (seed behavior).  The
+        // flush after this read sends it, or in pool mode this pass's
+        // flush of the ready list.
         Frame a;
         a.type = FrameType::kJobEndAck;
         a.job = f.job;
@@ -530,8 +582,12 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
           const std::lock_guard<std::mutex> lock(ses.out->mu);
           ses.out->buf += live::wire::encode(a);
         }
-        ses.out->ready.store(true, std::memory_order_release);
+        if (pool_) {
+          const std::lock_guard<std::mutex> lock(ready_mu_);
+          ready_.push_back(ses.fd);
+        }
       } else {
+        note_frame(*job, true);
         Work w;
         w.frame = std::move(f);
         w.reply = ses.out;
@@ -547,20 +603,39 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
   }
 }
 
-void Daemon::read_session(Session& ses) {
+void Daemon::note_frame(Job& job, bool end) {
+  // Spill candidates are tracked where frames arrive, so the spill scan runs
+  // only while some job is active.  A job's last frame, JOB_END, ends that.
+  if (opt_.spill_idle_ms <= 0) return;
+  const bool was_active = job.last_frame_ms != kInactive;
+  job.last_frame_ms = end ? kInactive : now_ms();
+  if (end && was_active) {
+    --active_jobs_;
+  } else if (!end && !was_active && active_jobs_++ == 0) {
+    spill_next_ = Clock::now() +
+                  std::chrono::milliseconds(std::max(opt_.spill_idle_ms / 2, 5));
+  }
+}
+
+void Daemon::read_session(Session& ses, bool closing) {
   char buf[16384];
-  bool eof = false;
+  bool eof = closing;
   for (;;) {
     const long r = live::net::read_some(ses.fd, buf, sizeof buf);
-    if (r == 0) break;
     if (r < 0) {
       eof = true;
       break;
     }
+    if (r == 0) break;
     ses.dec.feed(buf, static_cast<std::size_t>(r));
+    // A short read emptied the socket: the level-triggered epoll reports
+    // whatever arrives next, so skip the read that would return EAGAIN.
+    // Closing reads on to EOF to see every byte the peer sent.
+    if (!closing && static_cast<std::size_t>(r) < sizeof buf) break;
   }
   Frame f;
   while (!ses.closed && ses.dec.next(f)) route_frame(ses, std::move(f));
+  if (ses.closed) return;  // route_frame dropped it for a protocol violation
   if (!ses.dec.error().empty()) {
     std::fprintf(stderr, "ipm_aggd: protocol error: %s\n",
                  ses.dec.error().c_str());
@@ -570,23 +645,28 @@ void Daemon::read_session(Session& ses) {
     // Bytes still pending after the drain are a truncated frame — rejected,
     // never partially applied (the decoder only yields complete frames).
     if (ses.dec.pending() > 0) {
+      truncated_frames_.fetch_add(1, std::memory_order_relaxed);
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      std::fprintf(stderr,
-                   "ipm_aggd: connection dropped mid-frame (%zu bytes "
-                   "discarded)\n",
-                   ses.dec.pending());
     }
     mark_closed(ses);
   }
+}
+
+void Daemon::close_session(Session& ses) {
+  // A failed write or a blown stall budget closes the session before its
+  // EOF is read: route what the peer sent and count a partial frame, as
+  // an EOF would.
+  if (!ses.closed) read_session(ses, /*closing=*/true);
 }
 
 void Daemon::mark_closed(Session& ses) {
   if (ses.closed) return;
   ses.closed = true;
   // Deregister immediately: a dead fd left in the level-triggered epoll set
-  // storms EPOLLHUP on every wait until the next reap pass, turning the IO
-  // loop into a busy loop.  The fd itself is released by reap_sessions().
+  // storms EPOLLHUP on every wait until it is reaped, turning the IO loop
+  // into a busy loop.  reap_closed() releases the fd at the end of the pass.
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, ses.fd, nullptr);
+  closed_.push_back(ses.fd);
 }
 
 void Daemon::set_write_interest(Session& ses, bool on) {
@@ -600,48 +680,39 @@ void Daemon::set_write_interest(Session& ses, bool on) {
 
 void Daemon::flush_session(Session& ses) {
   if (ses.closed) return;
-  // Idle fast path: nothing staged and no worker appended since the last
-  // drain.  The flush pass runs over every session each wake, so this
-  // check must not take the mutex.  (want_write implies wbuf non-empty,
-  // so a session needing disarm never takes this branch.)
-  if (ses.wbuf.empty() &&
-      !ses.out->ready.load(std::memory_order_acquire)) {
-    return;
-  }
-  ses.out->ready.store(false, std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(ses.out->mu);
     if (!ses.out->buf.empty()) {
       if (ses.wbuf.empty()) {
-        ses.wbuf = std::move(ses.out->buf);
+        ses.wbuf.swap(ses.out->buf);
       } else {
         ses.wbuf += ses.out->buf;
+        ses.out->buf.clear();
       }
-      ses.out->buf.clear();
     }
   }
-  if (ses.wbuf.empty()) {
-    ses.blocked = false;
-    set_write_interest(ses, false);
-    return;
-  }
+  // An empty wbuf is never blocked nor armed for EPOLLOUT: both are reset
+  // by the write that empties it.
+  if (ses.wbuf.empty()) return;
   const long w = live::net::write_some(ses.fd, ses.wbuf.data(), ses.wbuf.size());
   if (w < 0) {
-    mark_closed(ses);
+    close_session(ses);
     return;
   }
-  if (w > 0) {
-    ses.wbuf.erase(0, static_cast<std::size_t>(w));
-    ses.blocked = false;
-  }
+  ses.wbuf.erase(0, static_cast<std::size_t>(w));
   if (ses.wbuf.empty()) {
+    if (ses.blocked) blocked_.erase(ses.fd);
     ses.blocked = false;
     set_write_interest(ses, false);
     return;
   }
-  if (!ses.blocked) {
+  // Stalled since the last write progress.
+  if (!ses.blocked || w > 0) {
+    if (!ses.blocked) blocked_.insert(ses.fd);
     ses.blocked = true;
     ses.stall_since = Clock::now();
+    stall_next_ = std::min(stall_next_, ses.stall_since +
+                                            std::chrono::milliseconds(opt_.stall_ms));
   }
   set_write_interest(ses, true);
   if (ses.wbuf.size() > opt_.session_outbuf_max) {
@@ -650,27 +721,40 @@ void Daemon::flush_session(Session& ses) {
                  "bytes queued)\n",
                  ses.wbuf.size());
     stalled_disconnects_.fetch_add(1, std::memory_order_relaxed);
-    mark_closed(ses);
+    close_session(ses);
   }
 }
 
-void Daemon::reap_sessions() {
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    Session& ses = *it->second;
-    if (!ses.closed) {
-      ++it;
-      continue;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(ses.out->mu);
-      ses.out->closed = true;  // workers stop appending replies
-      ses.out->buf.clear();
-    }
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, ses.fd, nullptr);
-    live::net::close_fd(ses.fd);
-    it = sessions_.erase(it);
-    prom_dirty_.store(true, std::memory_order_relaxed);
+void Daemon::flush_replied() {
+  {
+    const std::lock_guard<std::mutex> lock(ready_mu_);
+    replied_.swap(ready_);
+    ready_woken_ = false;
   }
+  for (const int fd : replied_) {
+    // A reaped session's fd may be reused by a newer session: flushing
+    // that one early is harmless.
+    const auto it = sessions_.find(fd);
+    if (it != sessions_.end()) flush_session(*it->second);
+  }
+  replied_.clear();
+}
+
+void Daemon::reap_closed() {
+  if (closed_.empty()) return;
+  for (const int fd : closed_) {
+    const auto it = sessions_.find(fd);
+    {
+      const std::lock_guard<std::mutex> lock(it->second->out->mu);
+      it->second->out->closed = true;  // workers stop appending replies
+      it->second->out->buf.clear();
+    }
+    blocked_.erase(fd);
+    live::net::close_fd(fd);
+    sessions_.erase(it);
+  }
+  closed_.clear();
+  prom_dirty_.store(true, std::memory_order_relaxed);
 }
 
 void Daemon::pump_tails() {
@@ -696,6 +780,7 @@ void Daemon::pump_tails() {
           if (it != jobs_.end()) job = it->second.get();
         }
         if (job != nullptr) {
+          note_frame(*job, true);
           Work w;
           w.frame.type = FrameType::kJobEnd;
           w.frame.job = t.job;
@@ -720,6 +805,7 @@ void Daemon::pump_tails() {
         w.frame.job = t.job;
         w.frame.payload = line;
         const bool fin = s.final_flush;
+        note_frame(job, false);
         enqueue(job, std::move(w));
         if (fin) {
           Work wf;
@@ -735,183 +821,223 @@ void Daemon::pump_tails() {
   }
 }
 
-void Daemon::maintenance() {
-  const Clock::time_point now = Clock::now();
-  // Stall budget + reap: O(sessions) scans, so run them at a bounded
-  // cadence rather than on every epoll wake.  A closed session lingers at
-  // most one period before its fd is released.
-  if (now >= maint_next_) {
-    maint_next_ = now + std::chrono::milliseconds(50);
-    // Stall budget: a client that stopped reading gets disconnected, never
-    // blocks the daemon.
-    for (auto& [fd, ses] : sessions_) {
-      if (ses->closed || !ses->blocked) continue;
-      const auto stalled =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              now - ses->stall_since)
-              .count();
-      if (stalled > opt_.stall_ms) {
-        std::fprintf(stderr,
-                     "ipm_aggd: disconnecting stalled client (no write "
-                     "progress for %lld ms)\n",
-                     static_cast<long long>(stalled));
-        stalled_disconnects_.fetch_add(1, std::memory_order_relaxed);
-        mark_closed(*ses);
-      }
-    }
-    reap_sessions();
+int Daemon::wait_ms(Clock::time_point now) {
+  // Each deadline counts only while its condition holds; with none pending
+  // the IO thread blocks until a socket or the eventfd wakes it.
+  Clock::time_point next = kNever;
+  if (!blocked_.empty()) next = std::min(next, stall_next_);
+  if (fleet_folded_.load(std::memory_order_acquire)) {
+    if (fleet_next_ == kNever) fleet_next_ = now + kFleetEmitDelay;
+    next = std::min(next, fleet_next_);
   }
-  // Fleet emission under the narrow merge mutex, rate-limited.
-  if (now >= fleet_next_) {
-    // Fleet intervals are >= 1 virtual second; checking at 100ms keeps
-    // emission latency negligible while the O(fleet ranks) watermark scan
-    // stays off the per-wake path.
-    fleet_next_ = now + std::chrono::milliseconds(100);
-    std::vector<live::ClusterPoint> pts;
-    {
-      const std::lock_guard<std::mutex> lock(fleet_mu_);
-      if (fleet_any_) {
-        if (fleet_live_dirty_) {
-          fleet_live_vec_.assign(fleet_live_.begin(), fleet_live_.end());
-          fleet_live_dirty_ = false;
-        }
-        fleet_.emit_due(fleet_live_vec_,
-                        static_cast<int>(n_jobs_.load(std::memory_order_relaxed)),
-                        pts);
-        for (const live::ClusterPoint& p : pts) {
-          fleet_out_ << live::point_line(p) << '\n';
-        }
-        if (!pts.empty()) fleet_out_.flush();
-      }
-    }
-    if (!pts.empty()) prom_dirty_.store(true, std::memory_order_relaxed);
-  }
-  // Idle-job spill scan.
-  if (opt_.spill_idle_ms > 0 && now >= spill_next_) {
-    spill_next_ =
-        now + std::chrono::milliseconds(std::max(opt_.spill_idle_ms / 2, 5));
-    const std::int64_t cutoff = now_ms() - opt_.spill_idle_ms;
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    for (auto& [id, job] : jobs_) {
-      const std::int64_t la = job->last_active_ms.load(std::memory_order_relaxed);
-      if (la == 0 || la == kInactive || la >= cutoff) continue;
-      job->last_active_ms.store(kInactive, std::memory_order_relaxed);
-      Work w;
-      w.kind = Work::Kind::kSpill;
-      enqueue(*job, std::move(w));
-    }
-  }
+  if (active_jobs_ > 0) next = std::min(next, spill_next_);
+  if (prom_dirty_.load(std::memory_order_acquire)) next = std::min(next, prom_next_);
+  const bool tailing = std::any_of(tails_.begin(), tails_.end(),
+                                   [](const Tail& t) { return !t.done; });
+  if (tailing) next = std::min(next, tail_next_);
+  if (next == kNever) return -1;
+  if (next <= now) return 0;
+  // Round up: waking before the deadline would only spin back here.
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(next - now).count();
+  return static_cast<int>(std::min<decltype(ms)>(ms, std::numeric_limits<int>::max()));
+}
+
+void Daemon::run_due(Clock::time_point now) {
+  if (!blocked_.empty() && now >= stall_next_) check_stalls(now);
+  if (now >= fleet_next_) emit_fleet();
+  if (active_jobs_ > 0 && now >= spill_next_) scan_spills(now);
   // Exposition rewrite, rate-limited (the seed rewrote every dirty loop).
-  if (prom_dirty_.load(std::memory_order_relaxed) && now >= prom_next_) {
-    prom_next_ = now + std::chrono::milliseconds(
-                           std::max(opt_.prom_interval_ms, 0));
+  if (prom_dirty_.load(std::memory_order_acquire) && now >= prom_next_) {
+    prom_next_ = now + std::chrono::milliseconds(std::max(opt_.prom_interval_ms, 0));
     prom_dirty_.store(false, std::memory_order_relaxed);
     write_prom();
   }
+  if (!tails_.empty() && now >= tail_next_) {
+    pump_tails();
+    tail_next_ = now + kTailPollPeriod;
+  }
+  reap_closed();
 }
+
+void Daemon::check_stalls(Clock::time_point now) {
+  // Stall budget: a client that stopped reading gets disconnected, never
+  // blocks the daemon.  Only blocked sessions are walked.
+  const auto budget = std::chrono::milliseconds(opt_.stall_ms);
+  std::vector<int> expired;
+  stall_next_ = kNever;
+  for (const int fd : blocked_) {
+    const Session& ses = *sessions_.at(fd);
+    if (ses.closed) continue;  // reaped at the end of this pass
+    const Clock::time_point due = ses.stall_since + budget;
+    if (now >= due) {
+      expired.push_back(fd);
+    } else {
+      stall_next_ = std::min(stall_next_, due);
+    }
+  }
+  for (const int fd : expired) {
+    Session& ses = *sessions_.at(fd);
+    std::fprintf(stderr,
+                 "ipm_aggd: disconnecting stalled client (no write "
+                 "progress for %lld ms)\n",
+                 static_cast<long long>(
+                     std::chrono::duration_cast<std::chrono::milliseconds>(
+                         now - ses.stall_since)
+                         .count()));
+    stalled_disconnects_.fetch_add(1, std::memory_order_relaxed);
+    close_session(ses);
+  }
+}
+
+void Daemon::emit_fleet() {
+  // Clear before the scan: a fold after this point sets the flag again and
+  // is emitted by the next pass.
+  fleet_next_ = kNever;
+  fleet_folded_.store(false, std::memory_order_release);
+  std::vector<live::ClusterPoint> pts;
+  {
+    const std::lock_guard<std::mutex> lock(fleet_mu_);
+    if (fleet_any_) {
+      if (fleet_live_dirty_) {
+        fleet_live_vec_.assign(fleet_live_.begin(), fleet_live_.end());
+        fleet_live_dirty_ = false;
+      }
+      fleet_.emit_due(fleet_live_vec_,
+                      static_cast<int>(n_jobs_.load(std::memory_order_relaxed)),
+                      pts);
+      for (const live::ClusterPoint& p : pts) {
+        fleet_out_ << live::point_line(p) << '\n';
+      }
+      if (!pts.empty()) fleet_out_.flush();
+    }
+  }
+  if (!pts.empty()) prom_dirty_.store(true, std::memory_order_relaxed);
+}
+
+void Daemon::scan_spills(Clock::time_point now) {
+  spill_next_ = now + std::chrono::milliseconds(std::max(opt_.spill_idle_ms / 2, 5));
+  const std::int64_t cutoff = now_ms() - opt_.spill_idle_ms;
+  const std::lock_guard<std::mutex> lock(jobs_mu_);
+  for (auto& [id, job] : jobs_) {
+    if (job->last_frame_ms == kInactive || job->last_frame_ms >= cutoff) continue;
+    job->last_frame_ms = kInactive;
+    --active_jobs_;
+    Work w;
+    w.kind = Work::Kind::kSpill;
+    enqueue(*job, std::move(w));
+  }
+}
+
+namespace {
+
+/// Per-rank transport state (provenance through aggregation).
+struct RankMetric {
+  const char* name;
+  const char* help;
+  bool counter;
+  std::uint64_t RankState::*field;
+};
+constexpr RankMetric kRankMetrics[] = {
+    {"ipm_agg_rank_samples_total", "Sample frames applied per rank.", true,
+     &RankState::samples},
+    {"ipm_agg_rank_epoch", "Last applied frame epoch per rank.", false,
+     &RankState::last_epoch},
+    {"ipm_agg_rank_resent_total", "Duplicate frames deduplicated on resume.", true,
+     &RankState::resent},
+    {"ipm_agg_rank_drops_total", "Client-side snapshot drops reported at finalize.",
+     true, &RankState::drops},
+};
+
+}  // namespace
 
 void Daemon::write_prom() {
   prom_writes_.fetch_add(1, std::memory_order_relaxed);
-  live::publish_exposition(prom_path_, [this](std::ostream& os) {
-    char buf[64];
-    const auto num = [&buf](double v) -> const char* {
-      std::snprintf(buf, sizeof buf, "%.17g", v);
-      return buf;
-    };
-    // Snapshot the job set (sorted by id, as the seed iterated its map).
-    struct JobSnap {
-      std::string id;
-      PromSnap snap;
-    };
-    std::vector<JobSnap> per_job;
-    {
-      const std::lock_guard<std::mutex> lock(jobs_mu_);
-      per_job.reserve(jobs_.size());
-      for (const auto& [id, job] : jobs_) {
-        const std::lock_guard<std::mutex> snap_lock(job->snap_mu);
-        per_job.push_back({id, job->snap});
-      }
+  // Each job's lines are rendered once per snapshot refresh and kept, so a
+  // rewrite renders only the jobs that changed since the last one and
+  // concatenates the rest.  Jobs in id order, as the seed iterated its map.
+  std::vector<Job*> per_job;
+  {
+    const std::lock_guard<std::mutex> lock(jobs_mu_);
+    per_job.reserve(jobs_.size());
+    for (const auto& [id, job] : jobs_) per_job.push_back(job.get());
+  }
+  std::vector<live::PromItem> protos;  // prom_items() has a fixed order
+  for (Job* job : per_job) {
+    const std::lock_guard<std::mutex> lock(job->snap_mu);
+    if (protos.empty()) protos = job->snap.items;
+    if (job->prom_version == job->snap.version) continue;
+    job->prom_version = job->snap.version;
+    job->prom_text.clear();
+    job->prom_ends.clear();
+    simx::JsonlWriter w(job->prom_text);
+    const std::string label = prom_escape(job->id);
+    for (const live::PromItem& item : job->snap.items) {
+      w.lit(item.name).lit("{job=\"").lit(label).lit("\"} ").num(item.value);
+      w.lit("\n");
+      job->prom_ends.push_back(job->prom_text.size());
     }
-    os << "# HELP ipm_agg_jobs Jobs known to the aggregation daemon.\n"
-          "# TYPE ipm_agg_jobs gauge\n"
-       << "ipm_agg_jobs " << per_job.size() << '\n';
-    os << "# HELP ipm_agg_jobs_ended Jobs that completed their stream.\n"
-          "# TYPE ipm_agg_jobs_ended gauge\n"
-       << "ipm_agg_jobs_ended " << jobs_ended_.load(std::memory_order_relaxed)
-       << '\n';
-    os << "# HELP ipm_agg_connections Open client connections.\n"
-          "# TYPE ipm_agg_connections gauge\n"
-       << "ipm_agg_connections " << sessions_.size() << '\n';
-    os << "# HELP ipm_agg_protocol_errors_total Rejected frames/streams.\n"
-          "# TYPE ipm_agg_protocol_errors_total counter\n"
-       << "ipm_agg_protocol_errors_total "
-       << protocol_errors_.load(std::memory_order_relaxed) << '\n';
-    // Per-job metrics, grouped by metric name (one HELP/TYPE block, one
-    // labelled sample per job — prom_items() has a fixed order).
-    if (!per_job.empty()) {
-      const std::size_t n_items = per_job.front().snap.items.size();
-      for (std::size_t i = 0; i < n_items; ++i) {
-        const live::PromItem& proto = per_job.front().snap.items[i];
-        os << "# HELP " << proto.name << ' ' << proto.help << "\n# TYPE "
-           << proto.name << (proto.counter ? " counter\n" : " gauge\n");
-        for (const JobSnap& js : per_job) {
-          os << proto.name << "{job=\"" << prom_escape(js.id) << "\"} "
-             << num(js.snap.items[i].value) << '\n';
-        }
-      }
-    }
-    // Per-rank transport state (provenance through aggregation).
-    struct RankMetric {
-      const char* name;
-      const char* help;
-      bool counter;
-      std::uint64_t RankState::*field;
-    };
-    static constexpr RankMetric kRankMetrics[] = {
-        {"ipm_agg_rank_samples_total", "Sample frames applied per rank.", true,
-         &RankState::samples},
-        {"ipm_agg_rank_epoch", "Last applied frame epoch per rank.", false,
-         &RankState::last_epoch},
-        {"ipm_agg_rank_resent_total",
-         "Duplicate frames deduplicated on resume.", true, &RankState::resent},
-        {"ipm_agg_rank_drops_total",
-         "Client-side snapshot drops reported at finalize.", true,
-         &RankState::drops},
-    };
     for (const RankMetric& m : kRankMetrics) {
-      os << "# HELP " << m.name << ' ' << m.help << "\n# TYPE " << m.name
-         << (m.counter ? " counter\n" : " gauge\n");
-      for (const JobSnap& js : per_job) {
-        for (const auto& [rank, rs] : js.snap.ranks) {
-          os << m.name << "{job=\"" << prom_escape(js.id) << "\",rank=\""
-             << rank << "\"} " << rs.*m.field << '\n';
-        }
+      for (const auto& [rank, rs] : job->snap.ranks) {
+        w.lit(m.name).lit("{job=\"").lit(label).lit("\",rank=\"").num(rank);
+        w.lit("\"} ").num(rs.*m.field).lit("\n");
       }
+      job->prom_ends.push_back(job->prom_text.size());
     }
-    // Sharded-daemon health counters (additions over the seed exposition).
-    os << "# HELP ipm_agg_stalled_disconnects_total Sessions dropped for "
-          "blowing the outbound stall budget.\n"
-          "# TYPE ipm_agg_stalled_disconnects_total counter\n"
-       << "ipm_agg_stalled_disconnects_total "
-       << stalled_disconnects_.load(std::memory_order_relaxed) << '\n';
-    os << "# HELP ipm_agg_spills_total Idle jobs whose JSONL stream was "
-          "closed.\n"
-          "# TYPE ipm_agg_spills_total counter\n"
-       << "ipm_agg_spills_total " << spills_.load(std::memory_order_relaxed)
-       << '\n';
-    os << "# HELP ipm_agg_rehydrations_total Spilled jobs whose stream "
-          "reopened on new traffic.\n"
-          "# TYPE ipm_agg_rehydrations_total counter\n"
-       << "ipm_agg_rehydrations_total "
-       << rehydrations_.load(std::memory_order_relaxed) << '\n';
-    os << "# HELP ipm_agg_worker_steals_total Batches run off their home "
-          "worker.\n"
-          "# TYPE ipm_agg_worker_steals_total counter\n"
-       << "ipm_agg_worker_steals_total " << (pool_ ? pool_->steals() : 0)
-       << '\n';
-    os << "# HELP ipm_agg_workers Worker threads (0 = serial mode).\n"
-          "# TYPE ipm_agg_workers gauge\n"
-       << "ipm_agg_workers " << (pool_ ? pool_->size() : 0) << '\n';
+  }
+  std::string text;
+  std::size_t bytes = 4096;
+  for (const Job* job : per_job) bytes += job->prom_text.size();
+  text.reserve(bytes + 128 * (protos.size() + std::size(kRankMetrics)));
+  simx::JsonlWriter w(text);
+  const auto head = [&w](const char* name, const char* help, bool counter) {
+    w.lit("# HELP ").lit(name).lit(" ").lit(help).lit("\n# TYPE ").lit(name);
+    w.lit(counter ? " counter\n" : " gauge\n");
+  };
+  // Metric i of every job, under one HELP/TYPE block.
+  const auto section = [&per_job, &w](std::size_t i) {
+    for (const Job* job : per_job) {
+      const std::size_t begin = i == 0 ? 0 : job->prom_ends[i - 1];
+      w.lit(std::string_view(job->prom_text).substr(begin, job->prom_ends[i] - begin));
+    }
+  };
+  const auto scalar = [&](const char* name, const char* help, bool counter,
+                          std::uint64_t value) {
+    head(name, help, counter);
+    w.lit(name).lit(" ").num(value).lit("\n");
+  };
+  scalar("ipm_agg_jobs", "Jobs known to the aggregation daemon.", false,
+         per_job.size());
+  scalar("ipm_agg_jobs_ended", "Jobs that completed their stream.", false,
+         static_cast<std::uint64_t>(jobs_ended_.load(std::memory_order_relaxed)));
+  scalar("ipm_agg_connections", "Open client connections.", false, sessions_.size());
+  scalar("ipm_agg_protocol_errors_total", "Rejected frames/streams.", true,
+         protocol_errors_.load(std::memory_order_relaxed));
+  scalar("ipm_agg_truncated_frames_total",
+         "Frames cut off by a closing connection, never applied (also in "
+         "ipm_agg_protocol_errors_total).",
+         true, truncated_frames_.load(std::memory_order_relaxed));
+  for (std::size_t i = 0; i < protos.size(); ++i) {
+    head(protos[i].name, protos[i].help, protos[i].counter);
+    section(i);
+  }
+  for (std::size_t m = 0; m < std::size(kRankMetrics); ++m) {
+    head(kRankMetrics[m].name, kRankMetrics[m].help, kRankMetrics[m].counter);
+    section(protos.size() + m);
+  }
+  // Sharded-daemon health counters (additions over the seed exposition).
+  scalar("ipm_agg_stalled_disconnects_total",
+         "Sessions dropped for blowing the outbound stall budget.", true,
+         stalled_disconnects_.load(std::memory_order_relaxed));
+  scalar("ipm_agg_spills_total", "Idle jobs whose JSONL stream was closed.", true,
+         spills_.load(std::memory_order_relaxed));
+  scalar("ipm_agg_rehydrations_total",
+         "Spilled jobs whose stream reopened on new traffic.", true,
+         rehydrations_.load(std::memory_order_relaxed));
+  scalar("ipm_agg_worker_steals_total", "Batches run off their home worker.", true,
+         steals());
+  scalar("ipm_agg_workers", "Worker threads (0 = serial mode).", false, workers());
+  live::publish_exposition(prom_path_, [&text](std::ostream& os) {
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
   });
 }
 
@@ -973,49 +1099,46 @@ void Daemon::shutdown_flush() {
 
 void Daemon::run() {
   std::vector<epoll_event> evs(128);
-  while (!stop_.load(std::memory_order_relaxed)) {
-    const int n = ::epoll_wait(epoll_fd_, evs.data(),
-                               static_cast<int>(evs.size()), kPollMs);
+  for (;;) {
+    run_due(Clock::now());
+    if (stop_.load(std::memory_order_relaxed)) break;
+    if (opt_.exit_after_jobs > 0 &&
+        jobs_ended_.load(std::memory_order_relaxed) >= opt_.exit_after_jobs) {
+      break;
+    }
+    // Tail-only mode is done once every tailed stream ended.
+    if (listen_fd_ < 0 && !tails_.empty() &&
+        std::all_of(tails_.begin(), tails_.end(),
+                    [](const Tail& t) { return t.done; })) {
+      break;
+    }
+    const int n = ::epoll_wait(epoll_fd_, evs.data(), static_cast<int>(evs.size()),
+                               wait_ms(Clock::now()));
     if (n < 0 && errno != EINTR) break;
     for (int i = 0; i < n; ++i) {
       const int fd = evs[i].data.fd;
       if (fd == listen_fd_) {
         accept_pending();
       } else if (fd == event_fd_) {
-        std::uint64_t drain = 0;
-        while (::read(event_fd_, &drain, sizeof drain) > 0) {
-        }
-        wake_pending_.store(false, std::memory_order_release);
+        // Read before flush_replied() takes the list: a worker that pushes
+        // onto the emptied list writes the eventfd again.
+        std::uint64_t count = 0;
+        [[maybe_unused]] const auto r = ::read(event_fd_, &count, sizeof count);
       } else {
         const auto it = sessions_.find(fd);
         if (it != sessions_.end()) {
           if ((evs[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
-            read_session(*it->second);
+            read_session(*it->second, /*closing=*/false);
           }
-          // Serial mode appends replies inline during read_session, and a
-          // blocked session wakes us with EPOLLOUT — either way only THIS
-          // session can have new outbound bytes, so flush it directly.
-          flush_session(*it->second);
+          // Serial mode appended this session's replies during the read, and
+          // a blocked session wakes us with EPOLLOUT; pool-mode replies come
+          // through the ready list.
+          if (!pool_ || (evs[i].events & EPOLLOUT) != 0) flush_session(*it->second);
         }
       }
     }
-    // Pool mode: workers append replies asynchronously and signal via the
-    // eventfd without telling us which session, so retry every one.
-    if (pool_) {
-      for (auto& [fd, ses] : sessions_) flush_session(*ses);
-    }
-    pump_tails();
-    maintenance();
-    if (opt_.exit_after_jobs > 0 &&
-        jobs_ended_.load(std::memory_order_relaxed) >= opt_.exit_after_jobs) {
-      break;
-    }
-    // Tail-only mode is done once every tailed stream ended.
-    if (listen_fd_ < 0 && !tails_.empty()) {
-      const bool all_done = std::all_of(tails_.begin(), tails_.end(),
-                                        [](const Tail& t) { return t.done; });
-      if (all_done) break;
-    }
+    // Pool mode: flush exactly the sessions the workers replied to.
+    if (pool_) flush_replied();
   }
   if (pool_) pool_->drain();
   drain_outbounds();

@@ -1,5 +1,5 @@
-// Internal helpers shared by the sharded daemon (aggd.cpp) and the
-// preserved single-threaded seed implementation (aggd_legacy.cpp).
+// Internal helpers of the daemon (aggd.cpp): fleet-rank composition, job id
+// and exposition-label escaping, and payload readers with their defaults.
 #pragma once
 
 #include <cstdint>
@@ -12,9 +12,6 @@ namespace ipm::aggd::detail {
 /// Composite fleet-rank stride: job i's rank r merges as i*kStride + r, so
 /// per-rank provenance survives the fleet-wide watermark barrier.
 inline constexpr std::uint64_t kFleetStride = 1'000'000;
-
-/// IO loop wakeup budget per poll()/epoll_wait(), in milliseconds.
-inline constexpr int kPollMs = 2;
 
 inline std::string sanitize(const std::string& id) {
   std::string out;

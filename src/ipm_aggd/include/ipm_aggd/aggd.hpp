@@ -17,24 +17,31 @@
 // per-job state — the JobMerger, rank epochs, the output stream — is
 // touched by exactly one thread at a time and needs no locks.  Fleet-wide
 // merging folds each batch's samples under one narrow mutex.  Responses
-// travel back through per-session outbound buffers with a bounded stall
-// budget (a client that stops reading is disconnected and counted, never
-// blocks the daemon).  A job's JSONL is its one on-disk format: an idle
-// job's spill closes that stream and keeps its merge state and rank epochs
-// in memory, and its next frame reopens the stream in append mode.  An
-// ended job closes its stream after the end line.
+// travel back through per-session outbound buffers; a worker lists each
+// session it replied to on a ready list, so the IO thread flushes only
+// those, and a client that stops reading is disconnected on a bounded
+// stall budget and counted, never blocks the daemon.  A job's JSONL is its
+// one on-disk format: an idle job's spill closes that stream and keeps its
+// merge state and rank epochs in memory, and its next frame reopens the
+// stream in append mode.  An ended job closes its stream after the end
+// line.
+//
+// Event-driven: the IO thread sleeps in epoll_wait until a socket, the
+// worker eventfd or its nearest pending deadline (stall check, fleet
+// emission, spill scan, exposition rewrite, tail poll) needs it; with none
+// pending it blocks without a timeout, so an idle daemon burns no CPU.
 //
 // Conservation: a sample frame is applied (written + merged) only when its
 // epoch exceeds the rank's last applied epoch, so client resends after a
 // reconnect are idempotent and folding a job's JSONL reproduces each
 // rank's finalize profile bit-exactly — the same invariant the in-process
 // collector guarantees (live.hpp).  Per-job FIFO order makes this hold
-// under sharding exactly as it did single-threaded.
+// under sharding exactly as it did single-threaded.  A connection that
+// closes mid-frame leaves a truncated frame: rejected, never partially
+// applied, and counted.
 //
 // The daemon is a library class so tests run it in-process on a thread;
-// main.cpp wraps it into the `ipm_aggd` binary.  The pre-sharding
-// implementation is preserved as LegacyDaemon (aggd_legacy.hpp) as the
-// benchmark baseline.
+// main.cpp wraps it into the `ipm_aggd` binary.
 #pragma once
 
 #include <atomic>
@@ -116,8 +123,9 @@ class Daemon {
   /// returning.
   void run();
 
-  /// Signal run() to return (callable from any thread).
-  void stop() { stop_.store(true, std::memory_order_relaxed); }
+  /// Signal run() to return and wake it (callable from any thread and from
+  /// a signal handler).
+  void stop();
 
   // --- introspection (not thread-safe: call after run() returned) ----------
 
@@ -131,6 +139,10 @@ class Daemon {
   /// Protocol violations observed (poisoned decoders, truncated frames).
   [[nodiscard]] std::uint64_t protocol_errors() const {
     return protocol_errors_.load(std::memory_order_relaxed);
+  }
+  /// Frames cut off by a closing connection (also in protocol_errors()).
+  [[nodiscard]] std::uint64_t truncated_frames() const {
+    return truncated_frames_.load(std::memory_order_relaxed);
   }
   /// Sessions disconnected for blowing the outbound stall budget.
   [[nodiscard]] std::uint64_t stalled_disconnects() const {
@@ -156,15 +168,14 @@ class Daemon {
   using Clock = std::chrono::steady_clock;
 
   /// Worker→session response channel.  Workers append encoded reply frames
-  /// under `mu`; the IO thread moves them into the session's write staging
+  /// under `mu`, and the one that fills an empty `buf` lists `fd` on
+  /// ready_; the IO thread moves the bytes into the session's write staging
   /// buffer.  closed stops late appends after the socket is gone.
   struct Outbound {
     std::mutex mu;
     std::string buf;
     bool closed = false;
-    // Set (release) after appending, cleared by the IO thread before it
-    // drains: lets the flush pass skip idle sessions without taking mu.
-    std::atomic<bool> ready{false};
+    int fd = -1;  ///< the session's sessions_ key, set before it is shared
   };
 
   struct Job;
@@ -176,7 +187,7 @@ class Daemon {
     std::string wbuf;         ///< IO-thread write staging
     bool closed = false;
     bool want_write = false;  ///< EPOLLOUT currently armed
-    bool blocked = false;     ///< wbuf non-empty since stall_since
+    bool blocked = false;     ///< wbuf non-empty since stall_since (in blocked_)
     Clock::time_point stall_since{};
     // Routing cache (IO-thread-owned): a session streams one job in
     // practice, and jobs_ entries are never erased, so the pointer is
@@ -197,7 +208,7 @@ class Daemon {
   struct PromSnap {
     std::vector<live::PromItem> items;
     std::vector<std::pair<std::uint32_t, RankState>> ranks;
-    bool ended = false;
+    std::uint64_t version = 0;  ///< bumped by every refresh
   };
 
   /// Worker-exclusive job state (scheduled-flag protocol: at most one
@@ -220,10 +231,17 @@ class Daemon {
     std::mutex q_mu;
     std::deque<Work> q;      ///< guarded by q_mu
     bool scheduled = false;  ///< guarded by q_mu: a batch is in flight
-    std::atomic<std::int64_t> last_active_ms{0};
+    /// IO thread: when the job's last frame was routed; -1 while it is not a
+    /// spill candidate (spilled, ended, never active or spill off).
+    std::int64_t last_frame_ms = -1;
     JobState st;
     std::mutex snap_mu;
     PromSnap snap;
+    // IO thread: this job's exposition lines, rendered from `snap` when its
+    // version moves; `prom_ends[i]` ends the lines of metric i.
+    std::uint64_t prom_version = 0;
+    std::string prom_text;
+    std::vector<std::size_t> prom_ends;
   };
 
   struct Tail {
@@ -245,14 +263,21 @@ class Daemon {
 
   // --- IO thread ------------------------------------------------------------
   void accept_pending();
-  void read_session(Session& ses);
+  void read_session(Session& ses, bool closing);
+  void close_session(Session& ses);
   void flush_session(Session& ses);
-  void reap_sessions();
+  void flush_replied();
+  void reap_closed();
   void set_write_interest(Session& ses, bool on);
   void mark_closed(Session& ses);
   void route_frame(Session& ses, live::wire::Frame&& f);
+  void note_frame(Job& job, bool end);
   void pump_tails();
-  void maintenance();
+  int wait_ms(Clock::time_point now);
+  void run_due(Clock::time_point now);
+  void check_stalls(Clock::time_point now);
+  void emit_fleet();
+  void scan_spills(Clock::time_point now);
   void write_prom();
   void shutdown_flush();
   void drain_outbounds();
@@ -264,7 +289,7 @@ class Daemon {
   // --- worker side (exclusive per job via the scheduled flag) ---------------
   void process_job(Job* job);
   void handle_batch(Job& job, std::deque<Work>& batch);
-  void handle_frame(Job& job, Work& w, FleetBatch& fb, bool& wake);
+  void handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied);
   void apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
                     live::Sample&& s, const std::string& raw_line,
                     FleetBatch& fb);
@@ -272,13 +297,13 @@ class Daemon {
                      const std::string& payload, FleetBatch& fb);
   void end_job(Job& job, FleetBatch& fb);
   void emit_due_job(Job& job);
-  void fold_fleet(FleetBatch& fb);
+  bool fold_fleet(FleetBatch& fb);
   void update_snap(Job& job);
   void close_stream(Job& job);
   void spill_job(Job& job);
   void rehydrate_job(Job& job);
+  [[nodiscard]] bool claim_ready_wake();
   void wake_io();
-  void wake_io_lazy();
 
   Options opt_;
   std::string prom_path_;
@@ -287,7 +312,15 @@ class Daemon {
   int epoll_fd_ = -1;
   int event_fd_ = -1;
   std::map<int, std::unique_ptr<Session>> sessions_;  ///< by fd (IO thread)
+  std::set<int> blocked_;        ///< IO thread: sessions with Session::blocked
+  std::vector<int> closed_;      ///< IO thread: marked closed, not yet reaped
+  std::size_t active_jobs_ = 0;  ///< IO thread: jobs with last_frame_ms >= 0
   std::vector<Tail> tails_;
+
+  std::mutex ready_mu_;       ///< guards ready_ and ready_woken_
+  std::vector<int> ready_;    ///< sessions workers replied to since the last flush
+  bool ready_woken_ = false;  ///< the eventfd was written for ready_'s sessions
+  std::vector<int> replied_;  ///< IO thread: ready_ swapped out for flushing
 
   mutable std::mutex jobs_mu_;  ///< guards the jobs_ map + fleet_next_base_
   std::map<std::string, std::unique_ptr<Job>> jobs_;
@@ -309,17 +342,24 @@ class Daemon {
 
   std::atomic<int> jobs_ended_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
+  std::atomic<std::uint64_t> truncated_frames_{0};
   std::atomic<std::uint64_t> stalled_disconnects_{0};
   std::atomic<std::uint64_t> spills_{0};
   std::atomic<std::uint64_t> rehydrations_{0};
+  // Set by whoever dirties the exposition or folds into the fleet merger,
+  // cleared by the IO thread when it serves them.  A worker that sets one
+  // from clear wakes the IO thread, so it can arm the matching deadline.
   std::atomic<bool> prom_dirty_{false};
+  std::atomic<bool> fleet_folded_{false};
   std::atomic<std::uint64_t> prom_writes_{0};
   std::atomic<bool> stop_{false};
-  std::atomic<bool> wake_pending_{false};  ///< a worker already wrote event_fd_
+  // IO-thread deadlines; each counts only while its condition holds (see
+  // wait_ms): time_point::max() when disarmed.
   Clock::time_point prom_next_{};
-  Clock::time_point spill_next_{};
-  Clock::time_point fleet_next_{};
-  Clock::time_point maint_next_{};  ///< next stall-budget/reap scan
+  Clock::time_point spill_next_ = Clock::time_point::max();
+  Clock::time_point fleet_next_ = Clock::time_point::max();
+  Clock::time_point stall_next_ = Clock::time_point::max();
+  Clock::time_point tail_next_{};
 };
 
 }  // namespace ipm::aggd

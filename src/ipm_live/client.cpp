@@ -15,10 +15,12 @@
 //    never double-counts a delta.
 //  - Finalize flush: rank-final samples are consumed bypassing ready()
 //    (see collector.cpp) and finish() pumps until the daemon acknowledged
-//    the whole stream or a real-time deadline expires.
+//    the whole stream or a real-time deadline expires, waiting on the
+//    socket (or, while disconnected, until the next reconnect attempt).
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -102,7 +104,7 @@ class SocketSink final : public SampleSink {
                            std::chrono::duration<double>(flush_timeout_));
     chaos_kill_every_ = 0;  // no injected faults during the flush handshake
     chaos_kill_pending_ = false;
-    while (Clock::now() < deadline && !job_end_acked_) {
+    for (;;) {
       pump();
       if (state_ == State::kStreaming && outbuf_.empty() && unacked_.empty() &&
           !job_end_sent_) {
@@ -111,9 +113,10 @@ class SocketSink final : public SampleSink {
         f.job = job_;
         outbuf_ += wire::encode(f);
         job_end_sent_ = true;
+        write_out();
       }
-      if (job_end_acked_) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (job_end_acked_ || Clock::now() >= deadline) break;
+      wait_io(deadline);
     }
     if (!job_end_acked_) {
       std::fprintf(stderr,
@@ -190,6 +193,36 @@ class SocketSink final : public SampleSink {
     }
   }
 
+  /// Block until the socket can make progress — a daemon frame, room for
+  /// queued bytes, a finished connect — or, while disconnected, until the
+  /// next reconnect attempt; never past `deadline`.
+  void wait_io(Clock::time_point deadline) {
+    const Clock::time_point now = Clock::now();
+    if (state_ == State::kDisconnected) {
+      std::this_thread::sleep_until(std::min(retry_at_, deadline));
+      return;
+    }
+    pollfd pf{fd_, POLLIN, 0};
+    if (state_ == State::kConnecting) {
+      pf.events = POLLOUT;
+    } else if (!outbuf_.empty()) {
+      pf.events |= POLLOUT;
+    }
+    const auto ms = std::chrono::ceil<std::chrono::milliseconds>(deadline - now).count();
+    ::poll(&pf, 1, static_cast<int>(std::clamp<decltype(ms)>(ms, 0, 60'000)));
+  }
+
+  /// Write as much of the queue as the socket takes.
+  void write_out() {
+    if (outbuf_.empty()) return;
+    const long w = net::write_some(fd_, outbuf_.data(), outbuf_.size());
+    if (w < 0) {
+      disconnect();
+      return;
+    }
+    outbuf_.erase(0, static_cast<std::size_t>(w));
+  }
+
   void pump() {
     if (state_ == State::kDisconnected) {
       if (Clock::now() < retry_at_) return;
@@ -238,15 +271,7 @@ class SocketSink final : public SampleSink {
       disconnect();
       return;
     }
-    // Write as much of the queue as the socket takes.
-    if (!outbuf_.empty()) {
-      const long w = net::write_some(fd_, outbuf_.data(), outbuf_.size());
-      if (w < 0) {
-        disconnect();
-        return;
-      }
-      outbuf_.erase(0, static_cast<std::size_t>(w));
-    }
+    write_out();
     if (chaos_kill_pending_ && state_ == State::kStreaming && outbuf_.empty()) {
       chaos_kill_pending_ = false;
       disconnect();

@@ -89,6 +89,7 @@ class JobMerger {
   double interval_;
   std::map<std::uint64_t, Bucket> buckets_;
   std::map<int, double> watermark_;  ///< rank -> latest published t1
+  int blocker_ = -1;  ///< emit_due: the live rank with the lowest watermark
   std::uint64_t next_emit_ = 0;
   std::uint64_t intervals_emitted_ = 0;
   MergeTotals totals_;

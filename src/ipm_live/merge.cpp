@@ -123,10 +123,24 @@ void JobMerger::emit_due(const std::vector<int>& live_ranks, int ranks_live,
     emit_all(ranks_live, out);
     return;
   }
+  const auto watermark = [this](int rank) {
+    const auto it = watermark_.find(rank);
+    return it == watermark_.end() ? 0.0 : it->second;
+  };
+  // The rank that held the next interval back last time usually still does;
+  // checking it first keeps a fleet-wide merge from looking up every live
+  // rank's watermark on each call that emits nothing.
+  if (watermark(blocker_) < static_cast<double>(next_emit_ + 1) * interval_ &&
+      std::find(live_ranks.begin(), live_ranks.end(), blocker_) != live_ranks.end()) {
+    return;
+  }
   double min_wm = std::numeric_limits<double>::infinity();
   for (const int rank : live_ranks) {
-    const auto it = watermark_.find(rank);
-    min_wm = std::min(min_wm, it == watermark_.end() ? 0.0 : it->second);
+    const double wm = watermark(rank);
+    if (wm < min_wm) {
+      min_wm = wm;
+      blocker_ = rank;
+    }
   }
   while (static_cast<double>(next_emit_ + 1) * interval_ <= min_wm) {
     out.push_back(emit_point(next_emit_, ranks_live));

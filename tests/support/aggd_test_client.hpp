@@ -7,6 +7,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <chrono>
 #include <cstdint>
@@ -163,23 +164,26 @@ inline void send_all(int fd, const std::string& bytes) {
   }
 }
 
+/// Next frame from `fd`, waiting on the socket for at most `timeout_s`.
 inline bool read_frame(int fd, Decoder& dec, Frame& out, double timeout_s = 10.0) {
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::milliseconds(static_cast<int>(timeout_s * 1000.0));
-  while (std::chrono::steady_clock::now() < deadline) {
+  for (;;) {
     if (dec.next(out)) return true;
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pf{fd, POLLIN, 0};
+    ::poll(&pf, 1, static_cast<int>(left.count()));
     char buf[4096];
     const long r = ipm::live::net::read_some(fd, buf, sizeof buf);
     if (r > 0) {
       dec.feed(buf, static_cast<std::size_t>(r));
     } else if (r < 0) {
       return dec.next(out);  // peer closed: only buffered frames remain
-    } else {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
-  return false;
 }
 
 inline ipm::live::Sample make_sample(int rank, std::uint64_t seq, double t0, double t1,

@@ -1,22 +1,26 @@
-// ipm_aggd end-to-end transport fault matrix (ISSUE 5 satellite): the
-// out-of-process aggregation daemon driven in-process on a thread, against
-// real monitored workloads streaming over a Unix socket and against raw
-// hand-rolled protocol sessions.
+// ipm_aggd end-to-end transport fault matrix: the out-of-process
+// aggregation daemon driven in-process on a thread, against real monitored
+// workloads streaming over a Unix socket and against raw hand-rolled
+// protocol sessions.
 //
 // Every scenario asserts the transport's core invariant — folding the
 // daemon-ingested per-job JSONL reproduces each rank's finalize profile
 // bit-exactly — under the faults the wire can throw at it: daemon absent at
 // client startup, connection killed mid-run (reconnect + epoch resume, no
 // double count), truncated/corrupt frames (rejected, never partially
-// applied), and two concurrent jobs multiplexed into one daemon.  Two
-// file-side checks close it: ended jobs release their JSONL descriptor,
-// and a failed exposition write keeps the previous exposition.
+// applied, each counted), and two concurrent jobs multiplexed into one
+// daemon.  Two file-side checks follow: ended jobs release their JSONL
+// descriptor, and a failed exposition write keeps the previous exposition.
+// The last two guard the event-driven IO loop against lost wake-ups: an
+// idle daemon answers every round trip at once and stops when told to.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <set>
 #include <sstream>
@@ -249,8 +253,10 @@ TEST(Aggd, MidRunKillReconnectNoDoubleCount) {
 }
 
 /// Corrupt streams: a connection dropped mid-frame and a bad-version frame
-/// are both counted as protocol errors and nothing is ever partially
-/// applied — the hello-created job stays empty.
+/// are both counted as protocol errors, the first also as the one truncated
+/// frame, and nothing is ever partially applied — the hello-created job
+/// stays empty.  The truncated frame counts whether the daemon first sees
+/// the EOF or a failed WELCOME write.
 TEST(Aggd, TruncatedAndCorruptFramesRejected) {
   const std::string dir = test_dir("aggd_trunc");
   const std::string sock = "unix:" + dir + "/agg.sock";
@@ -285,7 +291,11 @@ TEST(Aggd, TruncatedAndCorruptFramesRejected) {
   runner.d.stop();
   runner.join();
 
-  EXPECT_GE(runner.d.protocol_errors(), 2u);
+  EXPECT_EQ(runner.d.truncated_frames(), 1u);
+  EXPECT_EQ(runner.d.protocol_errors(), 2u);
+  const std::string prom = slurp(runner.d.prom_path());
+  EXPECT_NE(prom.find("\nipm_agg_truncated_frames_total 1\n"), std::string::npos);
+  EXPECT_NE(prom.find("\nipm_agg_protocol_errors_total 2\n"), std::string::npos);
   const auto* ranks = runner.d.job_ranks("trunc");
   ASSERT_NE(ranks, nullptr);
   // Neither damaged sample was applied — not even partially.
@@ -594,6 +604,86 @@ TEST(Aggd, FailedExpositionWriteKeepsThePreviousFile) {
   EXPECT_FALSE(fs::is_symlink(prom));
   EXPECT_EQ(slurp(prom), published);
   EXPECT_FALSE(fs::exists(fs::symlink_status(tmp)));
+}
+
+/// With no other traffic, a reply goes out as soon as its frame is applied:
+/// a wake-up the event-driven IO loop missed would hold a round trip until
+/// its next deadline, or forever when none is pending.  Serial and with a
+/// worker pool, whose replies travel back through the ready list.
+TEST(Aggd, IdleDaemonAnswersEveryRoundTripPromptly) {
+  for (const int workers : {0, 4}) {
+    SCOPED_TRACE(workers);
+    const std::string dir = test_dir("aggd_round_trip" + std::to_string(workers));
+    const std::string sock = "unix:" + dir + "/agg.sock";
+    ipm::aggd::Options opt;
+    opt.listen = sock;
+    opt.out_dir = dir;
+    opt.workers = workers;
+    DaemonRunner runner(opt);
+    ASSERT_TRUE(runner.start());
+    const int fd = connect_block(sock);
+    ASSERT_GE(fd, 0);
+    Decoder dec;
+    Frame f;
+    std::vector<double> ms;
+    const auto round_trip = [&](const std::string& bytes, FrameType reply) {
+      const auto t0 = std::chrono::steady_clock::now();
+      send_all(fd, bytes);
+      ASSERT_TRUE(read_frame(fd, dec, f));
+      ms.push_back(std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count());
+      ASSERT_EQ(f.type, reply);
+    };
+    const std::string hello = frame_bytes(
+        FrameType::kHello, "rt", 0, 0, ipm::live::wire::hello_payload("./rt", 0.5));
+    for (std::uint64_t k = 0; k < 200; ++k) {
+      round_trip(hello, FrameType::kWelcome);
+      const double t0 = 0.5 * static_cast<double>(k);
+      round_trip(sample_bytes("rt", make_sample(0, k, t0, t0 + 0.5, "MPI_Bcast", 1,
+                                                64, 0.125)),
+                 FrameType::kAck);
+      EXPECT_EQ(f.epoch, k + 1);
+    }
+    ipm::live::net::close_fd(fd);
+    runner.d.stop();
+    runner.join();
+    ASSERT_EQ(ms.size(), 400u);
+    std::sort(ms.begin(), ms.end());
+    EXPECT_LT(ms[ms.size() / 2], 5.0) << "median round trip (ms)";
+    EXPECT_LT(ms.back(), 1000.0) << "slowest round trip (ms)";
+    EXPECT_EQ(runner.d.job_ranks("rt")->at(0).samples, 200u);
+  }
+}
+
+/// stop() wakes a loop blocked with no deadline pending.  Should it not,
+/// the test wakes the loop itself with a connection, so it fails instead
+/// of hanging.
+TEST(Aggd, StopWakesAnIdleDaemon) {
+  for (const int workers : {0, 4}) {
+    SCOPED_TRACE(workers);
+    const std::string dir = test_dir("aggd_stop" + std::to_string(workers));
+    ipm::aggd::Options opt;
+    opt.listen = "unix:" + dir + "/agg.sock";
+    opt.out_dir = dir;
+    opt.workers = workers;
+    ipm::aggd::Daemon d(opt);
+    std::string err;
+    ASSERT_TRUE(d.start(err)) << err;
+    std::promise<void> returned;
+    std::future<void> done = returned.get_future();
+    std::thread th([&] {
+      d.run();
+      returned.set_value();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));  // now idle
+    d.stop();
+    const bool prompt =
+        done.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+    if (!prompt) ipm::live::net::close_fd(connect_block(opt.listen));
+    th.join();
+    EXPECT_TRUE(prompt) << "stop() left run() blocked";
+  }
 }
 
 }  // namespace
