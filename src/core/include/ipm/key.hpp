@@ -28,9 +28,6 @@ using NameId = std::uint32_t;
 /// Reverse lookup (valid for ids returned by intern_name).  Lock-free.
 [[nodiscard]] const std::string& name_of(NameId id);
 
-/// Number of interned names so far.  Lock-free.
-[[nodiscard]] std::size_t interned_count();
-
 namespace detail {
 
 /// splitmix64 finalizer: the avalanche stage shared by both hash phases.

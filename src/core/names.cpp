@@ -78,8 +78,4 @@ const std::string& name_of(NameId id) {
   return *snap->names[id];
 }
 
-std::size_t interned_count() {
-  return registry().current.load(std::memory_order_acquire)->names.size();
-}
-
 }  // namespace ipm

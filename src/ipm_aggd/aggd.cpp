@@ -1,11 +1,13 @@
-// Sharded ipm_aggd daemon core (see aggd.hpp): epoll IO thread routes
-// frames to per-job FIFO queues executed by a work-stealing pool; per-job
-// state is worker-exclusive (scheduled-flag protocol), the fleet merge
-// folds batches under one narrow mutex, idle jobs close their JSONL stream,
-// and slow clients are disconnected on a bounded stall budget.  The IO
-// thread waits on its sockets, the worker eventfd and its nearest deadline.
+// Sharded ipm_aggd daemon core (see aggd.hpp): the epoll IO thread routes
+// frames to per-job FIFO queues, and worker threads take runnable jobs from
+// one work queue and answer through one reply queue; per-job state is
+// worker-exclusive (scheduled flag), the fleet merge folds batches under
+// one narrow mutex, idle jobs close their JSONL stream, and slow clients
+// are disconnected on a bounded stall budget.  The IO thread waits on its
+// sockets, the worker eventfd and its nearest deadline.
 #include "ipm_aggd/aggd.hpp"
 
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -52,13 +54,29 @@ constexpr std::chrono::milliseconds kTailPollPeriod{10};
 // A long batch hands its replies to the IO thread at this period, so its
 // first acks do not wait for its last frame.
 constexpr std::chrono::microseconds kReplyFlushPeriod{250};
+// At shutdown, unwritten replies get this long to reach their clients.
+constexpr std::chrono::milliseconds kShutdownWriteBudget{200};
 constexpr std::chrono::steady_clock::time_point kNever =
     std::chrono::steady_clock::time_point::max();
+// epoll keys of the listener and the eventfd; a session's key is its id,
+// counted from 1.
+constexpr std::uint64_t kListenKey = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kWakeKey = kListenKey - 1;
 
 std::int64_t now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// Closes a time-series stream and reports a failed write, flush or close:
+/// the stream's failbit is sticky, so an earlier failure shows here too.
+void close_stream(std::ofstream& out, const std::string& path) {
+  if (!out.is_open()) return;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "ipm_aggd: time-series write failed for %s\n", path.c_str());
+  }
 }
 
 }  // namespace
@@ -68,8 +86,8 @@ Daemon::Daemon(Options opt)
       fleet_(opt_.fleet_interval > 0.0 ? opt_.fleet_interval : 1.0) {}
 
 Daemon::~Daemon() {
-  if (pool_) pool_->stop();
-  for (const auto& [fd, s] : sessions_) live::net::close_fd(fd);
+  stop_workers();
+  for (const auto& [id, ses] : sessions_) live::net::close_fd(ses->fd);
   live::net::close_fd(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (event_fd_ >= 0) ::close(event_fd_);
@@ -93,14 +111,14 @@ bool Daemon::start(std::string& err) {
   }
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = event_fd_;
+  ev.data.u64 = kWakeKey;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev);
   if (!opt_.listen.empty()) {
     const live::net::Addr addr = live::net::parse_addr(opt_.listen);
     listen_fd_ = live::net::listen_fd(addr, err);
     if (listen_fd_ < 0) return false;
     ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
+    ev.data.u64 = kListenKey;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
   }
   for (const std::string& path : opt_.tails) {
@@ -116,14 +134,14 @@ bool Daemon::start(std::string& err) {
   }
   int nw = opt_.workers;
   if (nw < 0) {
-    // A pool needs real parallelism to pay for the IO->worker handoff
+    // Workers need real parallelism to pay for the IO->worker handoff
     // (enqueue futex + eventfd wake + two context switches per batch); on
     // a single-core host serial mode, applying inline on the IO thread, is
     // strictly faster.  An explicit workers count always wins.
     const unsigned hc = std::thread::hardware_concurrency();
     nw = hc >= 2 ? static_cast<int>(std::clamp(hc, 2u, 8u)) : 0;
   }
-  if (nw > 0) pool_ = std::make_unique<WorkerPool>(static_cast<unsigned>(nw));
+  for (int i = 0; i < nw; ++i) workers_.emplace_back([this, i] { work(i); });
   write_prom();
   return true;
 }
@@ -136,7 +154,6 @@ void Daemon::stop() {
 Daemon::Job& Daemon::get_or_create_job(const std::string& id,
                                        const std::string& command,
                                        double interval) {
-  const std::lock_guard<std::mutex> lock(jobs_mu_);
   const auto it = jobs_.find(id);
   if (it != jobs_.end()) return *it->second;
   auto& slot = jobs_[id];
@@ -154,7 +171,6 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
   }
   job.fleet_base = fleet_next_base_;
   fleet_next_base_ += kFleetStride;
-  job.home = static_cast<unsigned>(n_jobs_.load(std::memory_order_relaxed));
   job.st.out.open(job.ts_path, std::ios::trunc);
   if (!job.st.out) {
     std::fprintf(stderr, "ipm_aggd: cannot open %s\n", job.ts_path.c_str());
@@ -167,53 +183,65 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
   // its first batch completes (the worker refreshes it afterwards).
   job.snap.items = prom_items(job.st.merger, 0, /*up=*/true);
   job.snap.version = 1;
-  n_jobs_.fetch_add(1, std::memory_order_relaxed);
   prom_dirty_.store(true, std::memory_order_relaxed);
   return job;
 }
 
 void Daemon::enqueue(Job& job, Work&& w) {
-  bool submit = false;
-  {
-    const std::lock_guard<std::mutex> lock(job.q_mu);
-    job.q.push_back(std::move(w));
-    if (!job.scheduled) {
-      job.scheduled = true;
-      submit = true;
-    }
+  if (workers_.empty()) {  // serial mode: a batch of one, inline
+    handle_batch(job, std::span<Work>(&w, 1));
+    return;
   }
-  if (!submit) return;
-  Job* jp = &job;
-  if (pool_) {
-    pool_->submit(job.home, [this, jp] { process_job(jp); });
-  } else {
-    process_job(jp);  // serial mode: apply inline on the IO thread
+  {
+    const std::lock_guard<std::mutex> lock(work_mu_);
+    job.q.push_back(std::move(w));
+    if (job.scheduled) return;  // its worker takes this frame in a batch
+    job.scheduled = true;
+    runnable_.push_back(&job);
+  }
+  work_cv_.notify_one();
+}
+
+void Daemon::stop_workers() {
+  {
+    const std::lock_guard<std::mutex> lock(work_mu_);
+    workers_quit_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& t : workers_) {
+    if (t.joinable()) t.join();
   }
 }
 
 // --- worker side ------------------------------------------------------------
 
-void Daemon::process_job(Job* job) {
-  // The scheduled flag guarantees at most one invocation per job is alive,
-  // so everything below touches job->st without locks.  Loop until the
-  // queue is observed empty under q_mu, then clear the flag in the same
-  // critical section — an enqueue that saw scheduled=true has its work in
-  // the batch we are about to take, or will re-submit after we clear.
+void Daemon::work(int me) {
+  std::vector<Work> batch;
+  std::unique_lock<std::mutex> lock(work_mu_);
   for (;;) {
-    std::deque<Work> batch;
-    {
-      const std::lock_guard<std::mutex> lock(job->q_mu);
-      if (job->q.empty()) {
-        job->scheduled = false;
-        return;
+    work_cv_.wait(lock, [this] { return !runnable_.empty() || workers_quit_; });
+    if (runnable_.empty()) return;  // quitting, and every queued frame ran
+    Job* job = runnable_.front();
+    runnable_.pop_front();
+    // The job stays scheduled until its queue is observed empty under
+    // work_mu_, so no other worker takes it meanwhile and job->st needs no
+    // lock.  An enqueue that saw it scheduled left its frame in job->q.
+    while (!job->q.empty()) {
+      batch.swap(job->q);  // job->q keeps the emptied batch's capacity
+      lock.unlock();
+      if (job->st.worker != me) {
+        if (job->st.worker >= 0) steals_.fetch_add(1, std::memory_order_relaxed);
+        job->st.worker = me;
       }
-      batch.swap(job->q);
+      handle_batch(*job, batch);
+      batch.clear();  // frees the frames before the lock is retaken
+      lock.lock();
     }
-    handle_batch(*job, batch);
+    job->scheduled = false;
   }
 }
 
-void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
+void Daemon::handle_batch(Job& job, std::span<Work> batch) {
   JobState& st = job.st;
   bool any_frame = false;
   for (const Work& w : batch) {
@@ -234,8 +262,8 @@ void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
       continue;
     }
     handle_frame(job, w, fb, replied);
-    if (replied && Clock::now() >= next_flush) {
-      if (claim_ready_wake()) wake_io();
+    if (replied && !workers_.empty() && Clock::now() >= next_flush) {
+      if (claim_reply_wake()) wake_io();
       next_flush = Clock::now() + kReplyFlushPeriod;
     }
   }
@@ -266,34 +294,22 @@ void Daemon::handle_batch(Job& job, std::deque<Work>& batch) {
       !prom_dirty_.exchange(true, std::memory_order_acq_rel)) {
     wake = true;
   }
-  if (replied && claim_ready_wake()) wake = true;
-  // Serial mode runs this on the IO thread, which re-reads every flag
-  // before it waits again.
-  if (wake && pool_) wake_io();
+  // Serial mode runs this on the IO thread, which takes the replies and
+  // re-reads every flag before it waits again.
+  if (workers_.empty()) return;
+  if (replied && claim_reply_wake()) wake = true;
+  if (wake) wake_io();
 }
 
 void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
   JobState& st = job.st;
   Frame& f = w.frame;
-  // In pool mode the worker that fills an empty reply buffer lists the
-  // session at once, so an IO pass that runs during the batch flushes it;
-  // the eventfd waits for the batch's end (claim_ready_wake).  Serial mode
-  // flushes right after the read.
-  const auto append_reply = [&](const std::string& bytes) {
-    if (!w.reply) return;
-    bool first = false;
-    {
-      const std::lock_guard<std::mutex> lock(w.reply->mu);
-      if (w.reply->closed) return;
-      first = w.reply->buf.empty();
-      w.reply->buf += bytes;
-    }
-    if (!pool_) return;
+  // A reply is queued at once, so an IO pass that runs during the batch
+  // sends it; the eventfd waits for the batch's end (claim_reply_wake).
+  const auto append_reply = [&](std::string&& bytes) {
+    if (w.session == 0) return;
+    push_reply(w.session, std::move(bytes));
     replied = true;
-    if (first) {
-      const std::lock_guard<std::mutex> lock(ready_mu_);
-      ready_.push_back(w.reply->fd);
-    }
   };
   const auto ensure_rank = [&](std::uint32_t rank) -> RankState& {
     const auto [it, inserted] = st.ranks.try_emplace(rank);
@@ -412,11 +428,11 @@ void Daemon::end_job(Job& job, FleetBatch& fb) {
     }
     st.out << live::end_line(st.merger.intervals_emitted()) << '\n';
   }
-  close_stream(job);
+  close_stream(job.st.out, job.ts_path);
   st.ended = true;
   const int ended = jobs_ended_.fetch_add(1, std::memory_order_relaxed) + 1;
   // The IO thread checks exit_after_jobs each pass; wake it for the last one.
-  if (ended == opt_.exit_after_jobs && pool_) wake_io();
+  if (ended == opt_.exit_after_jobs) wake_io();
 }
 
 void Daemon::emit_due_job(Job& job) {
@@ -461,22 +477,11 @@ void Daemon::update_snap(Job& job) {
   ++job.snap.version;
 }
 
-void Daemon::close_stream(Job& job) {
-  std::ofstream& out = job.st.out;
-  if (!out.is_open()) return;
-  // close() flushes: a failed write, flush or close leaves `out` failed.
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "ipm_aggd: time-series write failed for %s\n",
-                 job.ts_path.c_str());
-  }
-}
-
 void Daemon::spill_job(Job& job) {
   // The JSONL is the job's only file: spilling closes it, releasing its
   // descriptor and stream buffer, while the merger and rank epochs stay in
   // memory for the next frame.
-  close_stream(job);
+  close_stream(job.st.out, job.ts_path);
   job.st.spilled = true;
   spills_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -490,13 +495,22 @@ void Daemon::rehydrate_job(Job& job) {
   rehydrations_.fetch_add(1, std::memory_order_relaxed);
 }
 
-bool Daemon::claim_ready_wake() {
-  // Coalesced wake: one eventfd write per list the IO thread takes.  It
-  // reads the eventfd before it takes the list, and a session listed after
+void Daemon::push_reply(std::uint64_t session, std::string&& bytes) {
+  const std::lock_guard<std::mutex> lock(reply_mu_);
+  if (!replies_.empty() && replies_.back().session == session) {
+    replies_.back().bytes += bytes;
+  } else {
+    replies_.push_back(Reply{session, std::move(bytes)});
+  }
+}
+
+bool Daemon::claim_reply_wake() {
+  // Coalesced wake: one eventfd write per queue the IO thread takes.  It
+  // reads the eventfd before it takes the queue, and a reply queued after
   // the take is claimed by its own batch's end.
-  const std::lock_guard<std::mutex> lock(ready_mu_);
-  if (ready_.empty() || ready_woken_) return false;
-  ready_woken_ = true;
+  const std::lock_guard<std::mutex> lock(reply_mu_);
+  if (replies_.empty() || reply_woken_) return false;
+  reply_woken_ = true;
   return true;
 }
 
@@ -517,13 +531,13 @@ void Daemon::accept_pending() {
                    sizeof opt_.session_sndbuf);
     }
     auto ses = std::make_unique<Session>();
+    ses->id = ++last_session_id_;
     ses->fd = fd;
-    ses->out->fd = fd;
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = fd;
+    ev.data.u64 = ses->id;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    sessions_.emplace(fd, std::move(ses));
+    sessions_.emplace(ses->id, std::move(ses));
   }
 }
 
@@ -548,7 +562,7 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
       note_frame(job, false);
       Work w;
       w.frame = std::move(f);
-      w.reply = ses.out;
+      w.session = ses.id;
       enqueue(job, std::move(w));
       break;
     }
@@ -560,37 +574,28 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
       note_frame(job, false);
       Work w;
       w.frame = std::move(f);
-      w.reply = ses.out;
+      w.session = ses.id;
       enqueue(job, std::move(w));
       break;
     }
     case FrameType::kJobEnd: {
       Job* job = cached(f.job);
       if (job == nullptr) {
-        const std::lock_guard<std::mutex> lock(jobs_mu_);
         const auto it = jobs_.find(f.job);
         if (it != jobs_.end()) job = it->second.get();
       }
       if (job == nullptr) {
-        // Unknown job: ack directly, nothing to end (seed behavior).  The
-        // flush after this read sends it, or in pool mode this pass's
-        // flush of the ready list.
+        // Unknown job: ack directly, nothing to end (seed behavior).  This
+        // pass takes the reply queue after its reads.
         Frame a;
         a.type = FrameType::kJobEndAck;
         a.job = f.job;
-        {
-          const std::lock_guard<std::mutex> lock(ses.out->mu);
-          ses.out->buf += live::wire::encode(a);
-        }
-        if (pool_) {
-          const std::lock_guard<std::mutex> lock(ready_mu_);
-          ready_.push_back(ses.fd);
-        }
+        push_reply(ses.id, live::wire::encode(a));
       } else {
         note_frame(*job, true);
         Work w;
         w.frame = std::move(f);
-        w.reply = ses.out;
+        w.session = ses.id;
         enqueue(*job, std::move(w));
       }
       break;
@@ -666,7 +671,7 @@ void Daemon::mark_closed(Session& ses) {
   // storms EPOLLHUP on every wait until it is reaped, turning the IO loop
   // into a busy loop.  reap_closed() releases the fd at the end of the pass.
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, ses.fd, nullptr);
-  closed_.push_back(ses.fd);
+  closed_.push_back(ses.id);
 }
 
 void Daemon::set_write_interest(Session& ses, bool on) {
@@ -674,23 +679,12 @@ void Daemon::set_write_interest(Session& ses, bool on) {
   ses.want_write = on;
   epoll_event ev{};
   ev.events = EPOLLIN | (on ? EPOLLOUT : 0u);
-  ev.data.fd = ses.fd;
+  ev.data.u64 = ses.id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, ses.fd, &ev);
 }
 
 void Daemon::flush_session(Session& ses) {
   if (ses.closed) return;
-  {
-    const std::lock_guard<std::mutex> lock(ses.out->mu);
-    if (!ses.out->buf.empty()) {
-      if (ses.wbuf.empty()) {
-        ses.wbuf.swap(ses.out->buf);
-      } else {
-        ses.wbuf += ses.out->buf;
-        ses.out->buf.clear();
-      }
-    }
-  }
   // An empty wbuf is never blocked nor armed for EPOLLOUT: both are reset
   // by the write that empties it.
   if (ses.wbuf.empty()) return;
@@ -701,14 +695,14 @@ void Daemon::flush_session(Session& ses) {
   }
   ses.wbuf.erase(0, static_cast<std::size_t>(w));
   if (ses.wbuf.empty()) {
-    if (ses.blocked) blocked_.erase(ses.fd);
+    if (ses.blocked) blocked_.erase(ses.id);
     ses.blocked = false;
     set_write_interest(ses, false);
     return;
   }
   // Stalled since the last write progress.
   if (!ses.blocked || w > 0) {
-    if (!ses.blocked) blocked_.insert(ses.fd);
+    if (!ses.blocked) blocked_.insert(ses.id);
     ses.blocked = true;
     ses.stall_since = Clock::now();
     stall_next_ = std::min(stall_next_, ses.stall_since +
@@ -725,32 +719,34 @@ void Daemon::flush_session(Session& ses) {
   }
 }
 
-void Daemon::flush_replied() {
+// Moves every queued reply into its session's write buffer and returns the
+// sessions that received any, each once.
+std::vector<Daemon::Session*> Daemon::take_replies() {
+  std::vector<Reply> replies;
   {
-    const std::lock_guard<std::mutex> lock(ready_mu_);
-    replied_.swap(ready_);
-    ready_woken_ = false;
+    const std::lock_guard<std::mutex> lock(reply_mu_);
+    replies.swap(replies_);
+    reply_woken_ = false;
   }
-  for (const int fd : replied_) {
-    // A reaped session's fd may be reused by a newer session: flushing
-    // that one early is harmless.
-    const auto it = sessions_.find(fd);
-    if (it != sessions_.end()) flush_session(*it->second);
+  std::vector<Session*> got;
+  for (const Reply& r : replies) {
+    // Ids are never reused: a reply whose session is gone is dropped.
+    const auto it = sessions_.find(r.session);
+    if (it == sessions_.end() || it->second->closed) continue;
+    it->second->wbuf += r.bytes;
+    got.push_back(it->second.get());
   }
-  replied_.clear();
+  std::sort(got.begin(), got.end());
+  got.erase(std::unique(got.begin(), got.end()), got.end());
+  return got;
 }
 
 void Daemon::reap_closed() {
   if (closed_.empty()) return;
-  for (const int fd : closed_) {
-    const auto it = sessions_.find(fd);
-    {
-      const std::lock_guard<std::mutex> lock(it->second->out->mu);
-      it->second->out->closed = true;  // workers stop appending replies
-      it->second->out->buf.clear();
-    }
-    blocked_.erase(fd);
-    live::net::close_fd(fd);
+  for (const std::uint64_t id : closed_) {
+    const auto it = sessions_.find(id);
+    blocked_.erase(id);
+    live::net::close_fd(it->second->fd);
     sessions_.erase(it);
   }
   closed_.clear();
@@ -773,18 +769,13 @@ void Daemon::pump_tails() {
       live::TimeSeries tmp;
       const live::LineKind kind = live::parse_timeseries_line(line, tmp);
       if (kind == live::LineKind::kEnd) {  // the stream is complete
-        Job* job = nullptr;
-        {
-          const std::lock_guard<std::mutex> lock(jobs_mu_);
-          const auto it = jobs_.find(t.job);
-          if (it != jobs_.end()) job = it->second.get();
-        }
-        if (job != nullptr) {
-          note_frame(*job, true);
+        const auto it = jobs_.find(t.job);
+        if (it != jobs_.end()) {
+          note_frame(*it->second, true);
           Work w;
           w.frame.type = FrameType::kJobEnd;
           w.frame.job = t.job;
-          enqueue(*job, std::move(w));
+          enqueue(*it->second, std::move(w));
         }
         t.done = true;
         break;
@@ -863,20 +854,20 @@ void Daemon::check_stalls(Clock::time_point now) {
   // Stall budget: a client that stopped reading gets disconnected, never
   // blocks the daemon.  Only blocked sessions are walked.
   const auto budget = std::chrono::milliseconds(opt_.stall_ms);
-  std::vector<int> expired;
+  std::vector<std::uint64_t> expired;
   stall_next_ = kNever;
-  for (const int fd : blocked_) {
-    const Session& ses = *sessions_.at(fd);
+  for (const std::uint64_t id : blocked_) {
+    const Session& ses = *sessions_.at(id);
     if (ses.closed) continue;  // reaped at the end of this pass
     const Clock::time_point due = ses.stall_since + budget;
     if (now >= due) {
-      expired.push_back(fd);
+      expired.push_back(id);
     } else {
       stall_next_ = std::min(stall_next_, due);
     }
   }
-  for (const int fd : expired) {
-    Session& ses = *sessions_.at(fd);
+  for (const std::uint64_t id : expired) {
+    Session& ses = *sessions_.at(id);
     std::fprintf(stderr,
                  "ipm_aggd: disconnecting stalled client (no write "
                  "progress for %lld ms)\n",
@@ -902,9 +893,7 @@ void Daemon::emit_fleet() {
         fleet_live_vec_.assign(fleet_live_.begin(), fleet_live_.end());
         fleet_live_dirty_ = false;
       }
-      fleet_.emit_due(fleet_live_vec_,
-                      static_cast<int>(n_jobs_.load(std::memory_order_relaxed)),
-                      pts);
+      fleet_.emit_due(fleet_live_vec_, static_cast<int>(jobs_.size()), pts);
       for (const live::ClusterPoint& p : pts) {
         fleet_out_ << live::point_line(p) << '\n';
       }
@@ -917,7 +906,6 @@ void Daemon::emit_fleet() {
 void Daemon::scan_spills(Clock::time_point now) {
   spill_next_ = now + std::chrono::milliseconds(std::max(opt_.spill_idle_ms / 2, 5));
   const std::int64_t cutoff = now_ms() - opt_.spill_idle_ms;
-  const std::lock_guard<std::mutex> lock(jobs_mu_);
   for (auto& [id, job] : jobs_) {
     if (job->last_frame_ms == kInactive || job->last_frame_ms >= cutoff) continue;
     job->last_frame_ms = kInactive;
@@ -956,11 +944,8 @@ void Daemon::write_prom() {
   // rewrite renders only the jobs that changed since the last one and
   // concatenates the rest.  Jobs in id order, as the seed iterated its map.
   std::vector<Job*> per_job;
-  {
-    const std::lock_guard<std::mutex> lock(jobs_mu_);
-    per_job.reserve(jobs_.size());
-    for (const auto& [id, job] : jobs_) per_job.push_back(job.get());
-  }
+  per_job.reserve(jobs_.size());
+  for (const auto& [id, job] : jobs_) per_job.push_back(job.get());
   std::vector<live::PromItem> protos;  // prom_items() has a fixed order
   for (Job* job : per_job) {
     const std::lock_guard<std::mutex> lock(job->snap_mu);
@@ -1033,7 +1018,8 @@ void Daemon::write_prom() {
   scalar("ipm_agg_rehydrations_total",
          "Spilled jobs whose stream reopened on new traffic.", true,
          rehydrations_.load(std::memory_order_relaxed));
-  scalar("ipm_agg_worker_steals_total", "Batches run off their home worker.", true,
+  scalar("ipm_agg_worker_steals_total",
+         "Batches run on a different worker than their job's previous batch.", true,
          steals());
   scalar("ipm_agg_workers", "Worker threads (0 = serial mode).", false, workers());
   live::publish_exposition(prom_path_, [&text](std::ostream& os) {
@@ -1042,42 +1028,43 @@ void Daemon::write_prom() {
 }
 
 void Daemon::drain_outbounds() {
-  // Best-effort post-drain flush so in-flight acks (e.g. JOB_END acks that
-  // triggered the shutdown) reach their clients before run() returns.
-  for (int round = 0; round < 200; ++round) {
-    bool pending = false;
-    bool progress = false;
-    for (auto& [fd, ses] : sessions_) {
-      if (ses->closed) continue;
-      {
-        const std::lock_guard<std::mutex> lock(ses->out->mu);
-        if (!ses->out->buf.empty()) {
-          ses->wbuf += ses->out->buf;
-          ses->out->buf.clear();
-        }
-      }
-      if (ses->wbuf.empty()) continue;
-      const long w =
-          live::net::write_some(ses->fd, ses->wbuf.data(), ses->wbuf.size());
-      if (w < 0) {
-        ses->closed = true;
-        continue;
-      }
-      if (w > 0) {
-        ses->wbuf.erase(0, static_cast<std::size_t>(w));
-        progress = true;
-      }
-      if (!ses->wbuf.empty()) pending = true;
+  // Best-effort: in-flight acks (e.g. the JOB_END acks that triggered the
+  // shutdown) get a bounded time to reach their clients before run()
+  // returns, waiting in poll(2) on the sessions that still hold bytes.
+  take_replies();  // into the write buffers; written below
+  const Clock::time_point deadline = Clock::now() + kShutdownWriteBudget;
+  std::vector<Session*> pending;
+  std::vector<pollfd> fds;
+  for (;;) {
+    pending.clear();
+    fds.clear();
+    for (const auto& [id, ses] : sessions_) {
+      if (ses->closed || ses->wbuf.empty()) continue;
+      pending.push_back(ses.get());
+      fds.push_back(pollfd{ses->fd, POLLOUT, 0});
     }
-    if (!pending) return;
-    if (!progress) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now()).count();
+    if (fds.empty() || left <= 0) return;
+    if (::poll(fds.data(), fds.size(), static_cast<int>(left)) < 0 && errno != EINTR) {
+      return;
+    }
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents == 0) continue;
+      Session& ses = *pending[i];
+      const long w = live::net::write_some(ses.fd, ses.wbuf.data(), ses.wbuf.size());
+      if (w < 0) {
+        ses.closed = true;
+      } else {
+        ses.wbuf.erase(0, static_cast<std::size_t>(w));
+      }
+    }
   }
 }
 
 void Daemon::shutdown_flush() {
-  // Post-drain: the pool is quiescent, so job state is safe to touch from
-  // this thread (the drain gave us the happens-before edge).
-  const std::lock_guard<std::mutex> lock(jobs_mu_);
+  // The workers are joined, so job state is safe to touch from this thread
+  // (the join gave us the happens-before edge).
   for (auto& [id, job] : jobs_) {
     if (job->st.spilled) rehydrate_job(*job);  // reopen for the end line
     FleetBatch fb;
@@ -1085,16 +1072,14 @@ void Daemon::shutdown_flush() {
     fold_fleet(fb);
     update_snap(*job);
   }
-  {
-    const std::lock_guard<std::mutex> fleet_lock(fleet_mu_);
-    std::vector<live::ClusterPoint> pts;
-    fleet_.emit_all(static_cast<int>(jobs_.size()), pts);
-    for (const live::ClusterPoint& p : pts) {
-      fleet_out_ << live::point_line(p) << '\n';
-    }
-    fleet_out_ << live::end_line(fleet_.intervals_emitted()) << '\n';
-    fleet_out_.flush();
+  const std::lock_guard<std::mutex> lock(fleet_mu_);
+  std::vector<live::ClusterPoint> pts;
+  fleet_.emit_all(static_cast<int>(jobs_.size()), pts);
+  for (const live::ClusterPoint& p : pts) {
+    fleet_out_ << live::point_line(p) << '\n';
   }
+  fleet_out_ << live::end_line(fleet_.intervals_emitted()) << '\n';
+  close_stream(fleet_out_, fleet_path_);
 }
 
 void Daemon::run() {
@@ -1116,47 +1101,44 @@ void Daemon::run() {
                                wait_ms(Clock::now()));
     if (n < 0 && errno != EINTR) break;
     for (int i = 0; i < n; ++i) {
-      const int fd = evs[i].data.fd;
-      if (fd == listen_fd_) {
+      const std::uint64_t key = evs[i].data.u64;
+      if (key == kListenKey) {
         accept_pending();
-      } else if (fd == event_fd_) {
-        // Read before flush_replied() takes the list: a worker that pushes
-        // onto the emptied list writes the eventfd again.
+      } else if (key == kWakeKey) {
+        // Read before take_replies() takes the queue: a worker that queues
+        // a reply after the take writes the eventfd again.
         std::uint64_t count = 0;
         [[maybe_unused]] const auto r = ::read(event_fd_, &count, sizeof count);
       } else {
-        const auto it = sessions_.find(fd);
+        const auto it = sessions_.find(key);
         if (it != sessions_.end()) {
           if ((evs[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
             read_session(*it->second, /*closing=*/false);
           }
-          // Serial mode appended this session's replies during the read, and
-          // a blocked session wakes us with EPOLLOUT; pool-mode replies come
-          // through the ready list.
-          if (!pool_ || (evs[i].events & EPOLLOUT) != 0) flush_session(*it->second);
+          // A blocked session wakes us with EPOLLOUT.
+          if ((evs[i].events & EPOLLOUT) != 0) flush_session(*it->second);
         }
       }
     }
-    // Pool mode: flush exactly the sessions the workers replied to.
-    if (pool_) flush_replied();
+    // The sessions replied to since the last take: by the workers, and in
+    // serial mode by the frames this pass read.
+    for (Session* ses : take_replies()) flush_session(*ses);
   }
-  if (pool_) pool_->drain();
+  // Workers finish every queued frame before they exit.
+  stop_workers();
   drain_outbounds();
   shutdown_flush();
   write_prom();
-  if (pool_) pool_->stop();
 }
 
 std::string Daemon::fleet_timeseries_path() const { return fleet_path_; }
 
 std::string Daemon::job_timeseries_path(const std::string& job) const {
-  const std::lock_guard<std::mutex> lock(jobs_mu_);
   const auto it = jobs_.find(job);
   return it == jobs_.end() ? std::string() : it->second->ts_path;
 }
 
 std::vector<std::string> Daemon::job_ids() const {
-  const std::lock_guard<std::mutex> lock(jobs_mu_);
   std::vector<std::string> out;
   out.reserve(jobs_.size());
   for (const auto& [id, job] : jobs_) out.push_back(id);
@@ -1165,7 +1147,6 @@ std::vector<std::string> Daemon::job_ids() const {
 
 const std::map<std::uint32_t, RankState>* Daemon::job_ranks(
     const std::string& job) const {
-  const std::lock_guard<std::mutex> lock(jobs_mu_);
   const auto it = jobs_.find(job);
   return it == jobs_.end() ? nullptr : &it->second->st.ranks;
 }

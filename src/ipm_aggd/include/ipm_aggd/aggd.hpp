@@ -11,20 +11,23 @@
 //
 // Architecture (fleet scale): one epoll (level-triggered) IO thread
 // accepts connections, reads/decodes frames, and routes each frame to its
-// job's FIFO work queue; a work-stealing worker pool (worker_pool.hpp)
-// executes the queues.  Every job is pinned to a home worker and a
-// scheduled-flag protocol keeps at most one batch per job in flight, so
-// per-job state — the JobMerger, rank epochs, the output stream — is
-// touched by exactly one thread at a time and needs no locks.  Fleet-wide
-// merging folds each batch's samples under one narrow mutex.  Responses
-// travel back through per-session outbound buffers; a worker lists each
-// session it replied to on a ready list, so the IO thread flushes only
-// those, and a client that stops reading is disconnected on a bounded
-// stall budget and counted, never blocks the daemon.  A job's JSONL is its
-// one on-disk format: an idle job's spill closes that stream and keeps its
-// merge state and rank epochs in memory, and its next frame reopens the
-// stream in append mode.  An ended job closes its stream after the end
-// line.
+// job's FIFO frame queue.  The IO thread and the worker threads meet at two
+// queues.  The work queue is one FIFO of runnable jobs: a worker pops a job
+// and applies its frames until the job's queue is empty, and a scheduled
+// flag keeps every other worker off that job meanwhile, so per-job state —
+// the JobMerger, rank epochs, the output stream — is touched by one thread
+// at a time and needs no lock of its own.  The reply queue carries
+// (session id, bytes) back: the IO thread moves each reply into its
+// session's write buffer, and drops it when the session is gone (ids are
+// never reused).  Serial mode (no workers) applies frames inline on the IO
+// thread and replies through the same queue.  Fleet-wide merging folds each
+// batch's samples under one narrow mutex, and each job publishes an
+// exposition snapshot under its own.  A client that stops reading is
+// disconnected on a bounded stall budget and counted, never blocks the
+// daemon.  A job's JSONL is its one on-disk format: an idle job's spill
+// closes that stream and keeps its merge state and rank epochs in memory,
+// and its next frame reopens the stream in append mode.  An ended job
+// closes its stream after the end line.
 //
 // Event-driven: the IO thread sleeps in epoll_wait until a socket, the
 // worker eventfd or its nearest pending deadline (stall check, fleet
@@ -46,6 +49,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <fstream>
@@ -53,10 +57,11 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "ipm_aggd/worker_pool.hpp"
 #include "ipm_live/merge.hpp"
 #include "ipm_live/net.hpp"
 #include "ipm_live/wire.hpp"
@@ -114,13 +119,13 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Bind the listener, open the tails, start the worker pool.  False +
+  /// Bind the listener, open the tails, start the worker threads.  False +
   /// `err` on failure.
   [[nodiscard]] bool start(std::string& err);
 
-  /// Serve until stop() or `exit_after_jobs` jobs ended.  Drains the
-  /// worker pool and flushes every open job and the fleet stream before
-  /// returning.
+  /// Serve until stop() or `exit_after_jobs` jobs ended.  Lets the workers
+  /// finish every queued frame, then stops them and flushes every open job
+  /// and the fleet stream before returning.
   void run();
 
   /// Signal run() to return and wake it (callable from any thread and from
@@ -158,40 +163,32 @@ class Daemon {
   [[nodiscard]] std::uint64_t prom_writes() const {
     return prom_writes_.load(std::memory_order_relaxed);
   }
-  /// Worker-pool tasks run off their home worker (0 in serial mode).
+  /// Batches run on a different worker than their job's previous batch
+  /// (0 in serial mode).
   [[nodiscard]] std::uint64_t steals() const {
-    return pool_ ? pool_->steals() : 0;
+    return steals_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] unsigned workers() const { return pool_ ? pool_->size() : 0; }
+  [[nodiscard]] unsigned workers() const {
+    return static_cast<unsigned>(workers_.size());
+  }
 
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// Worker→session response channel.  Workers append encoded reply frames
-  /// under `mu`, and the one that fills an empty `buf` lists `fd` on
-  /// ready_; the IO thread moves the bytes into the session's write staging
-  /// buffer.  closed stops late appends after the socket is gone.
-  struct Outbound {
-    std::mutex mu;
-    std::string buf;
-    bool closed = false;
-    int fd = -1;  ///< the session's sessions_ key, set before it is shared
-  };
-
   struct Job;
 
   struct Session {
+    std::uint64_t id = 0;  ///< sessions_ key, assigned at accept, never reused
     int fd = -1;
     live::wire::Decoder dec;
-    std::shared_ptr<Outbound> out = std::make_shared<Outbound>();
-    std::string wbuf;         ///< IO-thread write staging
+    std::string wbuf;         ///< replies not yet written
     bool closed = false;
     bool want_write = false;  ///< EPOLLOUT currently armed
     bool blocked = false;     ///< wbuf non-empty since stall_since (in blocked_)
     Clock::time_point stall_since{};
     // Routing cache (IO-thread-owned): a session streams one job in
     // practice, and jobs_ entries are never erased, so the pointer is
-    // stable — skips a jobs_mu_ lock + map lookup per frame.
+    // stable — skips a map lookup per frame.
     Job* job_cache = nullptr;
     std::string job_cache_id;
   };
@@ -200,7 +197,13 @@ class Daemon {
     enum class Kind { kFrame, kSpill };
     Kind kind = Kind::kFrame;
     live::wire::Frame frame;
-    std::shared_ptr<Outbound> reply;  ///< null: tail-injected or spill
+    std::uint64_t session = 0;  ///< reply to this session; 0: tail or spill
+  };
+
+  /// Encoded reply frames for one session, on the reply queue.
+  struct Reply {
+    std::uint64_t session = 0;
+    std::string bytes;
   };
 
   /// Exposition snapshot a worker publishes after each batch, so the IO
@@ -211,8 +214,8 @@ class Daemon {
     std::uint64_t version = 0;  ///< bumped by every refresh
   };
 
-  /// Worker-exclusive job state (scheduled-flag protocol: at most one
-  /// batch per job in flight, so no lock needed).
+  /// Worker-exclusive job state (scheduled flag: at most one worker runs
+  /// the job at a time, so no lock needed).
   struct JobState {
     std::ofstream out;
     live::JobMerger merger{1.0};  ///< get_or_create_job sets the interval
@@ -221,16 +224,15 @@ class Daemon {
     bool spilled = false;  ///< idle: `out` closed until the next frame
     std::int64_t last_snap_ms = -1;  ///< worker-owned: last PromSnap refresh
     std::int64_t last_emit_ms = -1;  ///< worker-owned: last emit_due pass
+    int worker = -1;  ///< worker that ran the previous batch (-1: none yet)
   };
 
   struct Job {
     std::string id;
     std::string ts_path;
     std::uint64_t fleet_base = 0;  ///< composite-rank offset, fleet merge
-    unsigned home = 0;             ///< pinned worker
-    std::mutex q_mu;
-    std::deque<Work> q;      ///< guarded by q_mu
-    bool scheduled = false;  ///< guarded by q_mu: a batch is in flight
+    std::vector<Work> q;     ///< guarded by work_mu_
+    bool scheduled = false;  ///< guarded by work_mu_: runnable or running
     /// IO thread: when the job's last frame was routed; -1 while it is not a
     /// spill candidate (spilled, ended, never active or spill off).
     std::int64_t last_frame_ms = -1;
@@ -266,7 +268,7 @@ class Daemon {
   void read_session(Session& ses, bool closing);
   void close_session(Session& ses);
   void flush_session(Session& ses);
-  void flush_replied();
+  std::vector<Session*> take_replies();
   void reap_closed();
   void set_write_interest(Session& ses, bool on);
   void mark_closed(Session& ses);
@@ -285,10 +287,11 @@ class Daemon {
   Job& get_or_create_job(const std::string& id, const std::string& command,
                          double interval);
   void enqueue(Job& job, Work&& w);
+  void stop_workers();
 
   // --- worker side (exclusive per job via the scheduled flag) ---------------
-  void process_job(Job* job);
-  void handle_batch(Job& job, std::deque<Work>& batch);
+  void work(int me);
+  void handle_batch(Job& job, std::span<Work> batch);
   void handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied);
   void apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
                     live::Sample&& s, const std::string& raw_line,
@@ -299,10 +302,10 @@ class Daemon {
   void emit_due_job(Job& job);
   bool fold_fleet(FleetBatch& fb);
   void update_snap(Job& job);
-  void close_stream(Job& job);
   void spill_job(Job& job);
   void rehydrate_job(Job& job);
-  [[nodiscard]] bool claim_ready_wake();
+  void push_reply(std::uint64_t session, std::string&& bytes);
+  [[nodiscard]] bool claim_reply_wake();
   void wake_io();
 
   Options opt_;
@@ -311,23 +314,25 @@ class Daemon {
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int event_fd_ = -1;
-  std::map<int, std::unique_ptr<Session>> sessions_;  ///< by fd (IO thread)
-  std::set<int> blocked_;        ///< IO thread: sessions with Session::blocked
-  std::vector<int> closed_;      ///< IO thread: marked closed, not yet reaped
-  std::size_t active_jobs_ = 0;  ///< IO thread: jobs with last_frame_ms >= 0
+  // IO thread (and introspection after run()): sessions, jobs, tails.
+  std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;  ///< by id
+  std::uint64_t last_session_id_ = 0;
+  std::set<std::uint64_t> blocked_;    ///< sessions with Session::blocked
+  std::vector<std::uint64_t> closed_;  ///< marked closed, not yet reaped
+  std::size_t active_jobs_ = 0;        ///< jobs with last_frame_ms >= 0
   std::vector<Tail> tails_;
-
-  std::mutex ready_mu_;       ///< guards ready_ and ready_woken_
-  std::vector<int> ready_;    ///< sessions workers replied to since the last flush
-  bool ready_woken_ = false;  ///< the eventfd was written for ready_'s sessions
-  std::vector<int> replied_;  ///< IO thread: ready_ swapped out for flushing
-
-  mutable std::mutex jobs_mu_;  ///< guards the jobs_ map + fleet_next_base_
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::uint64_t fleet_next_base_ = 0;
-  std::atomic<std::size_t> n_jobs_{0};
 
-  std::unique_ptr<WorkerPool> pool_;  ///< null in serial mode (workers == 0)
+  std::mutex work_mu_;  ///< guards runnable_, workers_quit_, every Job::q/scheduled
+  std::condition_variable work_cv_;  ///< idle workers wait here
+  std::deque<Job*> runnable_;        ///< scheduled jobs no worker has taken
+  bool workers_quit_ = false;        ///< exit once runnable_ is empty
+  std::atomic<std::uint64_t> steals_{0};
+
+  std::mutex reply_mu_;         ///< guards replies_ and reply_woken_
+  std::vector<Reply> replies_;  ///< oldest first, not yet taken by the IO thread
+  bool reply_woken_ = false;    ///< the eventfd was written for replies_
 
   std::mutex fleet_mu_;  ///< guards fleet_, fleet_out_, fleet_live_
   live::JobMerger fleet_;
@@ -360,6 +365,10 @@ class Daemon {
   Clock::time_point fleet_next_ = Clock::time_point::max();
   Clock::time_point stall_next_ = Clock::time_point::max();
   Clock::time_point tail_next_{};
+
+  /// Empty in serial mode (workers == 0).  Declared last: the threads use
+  /// every member above, and run() or the destructor joins them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace ipm::aggd

@@ -12,6 +12,7 @@
 #include "internal.hpp"
 #include "ipm_live/live.hpp"
 #include "ipm_live/merge.hpp"
+#include "simcommon/jsonl.hpp"
 
 namespace ipm::live {
 
@@ -93,14 +94,15 @@ class CollectorSink final : public SampleSink {
   }
 
   void write_prom(int ranks_live, bool up) const {
-    publish_exposition(prom_path_, [&](std::ostream& os) {
-      char buf[64];
-      for (const PromItem& it : prom_items(merger_, ranks_live, up)) {
-        std::snprintf(buf, sizeof buf, "%.17g", it.value);
-        os << "# HELP " << it.name << ' ' << it.help << "\n# TYPE " << it.name
-           << (it.counter ? " counter\n" : " gauge\n") << it.name << ' ' << buf
-           << '\n';
-      }
+    std::string text;
+    simx::JsonlWriter w(text);
+    for (const PromItem& it : prom_items(merger_, ranks_live, up)) {
+      w.lit("# HELP ").lit(it.name).lit(" ").lit(it.help).lit("\n# TYPE ").lit(it.name);
+      w.lit(it.counter ? " counter\n" : " gauge\n").lit(it.name).lit(" ").num(it.value);
+      w.lit("\n");
+    }
+    publish_exposition(prom_path_, [&text](std::ostream& os) {
+      os.write(text.data(), static_cast<std::streamsize>(text.size()));
     });
   }
 

@@ -10,7 +10,8 @@
 // double count), truncated/corrupt frames (rejected, never partially
 // applied, each counted), and two concurrent jobs multiplexed into one
 // daemon.  Two file-side checks follow: ended jobs release their JSONL
-// descriptor, and a failed exposition write keeps the previous exposition.
+// descriptor, a failed exposition write keeps the previous exposition, and
+// a failed fleet time-series write is reported.
 // The last two guard the event-driven IO loop against lost wake-ups: an
 // idle daemon answers every round trip at once and stops when told to.
 #include <gtest/gtest.h>
@@ -606,10 +607,33 @@ TEST(Aggd, FailedExpositionWriteKeepsThePreviousFile) {
   EXPECT_FALSE(fs::exists(fs::symlink_status(tmp)));
 }
 
+/// The fleet time series is checked at shutdown as a job's stream is: a
+/// fleet file that cannot be written (here a symlink to /dev/full) is
+/// reported, never truncated silently.
+TEST(Aggd, FailedFleetWriteIsReported) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "/dev/full not available";
+  const std::string dir = test_dir("aggd_fleet_full");
+  const std::string fleet = dir + "/fleet_timeseries.jsonl";
+  std::filesystem::create_symlink("/dev/full", fleet);
+  ipm::aggd::Options opt;
+  opt.out_dir = dir;
+  ipm::aggd::Daemon d(opt);
+  std::string err;
+  ASSERT_TRUE(d.start(err)) << err;
+  ASSERT_EQ(d.fleet_timeseries_path(), fleet);
+  ::testing::internal::CaptureStderr();
+  d.stop();
+  d.run();  // the fleet stream's end line and close fail on the full device
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("ipm_aggd: time-series write failed for " + fleet),
+            std::string::npos)
+      << log;
+}
+
 /// With no other traffic, a reply goes out as soon as its frame is applied:
 /// a wake-up the event-driven IO loop missed would hold a round trip until
-/// its next deadline, or forever when none is pending.  Serial and with a
-/// worker pool, whose replies travel back through the ready list.
+/// its next deadline, or forever when none is pending.  Serial and with
+/// four workers; both answer through the reply queue.
 TEST(Aggd, IdleDaemonAnswersEveryRoundTripPromptly) {
   for (const int workers : {0, 4}) {
     SCOPED_TRACE(workers);

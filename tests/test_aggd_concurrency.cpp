@@ -1,7 +1,7 @@
 // ipm_aggd sharded-daemon concurrency wall (ISSUE 7 satellites): many jobs
-// connecting / chaos-killing / reconnect-replaying simultaneously across an
-// explicit worker pool, clean shutdown with in-flight sessions, the
-// worker-pool chaos matrix (job arriving during drain, spill
+// connecting / chaos-killing / reconnect-replaying simultaneously across
+// explicit worker threads, clean shutdown with in-flight sessions, the
+// worker chaos matrix (job arriving during drain, spill
 // rehydration mid-reconnect, JOB_END racing a kill), and the slow-client
 // stall budget.  Designed to run under TSan: the assertions only touch
 // daemon state after stop()/join(), and mid-run progress is observed from

@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -293,6 +294,21 @@ TEST(LiveSnapshot, ClusterJsonlConservation) {
   EXPECT_NE(ss.str().find("ipm_up 0"), std::string::npos);
   EXPECT_NE(ss.str().find("ipm_ranks 8"), std::string::npos);
   EXPECT_NE(ss.str().find("ipm_mpi_seconds_total"), std::string::npos);
+  // Every value reads as printf("%.17g") prints the double it parses to.
+  std::istringstream lines(ss.str());
+  std::string line;
+  std::size_t values = 0;
+  while (std::getline(lines, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t sp = line.rfind(' ');
+    ASSERT_NE(sp, std::string::npos) << line;
+    const std::string text = line.substr(sp + 1);
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", std::strtod(text.c_str(), nullptr));
+    EXPECT_EQ(text, buf) << line;
+    ++values;
+  }
+  EXPECT_GT(values, 5u);
 }
 
 /// A time series that never reached the disk is not reported as written:
