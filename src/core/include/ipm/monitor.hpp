@@ -8,9 +8,11 @@
 // (on a real cluster this is IPM's MPI reduction at MPI_Finalize).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -141,9 +143,8 @@ struct RankProfile {
   std::vector<std::string> regions;  ///< region id -> name
 
   [[nodiscard]] double wallclock() const noexcept { return stop - start; }
-  /// Sum of tsum over events whose name matches the classifier prefix
-  /// family: "MPI", "CUDA", "CUBLAS", "CUFFT", "GPU" (pseudo @CUDA_EXEC),
-  /// "IDLE" (@CUDA_HOST_IDLE).
+  /// Sum of tsum over events of one family_of() family, named "MPI",
+  /// "CUDA", "CUBLAS", "CUFFT", "GPU" or "IDLE" (0 for any other name).
   [[nodiscard]] double time_in(const std::string& family) const;
   [[nodiscard]] std::uint64_t calls_in(const std::string& family) const;
 };
@@ -163,10 +164,14 @@ struct JobProfile {
   [[nodiscard]] std::uint64_t snapshot_drops() const noexcept;
 };
 
-/// True when `name` belongs to the classifier family behind
-/// RankProfile::time_in: "MPI", "CUDA", "CUBLAS", "CUFFT", "GPU"
-/// (pseudo @CUDA_EXEC), "IDLE" (@CUDA_HOST_IDLE).
-[[nodiscard]] bool name_in_family(const std::string& name, const std::string& family);
+/// Event family behind the derived metrics (RankProfile::time_in, the live
+/// merge's per-family seconds and bytes).
+enum class Family : std::uint8_t { kNone, kMpi, kCuda, kGpu, kIdle, kCublas, kCufft };
+
+/// The one family classifier, by name prefix: MPI_* is kMpi, @CUDA_EXEC*
+/// kGpu (kernel pseudo-events), @CUDA_HOST_IDLE* kIdle, cublas* kCublas,
+/// cufft* kCufft, and cuda* or cu[A-Z]* (driver API) kCuda.
+[[nodiscard]] Family family_of(std::string_view name) noexcept;
 
 class Monitor {
  public:

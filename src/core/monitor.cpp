@@ -7,7 +7,9 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string_view>
 #include <tuple>
+#include <utility>
 
 #include "ipm/report.hpp"
 #include "ipm_live/live.hpp"
@@ -48,43 +50,49 @@ struct TlsOwner {
 thread_local TlsOwner t_owner;
 void report_job_at_exit();  // defined below (needs job())
 
-/// Family classifier for derived metrics (see RankProfile::time_in).
-bool in_family(const std::string& name, const std::string& family) {
-  using simx::starts_with;
-  if (family == "MPI") return starts_with(name, "MPI_");
-  if (family == "CUBLAS") return starts_with(name, "cublas");
-  if (family == "CUFFT") return starts_with(name, "cufft");
-  if (family == "GPU") return starts_with(name, "@CUDA_EXEC");
-  if (family == "IDLE") return starts_with(name, "@CUDA_HOST_IDLE");
-  if (family == "CUDA") {
-    return (starts_with(name, "cuda") ||
-            (starts_with(name, "cu") && name.size() > 2 &&
-             std::isupper(static_cast<unsigned char>(name[2])) != 0)) &&
-           !starts_with(name, "cublas") && !starts_with(name, "cufft");
+/// The family a time_in/calls_in label names (kNone: no family).
+Family family_named(const std::string& label) {
+  static constexpr std::pair<std::string_view, Family> kLabels[] = {
+      {"MPI", Family::kMpi},   {"CUDA", Family::kCuda},     {"GPU", Family::kGpu},
+      {"IDLE", Family::kIdle}, {"CUBLAS", Family::kCublas}, {"CUFFT", Family::kCufft},
+  };
+  for (const auto& [name, family] : kLabels) {
+    if (label == name) return family;
   }
-  return false;
+  return Family::kNone;
 }
 
 }  // namespace
 
+Family family_of(std::string_view name) noexcept {
+  if (name.starts_with("MPI_")) return Family::kMpi;
+  if (name.starts_with("@CUDA_EXEC")) return Family::kGpu;
+  if (name.starts_with("@CUDA_HOST_IDLE")) return Family::kIdle;
+  if (!name.starts_with("cu")) return Family::kNone;
+  if (name.starts_with("cublas")) return Family::kCublas;
+  if (name.starts_with("cufft")) return Family::kCufft;
+  if (name.starts_with("cuda") || (name.size() > 2 && name[2] >= 'A' && name[2] <= 'Z')) {
+    return Family::kCuda;
+  }
+  return Family::kNone;
+}
+
 double RankProfile::time_in(const std::string& family) const {
+  const Family f = family_named(family);
   double total = 0.0;
   for (const EventRecord& e : events) {
-    if (in_family(e.name, family)) total += e.tsum;
+    if (f != Family::kNone && family_of(e.name) == f) total += e.tsum;
   }
   return total;
 }
 
 std::uint64_t RankProfile::calls_in(const std::string& family) const {
+  const Family f = family_named(family);
   std::uint64_t total = 0;
   for (const EventRecord& e : events) {
-    if (in_family(e.name, family)) total += e.count;
+    if (f != Family::kNone && family_of(e.name) == f) total += e.count;
   }
   return total;
-}
-
-bool name_in_family(const std::string& name, const std::string& family) {
-  return in_family(name, family);
 }
 
 std::uint64_t JobProfile::snapshot_samples() const noexcept {
@@ -245,6 +253,10 @@ void job_begin(const Config& cfg, const std::string& command) {
   // harness is about to tear down (cusim::configure invalidates streams and
   // events), so running finalize hooks here would be unsafe.
   t_owner.monitor.reset();
+  // The CUDA layer installs its device-counter probe on the job's first
+  // CUDA call; one left by an earlier job would run on every capture of a
+  // job that makes none, against a simulator that may have been reset.
+  live::set_gpu_probe(nullptr);
   // Install the job's fault spec (throws on a malformed programmatic spec;
   // IPM_FAULT from the environment is validated in configure_from_env).
   // An empty spec leaves the injector's current state alone.

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "simcommon/noise.hpp"
 
@@ -111,6 +112,10 @@ CudaContext& Engine::ctx() {
 }
 
 DeviceState& Engine::device_at(int node, int index) {
+  if (node < 0 || node >= topo_.nodes || index < 0 || index >= topo_.gpus_per_node) {
+    throw std::out_of_range("cusim: no device (node " + std::to_string(node) + ", gpu " +
+                            std::to_string(index) + ") in the topology");
+  }
   return *devices_[static_cast<std::size_t>(node) * topo_.gpus_per_node + index];
 }
 

@@ -102,7 +102,8 @@ void write_profile_log(const std::string& path);
 /// Simulator-wide statistics snapshot.
 [[nodiscard]] SimStats stats();
 
-/// Total device-memory bytes currently allocated on (node, gpu).
+/// Total device-memory bytes currently allocated on (node, gpu).  Throws
+/// std::out_of_range for a (node, gpu) outside the topology.
 [[nodiscard]] std::uint64_t device_bytes_in_use(int node, int gpu);
 
 /// Simulated GPU hardware counters (the paper's §VI future-work item:
@@ -122,7 +123,8 @@ struct DeviceCounters {
   }
 };
 
-/// Snapshot of (node, gpu)'s counters.
+/// Snapshot of (node, gpu)'s counters.  Throws std::out_of_range for a
+/// (node, gpu) outside the topology.
 [[nodiscard]] DeviceCounters device_counters(int node, int gpu);
 
 /// Write the ground-truth profiler log in Chrome tracing JSON

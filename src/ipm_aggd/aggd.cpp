@@ -340,7 +340,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
       // protocol error, acked at the rank's previous epoch and not applied.
       live::Sample s;
       if (live::parse_sample_line(f.payload, s)) {
-        apply_sample(job, f.rank, f.epoch, std::move(s), f.payload, fb);
+        apply_sample(job, f.rank, f.epoch, s, f.payload, fb);
       } else {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -377,7 +377,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
 }
 
 void Daemon::apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                          live::Sample&& s, const std::string& raw_line,
+                          const live::Sample& s, const std::string& raw_line,
                           FleetBatch& fb) {
   JobState& st = job.st;
   RankState& rs = st.ranks[rank];
@@ -388,9 +388,10 @@ void Daemon::apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
   rs.last_epoch = epoch;
   rs.samples += 1;
   if (st.out) st.out << raw_line << '\n';
-  st.merger.add_sample(s);
-  s.rank = static_cast<int>(job.fleet_base + rank);
-  fb.add.push_back(std::move(s));
+  live::SampleFold fold = live::fold_sample(s);
+  st.merger.add(fold);
+  fold.rank = static_cast<int>(job.fleet_base + rank);
+  fb.add.push_back(std::move(fold));
 }
 
 void Daemon::finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
@@ -455,7 +456,7 @@ bool Daemon::fold_fleet(FleetBatch& fb) {
     const std::lock_guard<std::mutex> lock(fleet_mu_);
     if (!fb.new_ranks.empty()) fleet_any_ = true;
     for (const int r : fb.new_ranks) fleet_live_.insert(r);
-    for (const live::Sample& s : fb.add) fleet_.add_sample(s);
+    for (const live::SampleFold& f : fb.add) fleet_.add(f);
     for (const int r : fb.fin_ranks) {
       fleet_.finalize_rank(r);
       fleet_live_.erase(r);

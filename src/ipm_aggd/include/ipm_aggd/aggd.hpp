@@ -20,8 +20,9 @@
 // (session id, bytes) back: the IO thread moves each reply into its
 // session's write buffer, and drops it when the session is gone (ids are
 // never reused).  Serial mode (no workers) applies frames inline on the IO
-// thread and replies through the same queue.  Fleet-wide merging folds each
-// batch's samples under one narrow mutex, and each job publishes an
+// thread and replies through the same queue.  A worker folds each sample
+// once (live::fold_sample) for its job's merger; fleet-wide merging adds
+// each batch's folds under one narrow mutex, and each job publishes an
 // exposition snapshot under its own.  A client that stops reading is
 // disconnected on a bounded stall budget and counted, never blocks the
 // daemon.  A job's JSONL is its one on-disk format: an idle job's spill
@@ -253,9 +254,11 @@ class Daemon {
     bool done = false;
   };
 
-  /// Per-batch fleet-merge delta, folded under fleet_mu_ in one step.
+  /// Per-batch fleet-merge delta, added under fleet_mu_ in one step.  Each
+  /// sample arrives as the fold its job's merger added, so the fleet merger
+  /// never classifies a delta.
   struct FleetBatch {
-    std::vector<live::Sample> add;   ///< samples, rank already composite
+    std::vector<live::SampleFold> add;  ///< rank already composite
     std::vector<int> new_ranks;      ///< composite ranks first seen
     std::vector<int> fin_ranks;      ///< composite ranks finalized
     [[nodiscard]] bool empty() const {
@@ -294,7 +297,7 @@ class Daemon {
   void handle_batch(Job& job, std::span<Work> batch);
   void handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied);
   void apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                    live::Sample&& s, const std::string& raw_line,
+                    const live::Sample& s, const std::string& raw_line,
                     FleetBatch& fb);
   void finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
                      const std::string& payload, FleetBatch& fb);

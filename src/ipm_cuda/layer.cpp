@@ -90,11 +90,13 @@ double calibrate_bracket_overhead() {
 /// hardware counters of this rank's node into the sample stream.  Exactly
 /// one rank per node reports (local_rank 0), so summing over ranks counts
 /// each device once; the probe returns cumulative totals and the publisher
-/// takes conserved deltas.
+/// takes conserved deltas.  A rank on a node the topology lacks reports
+/// nothing: the simulator wraps its node onto one the topology has, whose
+/// counters already include its kernels.
 bool device_counter_probe(double& flops, double& dram_bytes) {
   const simx::ExecContext& ctx = simx::current_context();
-  if (ctx.local_rank != 0) return false;
   const cusim::Topology& topo = cusim::topology();
+  if (ctx.local_rank != 0 || ctx.node_id < 0 || ctx.node_id >= topo.nodes) return false;
   flops = 0.0;
   dram_bytes = 0.0;
   for (int g = 0; g < topo.gpus_per_node; ++g) {

@@ -8,6 +8,11 @@
 // serialized form: the daemon keeps an idle job's merger in memory when it
 // spills the job, which only closes the job's JSONL stream.
 //
+// A sample is reduced once, by fold_sample, to a SampleFold: its deltas
+// summed per family (ipm::family_of, one prefix check per delta) and per
+// region.  A merger adds folds, so the daemon folds each sample once and
+// hands the same fold to the job's merger and to the fleet merger.
+//
 // Interval k = [k*interval, (k+1)*interval) closes once every *live* rank
 // (attached, not finalized) has published a sample whose t1 reaches past
 // the interval's end — the same watermark rule the PR-4 collector used, so
@@ -17,8 +22,9 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ipm_live/live.hpp"
@@ -37,15 +43,36 @@ struct MergeTotals {
   std::uint64_t events = 0, samples = 0;
 };
 
+/// One sample reduced to what the merge adds: its deltas summed per
+/// family and per region, beside the sample's device counters.
+struct SampleFold {
+  int rank = 0;
+  double t1 = 0.0;             ///< the sample's end: picks the bucket
+  std::uint64_t devents = 0;   ///< monitored calls, every family
+  double mpi_s = 0.0, cuda_s = 0.0, gpu_s = 0.0, idle_s = 0.0;
+  double blas_s = 0.0, fft_s = 0.0;
+  std::uint64_t mpi_bytes = 0, cuda_bytes = 0;
+  double flops = 0.0;
+  double dev_flops = 0.0, dev_bytes = 0.0;
+  std::vector<std::pair<std::string, double>> region_flops;  ///< by region name
+};
+
+/// Classify each of `s`'s deltas once (ipm::family_of) and sum them per
+/// family and per region name.
+[[nodiscard]] SampleFold fold_sample(const Sample& s);
+
 class JobMerger {
  public:
   explicit JobMerger(double interval) : interval_(interval) {}
 
   [[nodiscard]] double interval() const noexcept { return interval_; }
 
-  /// Fold one rank sample into its interval bucket and advance the rank's
-  /// watermark.
+  /// Same as add(fold_sample(s)).
   void add_sample(const Sample& s);
+
+  /// Add one sample's fold to its interval bucket and advance the rank's
+  /// watermark.
+  void add(const SampleFold& f);
 
   /// `rank` finished: it no longer holds back interval emission.
   void finalize_rank(int rank);
@@ -73,14 +100,8 @@ class JobMerger {
 
  private:
   struct Bucket {
-    std::set<int> ranks;
-    std::uint64_t samples = 0;
-    std::uint64_t devents = 0;
-    double mpi_s = 0.0, cuda_s = 0.0, gpu_s = 0.0, idle_s = 0.0;
-    double blas_s = 0.0, fft_s = 0.0;
-    std::uint64_t mpi_bytes = 0, cuda_bytes = 0;
-    double flops = 0.0;
-    double dev_flops = 0.0, dev_bytes = 0.0;
+    ClusterPoint sums;       ///< samples through dev_bytes; the rest at emission
+    std::vector<int> ranks;  ///< sorted, each rank once
     std::map<std::string, double> region_flops;
   };
 
@@ -88,7 +109,7 @@ class JobMerger {
 
   double interval_;
   std::map<std::uint64_t, Bucket> buckets_;
-  std::map<int, double> watermark_;  ///< rank -> latest published t1
+  std::unordered_map<int, double> watermark_;  ///< rank -> latest published t1
   int blocker_ = -1;  ///< emit_due: the live rank with the lowest watermark
   std::uint64_t next_emit_ = 0;
   std::uint64_t intervals_emitted_ = 0;

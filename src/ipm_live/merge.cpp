@@ -7,98 +7,99 @@
 #include <limits>
 
 #include "ipm/key.hpp"
+#include "ipm/monitor.hpp"
 #include "simcommon/str.hpp"
 
 namespace ipm::live {
 
-namespace {
-
-struct Classified {
-  bool mpi, cuda, gpu, idle, blas, fft;
-};
-
-Classified classify(const std::string& name) {
-  return Classified{
-      name_in_family(name, "MPI"),  name_in_family(name, "CUDA"),
-      name_in_family(name, "GPU"),  name_in_family(name, "IDLE"),
-      name_in_family(name, "CUBLAS"), name_in_family(name, "CUFFT"),
-  };
+SampleFold fold_sample(const Sample& s) {
+  SampleFold f;
+  f.rank = s.rank;
+  f.t1 = s.t1;
+  f.dev_flops = s.ddev_flops;
+  f.dev_bytes = s.ddev_bytes;
+  for (const KeyDelta& d : s.deltas) {
+    f.devents += d.dcount;
+    switch (family_of(d.name_str.empty() ? name_of(d.name) : d.name_str)) {
+      case Family::kMpi:
+        f.mpi_s += d.dtsum;
+        f.mpi_bytes += d.dbytes;
+        break;
+      case Family::kCuda:
+        f.cuda_s += d.dtsum;
+        f.cuda_bytes += d.dbytes;
+        break;
+      case Family::kGpu: f.gpu_s += d.dtsum; break;
+      case Family::kIdle: f.idle_s += d.dtsum; break;
+      case Family::kCublas: f.blas_s += d.dtsum; break;
+      case Family::kCufft: f.fft_s += d.dtsum; break;
+      case Family::kNone: break;
+    }
+    if (d.dflops != 0.0) {
+      f.flops += d.dflops;
+      std::string region = d.region < s.regions.size()
+                               ? s.regions[d.region]
+                               : simx::strprintf("region%u", d.region);
+      const auto it = std::find_if(f.region_flops.begin(), f.region_flops.end(),
+                                   [&](const auto& rf) { return rf.first == region; });
+      if (it == f.region_flops.end()) {
+        f.region_flops.emplace_back(std::move(region), d.dflops);
+      } else {
+        it->second += d.dflops;
+      }
+    }
+  }
+  return f;
 }
 
-}  // namespace
+void JobMerger::add_sample(const Sample& s) { add(fold_sample(s)); }
 
-void JobMerger::add_sample(const Sample& s) {
+void JobMerger::add(const SampleFold& f) {
   std::uint64_t k =
-      static_cast<std::uint64_t>(std::floor(std::max(0.0, s.t1) / interval_));
-  // A sample landing behind the emission cursor folds into the next emitted
+      static_cast<std::uint64_t>(std::floor(std::max(0.0, f.t1) / interval_));
+  // A sample landing behind the emission cursor is added to the next emitted
   // interval instead of stranding a bucket the emit loops can never consume
   // (fleet merge: a job joins after quiescence already drained all buckets
   // via emit_all, so its virtual time restarts behind next_emit_).
   if (k < next_emit_) k = next_emit_;
   Bucket& b = buckets_[k];
-  b.ranks.insert(s.rank);
-  b.samples += 1;
-  b.dev_flops += s.ddev_flops;
-  b.dev_bytes += s.ddev_bytes;
-  for (const KeyDelta& d : s.deltas) {
-    const std::string& name = d.name_str.empty() ? name_of(d.name) : d.name_str;
-    const Classified c = classify(name);
-    b.devents += d.dcount;
-    if (c.mpi) {
-      b.mpi_s += d.dtsum;
-      b.mpi_bytes += d.dbytes;
-    } else if (c.gpu) {
-      b.gpu_s += d.dtsum;
-    } else if (c.idle) {
-      b.idle_s += d.dtsum;
-    } else if (c.blas) {
-      b.blas_s += d.dtsum;
-    } else if (c.fft) {
-      b.fft_s += d.dtsum;
-    } else if (c.cuda) {
-      b.cuda_s += d.dtsum;
-      b.cuda_bytes += d.dbytes;
-    }
-    if (d.dflops != 0.0) {
-      b.flops += d.dflops;
-      const std::string region = d.region < s.regions.size()
-                                     ? s.regions[d.region]
-                                     : simx::strprintf("region%u", d.region);
-      b.region_flops[region] += d.dflops;
-    }
-  }
-  auto [it, inserted] = watermark_.try_emplace(s.rank, s.t1);
-  if (!inserted && s.t1 > it->second) it->second = s.t1;
+  const auto pos = std::lower_bound(b.ranks.begin(), b.ranks.end(), f.rank);
+  if (pos == b.ranks.end() || *pos != f.rank) b.ranks.insert(pos, f.rank);
+  ClusterPoint& p = b.sums;
+  p.samples += 1;
+  p.devents += f.devents;
+  p.mpi_s += f.mpi_s;
+  p.cuda_s += f.cuda_s;
+  p.gpu_s += f.gpu_s;
+  p.idle_s += f.idle_s;
+  p.blas_s += f.blas_s;
+  p.fft_s += f.fft_s;
+  p.mpi_bytes += f.mpi_bytes;
+  p.cuda_bytes += f.cuda_bytes;
+  p.flops += f.flops;
+  p.dev_flops += f.dev_flops;
+  p.dev_bytes += f.dev_bytes;
+  for (const auto& [region, flops] : f.region_flops) b.region_flops[region] += flops;
+  auto [it, inserted] = watermark_.try_emplace(f.rank, f.t1);
+  if (!inserted && f.t1 > it->second) it->second = f.t1;
 }
 
 void JobMerger::finalize_rank(int rank) { watermark_.erase(rank); }
 
 ClusterPoint JobMerger::emit_point(std::uint64_t k, int ranks_live) {
   ClusterPoint p;
+  const auto it = buckets_.find(k);
+  if (it != buckets_.end()) {
+    Bucket& b = it->second;
+    p = std::move(b.sums);
+    p.ranks = static_cast<int>(b.ranks.size());
+    p.region_flops.assign(b.region_flops.begin(), b.region_flops.end());
+    buckets_.erase(it);
+  }
   p.k = k;
   p.t0 = static_cast<double>(k) * interval_;
   p.t1 = static_cast<double>(k + 1) * interval_;
   p.ranks_live = ranks_live;
-  const auto it = buckets_.find(k);
-  if (it != buckets_.end()) {
-    const Bucket& b = it->second;
-    p.ranks = static_cast<int>(b.ranks.size());
-    p.samples = b.samples;
-    p.devents = b.devents;
-    p.mpi_s = b.mpi_s;
-    p.cuda_s = b.cuda_s;
-    p.gpu_s = b.gpu_s;
-    p.idle_s = b.idle_s;
-    p.blas_s = b.blas_s;
-    p.fft_s = b.fft_s;
-    p.mpi_bytes = b.mpi_bytes;
-    p.cuda_bytes = b.cuda_bytes;
-    p.flops = b.flops;
-    p.dev_flops = b.dev_flops;
-    p.dev_bytes = b.dev_bytes;
-    p.region_flops.assign(b.region_flops.begin(), b.region_flops.end());
-    buckets_.erase(it);
-  }
   totals_.mpi_s += p.mpi_s;
   totals_.cuda_s += p.cuda_s;
   totals_.gpu_s += p.gpu_s;

@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "ipm/monitor.hpp"
 #include "ipm/report.hpp"
 #include "simcommon/str.hpp"
 #include "simcommon/xml.hpp"
@@ -18,12 +19,14 @@ namespace {
 /// Branch of the call tree an event belongs to (the CUBE view of Fig. 9
 /// groups the GPU kernel pseudo-events above the MPI hierarchy).
 std::string branch_of(const std::string& name) {
-  if (name.starts_with("@CUDA_EXEC")) return "GPU kernels";
-  if (name.starts_with("@CUDA_HOST_IDLE")) return "GPU host idle";
-  if (name.starts_with("MPI_")) return "MPI";
-  if (name.starts_with("cublas")) return "CUBLAS";
-  if (name.starts_with("cufft")) return "CUFFT";
-  return "CUDA";
+  switch (ipm::family_of(name)) {
+    case ipm::Family::kGpu: return "GPU kernels";
+    case ipm::Family::kIdle: return "GPU host idle";
+    case ipm::Family::kMpi: return "MPI";
+    case ipm::Family::kCublas: return "CUBLAS";
+    case ipm::Family::kCufft: return "CUFFT";
+    default: return "CUDA";
+  }
 }
 
 }  // namespace

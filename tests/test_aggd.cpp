@@ -9,14 +9,16 @@
 // client startup, connection killed mid-run (reconnect + epoch resume, no
 // double count), truncated/corrupt frames (rejected, never partially
 // applied, each counted), and two concurrent jobs multiplexed into one
-// daemon.  Two file-side checks follow: ended jobs release their JSONL
-// descriptor, a failed exposition write keeps the previous exposition, and
-// a failed fleet time-series write is reported.
+// daemon, whose fleet stream's points sum the jobs' points.  Two file-side
+// checks follow: ended jobs release their JSONL descriptor, a failed
+// exposition write keeps the previous exposition, and a failed fleet
+// time-series write is reported.
 // The last two guard the event-driven IO loop against lost wake-ups: an
 // idle daemon answers every round trip at once and stops when told to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -517,6 +519,107 @@ TEST(Aggd, TwoConcurrentJobsStaySeparate) {
             std::string::npos);
 }
 
+/// Totals over a stream's points: the integer fields, and the seconds,
+/// flops and device-counter fields as double sums.
+struct PointTotals {
+  std::uint64_t samples = 0, devents = 0, mpi_bytes = 0, cuda_bytes = 0;
+  std::array<double, 9> sums{};
+
+  void add(const ipm::live::ClusterPoint& p) {
+    samples += p.samples;
+    devents += p.devents;
+    mpi_bytes += p.mpi_bytes;
+    cuda_bytes += p.cuda_bytes;
+    const std::array<double, 9> v = {p.mpi_s,  p.cuda_s, p.gpu_s,
+                                     p.idle_s, p.blas_s, p.fft_s,
+                                     p.flops,  p.dev_flops, p.dev_bytes};
+    for (std::size_t i = 0; i < v.size(); ++i) sums[i] += v[i];
+  }
+};
+
+/// The fleet merger adds the folds its jobs' mergers added: through one
+/// daemon, the fleet stream's point totals equal the sum of the two jobs'
+/// (integers exactly, seconds and flops to 1e-12 relative).  Each job's
+/// samples mix every family, regions and device counters over three ranks.
+TEST(Aggd, FleetPointsSumTheJobsPoints) {
+  const std::string dir = test_dir("aggd_fleet_sum");
+  static constexpr const char* kNames[] = {
+      "MPI_Allreduce", "MPI_Send", "cudaMemcpy(H2D)", "cuLaunchKernel",
+      "cublasDgemm",   "cufftExecZ2Z", "@CUDA_EXEC:k", "@CUDA_HOST_IDLE", "user_fn"};
+  std::vector<std::string> tails;
+  simx::Xoshiro256 rng(0xF1EE7);
+  for (const std::string job : {"fold_a", "fold_b"}) {
+    const std::string path = dir + "/" + job + "_timeseries.jsonl";
+    std::ofstream out(path, std::ios::trunc);
+    out << ipm::live::timeseries_header_line("./" + job, 0.5) << '\n';
+    constexpr int kSteps = 12;
+    for (int step = 0; step < kSteps; ++step) {
+      for (int rank = 0; rank < 3; ++rank) {
+        ipm::live::Sample s;
+        s.rank = rank;
+        s.seq = static_cast<std::uint64_t>(step);
+        s.t0 = 0.3 * step;
+        s.t1 = 0.3 * (step + 1) + 0.01 * rank;
+        s.final_flush = step == kSteps - 1;
+        s.ddev_flops = rng.uniform(0.0, 1e6);
+        s.ddev_bytes = rng.uniform(0.0, 1e5);
+        s.regions = {"ipm_global", "solver"};
+        for (const char* name : kNames) {
+          ipm::live::KeyDelta d;
+          d.name_str = name;
+          d.region = static_cast<std::uint32_t>(rng.uniform_u64(2));
+          d.dcount = 1 + rng.uniform_u64(9);
+          d.dbytes = rng.uniform_u64(1 << 20);
+          d.dtsum = rng.uniform(0.0, 0.1);
+          d.dflops = rng.uniform_u64(2) == 0 ? 0.0 : rng.uniform(0.0, 1e9);
+          s.deltas.push_back(std::move(d));
+        }
+        out << ipm::live::sample_line(s) << '\n';
+      }
+    }
+    out << ipm::live::end_line(0) << '\n';
+    tails.push_back(path);
+  }
+
+  ipm::aggd::Options opt;
+  opt.out_dir = dir;
+  opt.tails = tails;
+  opt.fleet_interval = 0.5;
+  opt.workers = 2;
+  ipm::aggd::Daemon d(opt);
+  std::string err;
+  ASSERT_TRUE(d.start(err)) << err;
+  d.run();  // tail-only mode: returns once both tailed streams ended
+  ASSERT_EQ(d.protocol_errors(), 0u);
+
+  PointTotals jobs;
+  for (const char* job : {"fold_a", "fold_b"}) {
+    const ipm::live::TimeSeries ts =
+        ipm::live::read_timeseries_file(d.job_timeseries_path(job));
+    PointTotals mine;
+    for (const ipm::live::ClusterPoint& p : ts.points) {
+      mine.add(p);
+      jobs.add(p);
+    }
+    EXPECT_EQ(mine.samples, 36u) << job;
+    for (std::size_t i = 0; i < mine.sums.size(); ++i) {
+      EXPECT_GT(mine.sums[i], 0.0) << job << " field " << i;
+    }
+  }
+  const ipm::live::TimeSeries fleet_ts =
+      ipm::live::read_timeseries_file(d.fleet_timeseries_path());
+  PointTotals fleet;
+  for (const ipm::live::ClusterPoint& p : fleet_ts.points) fleet.add(p);
+  EXPECT_EQ(fleet.samples, jobs.samples);
+  EXPECT_EQ(fleet.devents, jobs.devents);
+  EXPECT_EQ(fleet.mpi_bytes, jobs.mpi_bytes);
+  EXPECT_EQ(fleet.cuda_bytes, jobs.cuda_bytes);
+  for (std::size_t i = 0; i < fleet.sums.size(); ++i) {
+    EXPECT_NEAR(fleet.sums[i], jobs.sums[i], 1e-12 * jobs.sums[i])
+        << "field " << i;
+  }
+}
+
 std::size_t open_fds() {
   std::size_t n = 0;
   for ([[maybe_unused]] const auto& e :
@@ -650,6 +753,8 @@ TEST(Aggd, IdleDaemonAnswersEveryRoundTripPromptly) {
     Decoder dec;
     Frame f;
     std::vector<double> ms;
+    // Each round trip is judged as it completes, so a lost wake-up fails at
+    // the first slow one instead of after 400 of them.
     const auto round_trip = [&](const std::string& bytes, FrameType reply) {
       const auto t0 = std::chrono::steady_clock::now();
       send_all(fd, bytes);
@@ -658,11 +763,13 @@ TEST(Aggd, IdleDaemonAnswersEveryRoundTripPromptly) {
                        std::chrono::steady_clock::now() - t0)
                        .count());
       ASSERT_EQ(f.type, reply);
+      ASSERT_LT(ms.back(), 1000.0) << "round trip " << ms.size() << " (ms)";
     };
     const std::string hello = frame_bytes(
         FrameType::kHello, "rt", 0, 0, ipm::live::wire::hello_payload("./rt", 0.5));
-    for (std::uint64_t k = 0; k < 200; ++k) {
+    for (std::uint64_t k = 0; k < 200 && !HasFatalFailure(); ++k) {
       round_trip(hello, FrameType::kWelcome);
+      if (HasFatalFailure()) break;
       const double t0 = 0.5 * static_cast<double>(k);
       round_trip(sample_bytes("rt", make_sample(0, k, t0, t0 + 0.5, "MPI_Bcast", 1,
                                                 64, 0.125)),
@@ -675,7 +782,6 @@ TEST(Aggd, IdleDaemonAnswersEveryRoundTripPromptly) {
     ASSERT_EQ(ms.size(), 400u);
     std::sort(ms.begin(), ms.end());
     EXPECT_LT(ms[ms.size() / 2], 5.0) << "median round trip (ms)";
-    EXPECT_LT(ms.back(), 1000.0) << "slowest round trip (ms)";
     EXPECT_EQ(runner.d.job_ranks("rt")->at(0).samples, 200u);
   }
 }

@@ -17,7 +17,9 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <tuple>
 #include <vector>
 
@@ -568,6 +570,164 @@ TEST(LiveSnapshot, DeviceCounterGroundTruthMatchesFlopsEstimate) {
   EXPECT_DOUBLE_EQ(pt_est_flops / pt_dev_flops, 1.0);
   ipm::job_end();
   cusim::reset();
+}
+
+/// The CUDA layer's device-counter probe ends with the job that installed
+/// it: a later live job in the same process that makes no CUDA call runs no
+/// probe and reports no device counters, although the simulator still
+/// holds the first job's kernels.
+TEST(LiveSnapshot, GpuProbeEndsWithItsJob) {
+  simx::reset_default_context();
+  cusim::reset();
+  ipm::Config cfg;
+  cfg.snapshot_interval = 0.25;
+  cfg.timeseries_path = ::testing::TempDir() + "/live_probe_cuda_timeseries.jsonl";
+  ipm::job_begin(cfg, "./probe_cuda");
+  const cusim::KernelDef kernel{"probe_kernel", {.flops_per_thread = 10.0}, nullptr};
+  for (int i = 0; i < 4; ++i) {
+    cusim::launch(kernel, dim3{1, 1, 1}, dim3{1, 1, 1}, [](const cusim::LaunchGeom&) {});
+    simx::host_compute(0.1);
+  }
+  ipm::job_end();
+  ASSERT_NE(ipm::live::gpu_probe(), nullptr);
+  ASSERT_GT(cusim::device_counters(0, 0).flops, 0.0);
+
+  simx::reset_default_context();
+  cfg.timeseries_path = ::testing::TempDir() + "/live_probe_mpi_timeseries.jsonl";
+  ipm::job_begin(cfg, "./probe_mpi");
+  EXPECT_EQ(ipm::live::gpu_probe(), nullptr);
+  mpisim::ClusterConfig cluster;
+  cluster.ranks = 2;
+  cluster.ranks_per_node = 2;
+  mpisim::run_cluster(cluster, [](int rank) {
+    MPI_Init(nullptr, nullptr);
+    for (int i = 0; i < 8; ++i) {
+      simx::host_compute(0.1);
+      double x = static_cast<double>(rank);
+      double y = 0;
+      MPI_Allreduce(&x, &y, 1, MPI_DOUBLE, MPI_SUM, MPI_COMM_WORLD);
+    }
+    MPI_Finalize();
+  });
+  const ipm::JobProfile job = ipm::job_end();
+  EXPECT_EQ(ipm::live::gpu_probe(), nullptr);
+  const ipm::live::TimeSeries ts = ipm::live::read_timeseries_file(job.timeseries_file);
+  ASSERT_FALSE(ts.samples.empty());
+  for (const ipm::live::Sample& s : ts.samples) {
+    EXPECT_EQ(s.ddev_flops, 0.0) << "rank " << s.rank << " seq " << s.seq;
+    EXPECT_EQ(s.ddev_bytes, 0.0) << "rank " << s.rank << " seq " << s.seq;
+  }
+  cusim::reset();
+}
+
+/// Ranks on nodes the topology lacks share its devices (the simulator wraps
+/// their nodes onto it), so they report no device counters of their own:
+/// four ranks, one per node, on the default one-node topology count each
+/// of their 32 kernels once, through node 0's rank.  Nodes and GPUs outside
+/// the topology have no counters.
+TEST(LiveSnapshot, RanksBeyondTheTopologyCountEachDeviceOnce) {
+  simx::reset_default_context();
+  cusim::reset();
+  ipm::Config cfg;
+  cfg.snapshot_interval = 0.25;
+  cfg.timeseries_path = ::testing::TempDir() + "/live_wrapped_dev_timeseries.jsonl";
+  ipm::job_begin(cfg, "./wrapped_dev");
+  mpisim::ClusterConfig cluster;
+  cluster.ranks = 4;
+  cluster.ranks_per_node = 1;
+  mpisim::run_cluster(cluster, [](int) {
+    static const cusim::KernelDef kernel{
+        "wrapped_kernel", {.flops_per_thread = 10.0}, nullptr};
+    MPI_Init(nullptr, nullptr);
+    for (int i = 0; i < 8; ++i) {
+      cusim::launch(kernel, dim3{1, 1, 1}, dim3{1, 1, 1},
+                    [](const cusim::LaunchGeom&) {});
+      simx::host_compute(0.1);
+    }
+    cudaDeviceSynchronize();
+    MPI_Barrier(MPI_COMM_WORLD);  // every kernel counted before any rank finalizes
+    MPI_Finalize();
+  });
+  const ipm::JobProfile job = ipm::job_end();
+  const cusim::DeviceCounters truth = cusim::device_counters(0, 0);
+  EXPECT_EQ(truth.kernels, 32u);
+  const ipm::live::TimeSeries ts = ipm::live::read_timeseries_file(job.timeseries_file);
+  double dev_flops = 0.0;
+  for (const ipm::live::Sample& s : ts.samples) {
+    dev_flops += s.ddev_flops;
+    if (s.rank != 0) {
+      EXPECT_EQ(s.ddev_flops, 0.0) << "rank " << s.rank;
+    }
+  }
+  EXPECT_EQ(dev_flops, truth.flops);
+  EXPECT_EQ(truth.flops, 320.0);
+  EXPECT_THROW((void)cusim::device_counters(1, 0), std::out_of_range);
+  EXPECT_THROW((void)cusim::device_counters(0, 1), std::out_of_range);
+  EXPECT_THROW((void)cusim::device_counters(-1, 0), std::out_of_range);
+  cusim::reset();
+}
+
+/// fold_sample classifies each delta once and the merger adds the fold:
+/// every family lands in its own ClusterPoint field, a name of no family
+/// counts only as an event, flops go to their region by name, and a rank
+/// with two samples in one interval counts once.
+TEST(LiveSnapshot, MergerAddsEachFamilyToItsField) {
+  struct Named {
+    const char* name;
+    double dtsum;
+    std::uint64_t dbytes;
+  };
+  static constexpr Named kDeltas[] = {
+      {"MPI_Allreduce", 1.0, 8},       {"cudaMemcpy(H2D)", 2.0, 16},
+      {"cuLaunchKernel", 0.5, 32},     {"cublasXtDgemm", 4.0, 64},
+      {"cufftPlan3d", 8.0, 128},       {"@CUDA_EXEC:square", 16.0, 0},
+      {"@CUDA_HOST_IDLE", 32.0, 0},    {"cu", 64.0, 256},
+      {"MPI", 128.0, 512},             {"user_fn", 256.0, 1024},
+  };
+  ipm::live::Sample s;
+  s.rank = 3;
+  s.t1 = 0.25;
+  s.regions = {"ipm_global", "solver"};
+  for (const Named& n : kDeltas) {
+    ipm::live::KeyDelta d;
+    d.name_str = n.name;
+    d.dcount = 1;
+    d.dbytes = n.dbytes;
+    d.dtsum = n.dtsum;
+    s.deltas.push_back(d);
+  }
+  s.deltas[3].region = 1;      // cublasXtDgemm in "solver"
+  s.deltas[3].dflops = 1000.0;
+  s.deltas[4].region = 7;      // cufftPlan3d in a region the sample does not name
+  s.deltas[4].dflops = 500.0;
+
+  ipm::live::JobMerger merger(1.0);
+  merger.add_sample(s);
+  s.seq = 1;
+  s.t1 = 0.5;
+  merger.add_sample(s);  // rank 3 again, same interval
+  s.rank = 1;
+  s.seq = 0;
+  merger.add_sample(s);
+  std::vector<ipm::live::ClusterPoint> pts;
+  merger.emit_all(2, pts);
+  ASSERT_EQ(pts.size(), 1u);
+  const ipm::live::ClusterPoint& p = pts[0];
+  EXPECT_EQ(p.ranks, 2);
+  EXPECT_EQ(p.samples, 3u);
+  EXPECT_EQ(p.devents, 30u);
+  EXPECT_EQ(p.mpi_s, 3.0);
+  EXPECT_EQ(p.cuda_s, 7.5);  // cudaMemcpy + cuLaunchKernel
+  EXPECT_EQ(p.blas_s, 12.0);
+  EXPECT_EQ(p.fft_s, 24.0);
+  EXPECT_EQ(p.gpu_s, 48.0);
+  EXPECT_EQ(p.idle_s, 96.0);
+  EXPECT_EQ(p.mpi_bytes, 24u);
+  EXPECT_EQ(p.cuda_bytes, 144u);
+  EXPECT_EQ(p.flops, 4500.0);
+  const std::vector<std::pair<std::string, double>> regions = {{"region7", 1500.0},
+                                                               {"solver", 3000.0}};
+  EXPECT_EQ(p.region_flops, regions);
 }
 
 TEST(LiveSnapshot, SparklineScalesToPeak) {

@@ -171,6 +171,18 @@ TEST(MonitorCore, FamilyClassification) {
   EXPECT_DOUBLE_EQ(p.time_in("GPU"), 16.0);
   EXPECT_DOUBLE_EQ(p.time_in("IDLE"), 32.0);
   EXPECT_EQ(p.calls_in("MPI"), 1u);
+  EXPECT_DOUBLE_EQ(p.time_in("BLAS"), 0.0);  // not a family label
+  // The classifier's boundaries: a bare prefix or an unprefixed name is in
+  // no family, and cu[A-Z]* is CUDA unless it is CUBLAS or CUFFT.
+  EXPECT_EQ(ipm::family_of("cu"), ipm::Family::kNone);
+  EXPECT_EQ(ipm::family_of("MPI"), ipm::Family::kNone);
+  EXPECT_EQ(ipm::family_of("user_fn"), ipm::Family::kNone);
+  EXPECT_EQ(ipm::family_of("cudaMalloc"), ipm::Family::kCuda);
+  EXPECT_EQ(ipm::family_of("cuLaunchKernel"), ipm::Family::kCuda);
+  EXPECT_EQ(ipm::family_of("cublasXtDgemm"), ipm::Family::kCublas);
+  EXPECT_EQ(ipm::family_of("cufftPlan3d"), ipm::Family::kCufft);
+  EXPECT_EQ(ipm::family_of("@CUDA_EXEC_STRM00"), ipm::Family::kGpu);
+  EXPECT_EQ(ipm::family_of("@CUDA_HOST_IDLE"), ipm::Family::kIdle);
 }
 
 TEST(MonitorCore, MonitorChargePerturbsVirtualTime) {
