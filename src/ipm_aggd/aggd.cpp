@@ -1,10 +1,12 @@
 // Sharded ipm_aggd daemon core (see aggd.hpp): the epoll IO thread routes
 // frames to per-job FIFO queues, and worker threads take runnable jobs from
-// one work queue and answer through one reply queue; per-job state is
-// worker-exclusive (scheduled flag), the fleet merge folds batches under
-// one narrow mutex, idle jobs close their JSONL stream, and slow clients
-// are disconnected on a bounded stall budget.  The IO thread waits on its
-// sockets, the worker eventfd and its nearest deadline.
+// one work queue and hand everything a batch produced back through one
+// outbox.  Per-job state is worker-exclusive (scheduled flag); the IO thread
+// owns the sessions, the fleet merger and the exposition, and takes the
+// outbox at the end of each pass.  Idle jobs close their JSONL stream, quiet
+// jobs' outputs catch up, and slow clients are disconnected on a bounded
+// stall budget.  The IO thread waits on its sockets, the worker eventfd and
+// its nearest deadline.
 #include "ipm_aggd/aggd.hpp"
 
 #include <poll.h>
@@ -42,13 +44,15 @@ namespace {
 
 /// Job::last_frame_ms sentinel: not a spill candidate until its next frame.
 constexpr std::int64_t kInactive = -1;
-// Cadence for per-job point emission from the worker (live tailing only;
-// terminal paths emit everything pending regardless).
+// Outputs are brought up to date at most once per floor: a job's refresh
+// (its due points and exposition lines), the fleet emission (an O(fleet
+// ranks) watermark scan) and the exposition rewrite (~15 us per job).
+// Prometheus scrape intervals are >= 1 s, so a 1 s floor loses nothing.
+constexpr std::chrono::milliseconds kFloor{1000};
+// Between refreshes, a job's due points are emitted at this cadence while
+// its frames arrive.  At the floor alone, a short job's end would format
+// its whole run's points on its JOB_END ack's path.
 constexpr std::int64_t kJobEmitMs = 20;
-// Fleet emission runs this long after the first fold since the last one,
-// the same floor as the exposition rewrite: the O(fleet ranks) watermark
-// scan then costs at most once a second, not once per fold.
-constexpr std::chrono::milliseconds kFleetEmitDelay{1000};
 // Tailed files are re-read at this period while any of them is open.
 constexpr std::chrono::milliseconds kTailPollPeriod{10};
 // A long batch hands its replies to the IO thread at this period, so its
@@ -68,6 +72,24 @@ std::int64_t now_ms() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Per-rank transport state (provenance through aggregation).
+struct RankMetric {
+  const char* name;
+  const char* help;
+  bool counter;
+  std::uint64_t RankState::*field;
+};
+constexpr RankMetric kRankMetrics[] = {
+    {"ipm_agg_rank_samples_total", "Sample frames applied per rank.", true,
+     &RankState::samples},
+    {"ipm_agg_rank_epoch", "Last applied frame epoch per rank.", false,
+     &RankState::last_epoch},
+    {"ipm_agg_rank_resent_total", "Duplicate frames deduplicated on resume.", true,
+     &RankState::resent},
+    {"ipm_agg_rank_drops_total", "Client-side snapshot drops reported at finalize.",
+     true, &RankState::drops},
+};
 
 /// Closes a time-series stream and reports a failed write, flush or close:
 /// the stream's failbit is sticky, so an earlier failure shows here too.
@@ -179,11 +201,10 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
                                                job.st.merger.interval())
                << '\n';
   }
-  // Initial exposition snapshot so the job appears in ipm_agg.prom before
-  // its first batch completes (the worker refreshes it afterwards).
-  job.snap.items = prom_items(job.st.merger, 0, /*up=*/true);
-  job.snap.version = 1;
-  prom_dirty_.store(true, std::memory_order_relaxed);
+  // No worker has the job yet: render its lines here, so it appears in
+  // ipm_agg.prom before its first batch's refresh.
+  render_lines(job, job.prom_text, job.prom_ends);
+  prom_dirty_ = true;
   return job;
 }
 
@@ -244,14 +265,14 @@ void Daemon::work(int me) {
 void Daemon::handle_batch(Job& job, std::span<Work> batch) {
   JobState& st = job.st;
   bool any_frame = false;
+  bool refresh = false;  // a quiet job's refresh item
   for (const Work& w : batch) {
-    if (w.kind == Work::Kind::kFrame) {
-      any_frame = true;
-      break;
-    }
+    any_frame = any_frame || w.kind == Work::Kind::kFrame;
+    refresh = refresh || w.kind == Work::Kind::kRefresh;
   }
   if (st.spilled && any_frame) rehydrate_job(job);
-  FleetBatch fb;
+  BatchOut out;
+  out.job = &job;
   bool replied = false;
   Clock::time_point next_flush = Clock::now() + kReplyFlushPeriod;
   for (Work& w : batch) {
@@ -261,51 +282,37 @@ void Daemon::handle_batch(Job& job, std::span<Work> batch) {
       if (!any_frame && !st.ended && !st.spilled) spill_job(job);
       continue;
     }
-    handle_frame(job, w, fb, replied);
+    if (w.kind == Work::Kind::kRefresh) continue;
+    handle_frame(job, w, out, replied);
     if (replied && !workers_.empty() && Clock::now() >= next_flush) {
-      if (claim_reply_wake()) wake_io();
+      if (claim_wake()) wake_io();
       next_flush = Clock::now() + kReplyFlushPeriod;
     }
   }
-  // Per-job point emission is a live-tailing convenience, not a
-  // correctness step (end_job/shutdown emit_all everything pending), so
-  // run the bucket scan at a bounded cadence instead of per batch —
-  // trickling clients otherwise pay it per sample.
-  if (!st.ended && any_frame) {
-    const std::int64_t nowm = now_ms();
-    if (st.last_emit_ms < 0 || nowm - st.last_emit_ms >= kJobEmitMs) {
-      emit_due_job(job);
-      st.last_emit_ms = nowm;
-    }
-  }
-  bool wake = fold_fleet(fb);
-  // The snapshot only feeds the rate-limited exposition writer: rebuilding
-  // it (prom_items + a full rank-map copy) on every small batch dominates
-  // trickle-load CPU, so refresh at the prom cadence instead.  A terminal
-  // batch (job end) refreshes unconditionally; shutdown_flush re-snapshots
-  // every job post-drain, so final values are always exact.
+  // One refresh per floor: the rendering and the bucket scan cost the same
+  // whether a batch brought one sample or a thousand, so a trickling job
+  // would otherwise pay them per sample.  A batch that skips it leaves the
+  // job owing one, which the IO thread collects once the job goes quiet.
   const std::int64_t nowm = now_ms();
-  if (st.ended || st.last_snap_ms < 0 ||
-      nowm - st.last_snap_ms >= std::max(opt_.prom_interval_ms, 0)) {
-    update_snap(job);
-    st.last_snap_ms = nowm;
+  if (refresh || st.ended || st.last_refresh_ms < 0 ||
+      nowm - st.last_refresh_ms >= kFloor.count()) {
+    refresh_job(job, out);
+    st.last_refresh_ms = nowm;
+    st.last_emit_ms = nowm;
+  } else if (any_frame && nowm - st.last_emit_ms >= kJobEmitMs) {
+    emit_due_job(job);
+    st.last_emit_ms = nowm;
   }
-  if (!prom_dirty_.load(std::memory_order_relaxed) &&
-      !prom_dirty_.exchange(true, std::memory_order_acq_rel)) {
-    wake = true;
-  }
-  // Serial mode runs this on the IO thread, which takes the replies and
-  // re-reads every flag before it waits again.
-  if (workers_.empty()) return;
-  if (replied && claim_reply_wake()) wake = true;
-  if (wake) wake_io();
+  // Serial mode runs this on the IO thread, which takes the outbox at the
+  // end of its pass.
+  if (hand_over(std::move(out)) && !workers_.empty()) wake_io();
 }
 
-void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
+void Daemon::handle_frame(Job& job, Work& w, BatchOut& out, bool& replied) {
   JobState& st = job.st;
   Frame& f = w.frame;
   // A reply is queued at once, so an IO pass that runs during the batch
-  // sends it; the eventfd waits for the batch's end (claim_reply_wake).
+  // sends it; the eventfd waits for the batch's end (claim_wake).
   const auto append_reply = [&](std::string&& bytes) {
     if (w.session == 0) return;
     push_reply(w.session, std::move(bytes));
@@ -314,7 +321,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
   const auto ensure_rank = [&](std::uint32_t rank) -> RankState& {
     const auto [it, inserted] = st.ranks.try_emplace(rank);
     if (inserted) {
-      fb.new_ranks.push_back(static_cast<int>(job.fleet_base + rank));
+      out.new_ranks.push_back(static_cast<int>(job.fleet_base + rank));
     }
     return it->second;
   };
@@ -340,7 +347,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
       // protocol error, acked at the rank's previous epoch and not applied.
       live::Sample s;
       if (live::parse_sample_line(f.payload, s)) {
-        apply_sample(job, f.rank, f.epoch, s, f.payload, fb);
+        apply_sample(job, f.rank, f.epoch, s, f.payload, out);
       } else {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -354,7 +361,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
     }
     case FrameType::kRankFin: {
       RankState& rs = ensure_rank(f.rank);
-      finalize_rank(job, f.rank, f.epoch, f.payload, fb);
+      finalize_rank(job, f.rank, f.epoch, f.payload, out);
       Frame a;
       a.type = FrameType::kAck;
       a.rank = f.rank;
@@ -364,7 +371,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
       break;
     }
     case FrameType::kJobEnd: {
-      end_job(job, fb);
+      end_job(job, out);
       Frame a;
       a.type = FrameType::kJobEndAck;
       a.job = f.job;
@@ -378,7 +385,7 @@ void Daemon::handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied) {
 
 void Daemon::apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
                           const live::Sample& s, const std::string& raw_line,
-                          FleetBatch& fb) {
+                          BatchOut& out) {
   JobState& st = job.st;
   RankState& rs = st.ranks[rank];
   if (epoch <= rs.last_epoch) {  // resend of an applied frame: dedupe
@@ -391,11 +398,11 @@ void Daemon::apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
   live::SampleFold fold = live::fold_sample(s);
   st.merger.add(fold);
   fold.rank = static_cast<int>(job.fleet_base + rank);
-  fb.add.push_back(std::move(fold));
+  out.folds.push_back(std::move(fold));
 }
 
 void Daemon::finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                           const std::string& payload, FleetBatch& fb) {
+                           const std::string& payload, BatchOut& out) {
   JobState& st = job.st;
   RankState& rs = st.ranks[rank];
   if (epoch != 0 && epoch <= rs.last_epoch && rs.finalized) {
@@ -408,17 +415,17 @@ void Daemon::finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   }
   st.merger.finalize_rank(static_cast<int>(rank));
-  fb.fin_ranks.push_back(static_cast<int>(job.fleet_base + rank));
+  out.fin_ranks.push_back(static_cast<int>(job.fleet_base + rank));
 }
 
-void Daemon::end_job(Job& job, FleetBatch& fb) {
+void Daemon::end_job(Job& job, BatchOut& out) {
   JobState& st = job.st;
   if (st.ended) return;
   for (auto& [rank, rs] : st.ranks) {
     if (!rs.finalized) {
       rs.finalized = true;
       st.merger.finalize_rank(static_cast<int>(rank));
-      fb.fin_ranks.push_back(static_cast<int>(job.fleet_base + rank));
+      out.fin_ranks.push_back(static_cast<int>(job.fleet_base + rank));
     }
   }
   std::vector<live::ClusterPoint> pts;
@@ -431,9 +438,15 @@ void Daemon::end_job(Job& job, FleetBatch& fb) {
   }
   close_stream(job.st.out, job.ts_path);
   st.ended = true;
-  const int ended = jobs_ended_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // The IO thread checks exit_after_jobs each pass; wake it for the last one.
-  if (ended == opt_.exit_after_jobs) wake_io();
+  out.ended = true;
+}
+
+void Daemon::refresh_job(Job& job, BatchOut& out) {
+  // A spilled job's stream is closed: its points wait for its next frame or
+  // its end.  An ended job emitted everything at its end line.
+  if (!job.st.ended && !job.st.spilled) emit_due_job(job);
+  render_lines(job, out.prom_text, out.prom_ends);
+  out.refreshed = true;
 }
 
 void Daemon::emit_due_job(Job& job) {
@@ -450,32 +463,24 @@ void Daemon::emit_due_job(Job& job) {
   st.out.flush();
 }
 
-bool Daemon::fold_fleet(FleetBatch& fb) {
-  if (fb.empty()) return false;
-  {
-    const std::lock_guard<std::mutex> lock(fleet_mu_);
-    if (!fb.new_ranks.empty()) fleet_any_ = true;
-    for (const int r : fb.new_ranks) fleet_live_.insert(r);
-    for (const live::SampleFold& f : fb.add) fleet_.add(f);
-    for (const int r : fb.fin_ranks) {
-      fleet_.finalize_rank(r);
-      fleet_live_.erase(r);
-    }
-    if (!fb.new_ranks.empty() || !fb.fin_ranks.empty()) fleet_live_dirty_ = true;
+void Daemon::render_lines(const Job& job, std::string& text,
+                          std::vector<std::size_t>& ends) {
+  const JobState& st = job.st;
+  simx::JsonlWriter w(text);
+  const std::string label = prom_escape(job.id);
+  for (const live::PromItem& item :
+       live::prom_items(st.merger, static_cast<int>(st.ranks.size()), !st.ended)) {
+    w.lit(item.name).lit("{job=\"").lit(label).lit("\"} ").num(item.value);
+    w.lit("\n");
+    ends.push_back(text.size());
   }
-  // True for the first fold since the last emission: the IO thread must
-  // learn of it to arm the emission deadline.
-  return !fleet_folded_.load(std::memory_order_relaxed) &&
-         !fleet_folded_.exchange(true, std::memory_order_acq_rel);
-}
-
-void Daemon::update_snap(Job& job) {
-  JobState& st = job.st;
-  const std::lock_guard<std::mutex> lock(job.snap_mu);
-  job.snap.items =
-      prom_items(st.merger, static_cast<int>(st.ranks.size()), !st.ended);
-  job.snap.ranks.assign(st.ranks.begin(), st.ranks.end());
-  ++job.snap.version;
+  for (const RankMetric& m : kRankMetrics) {
+    for (const auto& [rank, rs] : st.ranks) {
+      w.lit(m.name).lit("{job=\"").lit(label).lit("\",rank=\"").num(rank);
+      w.lit("\"} ").num(rs.*m.field).lit("\n");
+    }
+    ends.push_back(text.size());
+  }
 }
 
 void Daemon::spill_job(Job& job) {
@@ -497,21 +502,27 @@ void Daemon::rehydrate_job(Job& job) {
 }
 
 void Daemon::push_reply(std::uint64_t session, std::string&& bytes) {
-  const std::lock_guard<std::mutex> lock(reply_mu_);
-  if (!replies_.empty() && replies_.back().session == session) {
-    replies_.back().bytes += bytes;
+  const std::lock_guard<std::mutex> lock(out_mu_);
+  if (!out_replies_.empty() && out_replies_.back().session == session) {
+    out_replies_.back().bytes += bytes;
   } else {
-    replies_.push_back(Reply{session, std::move(bytes)});
+    out_replies_.push_back(Reply{session, std::move(bytes)});
   }
 }
 
-bool Daemon::claim_reply_wake() {
-  // Coalesced wake: one eventfd write per queue the IO thread takes.  It
-  // reads the eventfd before it takes the queue, and a reply queued after
-  // the take is claimed by its own batch's end.
-  const std::lock_guard<std::mutex> lock(reply_mu_);
-  if (replies_.empty() || reply_woken_) return false;
-  reply_woken_ = true;
+// Coalesced wake: one eventfd write per outbox the IO thread takes.  It reads
+// the eventfd before it takes the outbox, and what a batch leaves after the
+// take is claimed by that batch's end.
+bool Daemon::hand_over(BatchOut&& out) {
+  const std::lock_guard<std::mutex> lock(out_mu_);
+  out_batches_.push_back(std::move(out));
+  return !std::exchange(out_woken_, true);
+}
+
+bool Daemon::claim_wake() {
+  const std::lock_guard<std::mutex> lock(out_mu_);
+  if ((out_replies_.empty() && out_batches_.empty()) || out_woken_) return false;
+  out_woken_ = true;
   return true;
 }
 
@@ -586,8 +597,8 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
         if (it != jobs_.end()) job = it->second.get();
       }
       if (job == nullptr) {
-        // Unknown job: ack directly, nothing to end (seed behavior).  This
-        // pass takes the reply queue after its reads.
+        // Unknown job: ack directly, nothing to end (seed behavior).  The
+        // IO thread takes the outbox at the end of its pass.
         Frame a;
         a.type = FrameType::kJobEndAck;
         a.job = f.job;
@@ -720,15 +731,16 @@ void Daemon::flush_session(Session& ses) {
   }
 }
 
-// Moves every queued reply into its session's write buffer and returns the
-// sessions that received any, each once.
-std::vector<Daemon::Session*> Daemon::take_replies() {
+void Daemon::take_outbox(bool write) {
   std::vector<Reply> replies;
+  std::vector<BatchOut> batches;
   {
-    const std::lock_guard<std::mutex> lock(reply_mu_);
-    replies.swap(replies_);
-    reply_woken_ = false;
+    const std::lock_guard<std::mutex> lock(out_mu_);
+    replies.swap(out_replies_);
+    batches.swap(out_batches_);
+    out_woken_ = false;
   }
+  // Replies first, so no ack waits for the fleet fold.
   std::vector<Session*> got;
   for (const Reply& r : replies) {
     // Ids are never reused: a reply whose session is gone is dropped.
@@ -737,9 +749,46 @@ std::vector<Daemon::Session*> Daemon::take_replies() {
     it->second->wbuf += r.bytes;
     got.push_back(it->second.get());
   }
-  std::sort(got.begin(), got.end());
-  got.erase(std::unique(got.begin(), got.end()), got.end());
-  return got;
+  if (write) {
+    std::sort(got.begin(), got.end());
+    got.erase(std::unique(got.begin(), got.end()), got.end());
+    for (Session* ses : got) flush_session(*ses);
+  }
+  if (batches.empty()) return;
+  const Clock::time_point now = Clock::now();
+  for (BatchOut& b : batches) apply_batch(b, now);
+  prom_dirty_ = true;
+}
+
+void Daemon::apply_batch(BatchOut& b, Clock::time_point now) {
+  // The fleet merger is the IO thread's: no lock.
+  for (const int r : b.new_ranks) fleet_live_.insert(r);
+  for (const live::SampleFold& f : b.folds) fleet_.add(f);
+  for (const int r : b.fin_ranks) {
+    fleet_.finalize_rank(r);
+    fleet_live_.erase(r);
+  }
+  if (!b.folds.empty() || !b.new_ranks.empty() || !b.fin_ranks.empty()) {
+    fleet_folded_ = true;
+  }
+  Job& job = *b.job;
+  if (b.refreshed) {
+    job.prom_text = std::move(b.prom_text);
+    job.prom_ends = std::move(b.prom_ends);
+  }
+  set_owes(job, !b.refreshed);
+  job.last_batch = now;
+  if (b.ended) ++jobs_ended_;
+}
+
+void Daemon::set_owes(Job& job, bool owes) {
+  if (job.owes == owes) return;
+  job.owes = owes;
+  if (owes) {
+    ++owing_;
+  } else {
+    --owing_;
+  }
 }
 
 void Daemon::reap_closed() {
@@ -751,7 +800,7 @@ void Daemon::reap_closed() {
     sessions_.erase(it);
   }
   closed_.clear();
-  prom_dirty_.store(true, std::memory_order_relaxed);
+  prom_dirty_ = true;
 }
 
 void Daemon::pump_tails() {
@@ -815,15 +864,12 @@ void Daemon::pump_tails() {
 
 int Daemon::wait_ms(Clock::time_point now) {
   // Each deadline counts only while its condition holds; with none pending
-  // the IO thread blocks until a socket or the eventfd wakes it.
+  // the IO thread blocks until a socket or the eventfd wakes it.  A debt
+  // keeps the exposition deadline armed until it is paid.
   Clock::time_point next = kNever;
   if (!blocked_.empty()) next = std::min(next, stall_next_);
-  if (fleet_folded_.load(std::memory_order_acquire)) {
-    if (fleet_next_ == kNever) fleet_next_ = now + kFleetEmitDelay;
-    next = std::min(next, fleet_next_);
-  }
   if (active_jobs_ > 0) next = std::min(next, spill_next_);
-  if (prom_dirty_.load(std::memory_order_acquire)) next = std::min(next, prom_next_);
+  if (prom_dirty_ || fleet_folded_ || owing_ > 0) next = std::min(next, prom_next_);
   const bool tailing = std::any_of(tails_.begin(), tails_.end(),
                                    [](const Tail& t) { return !t.done; });
   if (tailing) next = std::min(next, tail_next_);
@@ -836,13 +882,9 @@ int Daemon::wait_ms(Clock::time_point now) {
 
 void Daemon::run_due(Clock::time_point now) {
   if (!blocked_.empty() && now >= stall_next_) check_stalls(now);
-  if (now >= fleet_next_) emit_fleet();
   if (active_jobs_ > 0 && now >= spill_next_) scan_spills(now);
-  // Exposition rewrite, rate-limited (the seed rewrote every dirty loop).
-  if (prom_dirty_.load(std::memory_order_acquire) && now >= prom_next_) {
-    prom_next_ = now + std::chrono::milliseconds(std::max(opt_.prom_interval_ms, 0));
-    prom_dirty_.store(false, std::memory_order_relaxed);
-    write_prom();
+  if ((prom_dirty_ || fleet_folded_ || owing_ > 0) && now >= prom_next_) {
+    refresh_outputs(now);
   }
   if (!tails_.empty() && now >= tail_next_) {
     pump_tails();
@@ -881,29 +923,6 @@ void Daemon::check_stalls(Clock::time_point now) {
   }
 }
 
-void Daemon::emit_fleet() {
-  // Clear before the scan: a fold after this point sets the flag again and
-  // is emitted by the next pass.
-  fleet_next_ = kNever;
-  fleet_folded_.store(false, std::memory_order_release);
-  std::vector<live::ClusterPoint> pts;
-  {
-    const std::lock_guard<std::mutex> lock(fleet_mu_);
-    if (fleet_any_) {
-      if (fleet_live_dirty_) {
-        fleet_live_vec_.assign(fleet_live_.begin(), fleet_live_.end());
-        fleet_live_dirty_ = false;
-      }
-      fleet_.emit_due(fleet_live_vec_, static_cast<int>(jobs_.size()), pts);
-      for (const live::ClusterPoint& p : pts) {
-        fleet_out_ << live::point_line(p) << '\n';
-      }
-      if (!pts.empty()) fleet_out_.flush();
-    }
-  }
-  if (!pts.empty()) prom_dirty_.store(true, std::memory_order_relaxed);
-}
-
 void Daemon::scan_spills(Clock::time_point now) {
   spill_next_ = now + std::chrono::milliseconds(std::max(opt_.spill_idle_ms / 2, 5));
   const std::int64_t cutoff = now_ms() - opt_.spill_idle_ms;
@@ -917,71 +936,53 @@ void Daemon::scan_spills(Clock::time_point now) {
   }
 }
 
-namespace {
-
-/// Per-rank transport state (provenance through aggregation).
-struct RankMetric {
-  const char* name;
-  const char* help;
-  bool counter;
-  std::uint64_t RankState::*field;
-};
-constexpr RankMetric kRankMetrics[] = {
-    {"ipm_agg_rank_samples_total", "Sample frames applied per rank.", true,
-     &RankState::samples},
-    {"ipm_agg_rank_epoch", "Last applied frame epoch per rank.", false,
-     &RankState::last_epoch},
-    {"ipm_agg_rank_resent_total", "Duplicate frames deduplicated on resume.", true,
-     &RankState::resent},
-    {"ipm_agg_rank_drops_total", "Client-side snapshot drops reported at finalize.",
-     true, &RankState::drops},
-};
-
-}  // namespace
+void Daemon::refresh_outputs(Clock::time_point now) {
+  prom_next_ = now + kFloor;
+  // Collect the debts: a job that owes a refresh and ran no batch for a
+  // whole floor gets a frame-less refresh item, as an idle job gets a spill.
+  if (owing_ > 0) {
+    for (auto& [id, job] : jobs_) {
+      if (!job->owes || now - job->last_batch < kFloor) continue;
+      set_owes(*job, false);
+      Work w;
+      w.kind = Work::Kind::kRefresh;
+      enqueue(*job, std::move(w));
+    }
+  }
+  if (fleet_folded_) {
+    fleet_folded_ = false;
+    std::vector<live::ClusterPoint> pts;
+    fleet_.emit_due(std::vector<int>(fleet_live_.begin(), fleet_live_.end()),
+                    static_cast<int>(jobs_.size()), pts);
+    for (const live::ClusterPoint& p : pts) fleet_out_ << live::point_line(p) << '\n';
+    if (!pts.empty()) fleet_out_.flush();
+  }
+  if (prom_dirty_) {
+    prom_dirty_ = false;
+    write_prom();
+  }
+}
 
 void Daemon::write_prom() {
   prom_writes_.fetch_add(1, std::memory_order_relaxed);
-  // Each job's lines are rendered once per snapshot refresh and kept, so a
-  // rewrite renders only the jobs that changed since the last one and
-  // concatenates the rest.  Jobs in id order, as the seed iterated its map.
-  std::vector<Job*> per_job;
-  per_job.reserve(jobs_.size());
-  for (const auto& [id, job] : jobs_) per_job.push_back(job.get());
-  std::vector<live::PromItem> protos;  // prom_items() has a fixed order
-  for (Job* job : per_job) {
-    const std::lock_guard<std::mutex> lock(job->snap_mu);
-    if (protos.empty()) protos = job->snap.items;
-    if (job->prom_version == job->snap.version) continue;
-    job->prom_version = job->snap.version;
-    job->prom_text.clear();
-    job->prom_ends.clear();
-    simx::JsonlWriter w(job->prom_text);
-    const std::string label = prom_escape(job->id);
-    for (const live::PromItem& item : job->snap.items) {
-      w.lit(item.name).lit("{job=\"").lit(label).lit("\"} ").num(item.value);
-      w.lit("\n");
-      job->prom_ends.push_back(job->prom_text.size());
-    }
-    for (const RankMetric& m : kRankMetrics) {
-      for (const auto& [rank, rs] : job->snap.ranks) {
-        w.lit(m.name).lit("{job=\"").lit(label).lit("\",rank=\"").num(rank);
-        w.lit("\"} ").num(rs.*m.field).lit("\n");
-      }
-      job->prom_ends.push_back(job->prom_text.size());
-    }
-  }
+  // Each job's lines come rendered by its last refresh, so a rewrite only
+  // concatenates them, jobs in id order as the seed iterated its map.  The
+  // metrics of prom_items() have a fixed order; their names are taken once.
+  static const std::vector<live::PromItem> kItems =
+      live::prom_items(live::JobMerger(1.0), 0, /*up=*/true);
+  const std::size_t items = jobs_.empty() ? 0 : kItems.size();
   std::string text;
   std::size_t bytes = 4096;
-  for (const Job* job : per_job) bytes += job->prom_text.size();
-  text.reserve(bytes + 128 * (protos.size() + std::size(kRankMetrics)));
+  for (const auto& [id, job] : jobs_) bytes += job->prom_text.size();
+  text.reserve(bytes + 128 * (items + std::size(kRankMetrics)));
   simx::JsonlWriter w(text);
   const auto head = [&w](const char* name, const char* help, bool counter) {
     w.lit("# HELP ").lit(name).lit(" ").lit(help).lit("\n# TYPE ").lit(name);
     w.lit(counter ? " counter\n" : " gauge\n");
   };
   // Metric i of every job, under one HELP/TYPE block.
-  const auto section = [&per_job, &w](std::size_t i) {
-    for (const Job* job : per_job) {
+  const auto section = [this, &w](std::size_t i) {
+    for (const auto& [id, job] : jobs_) {
       const std::size_t begin = i == 0 ? 0 : job->prom_ends[i - 1];
       w.lit(std::string_view(job->prom_text).substr(begin, job->prom_ends[i] - begin));
     }
@@ -992,9 +993,9 @@ void Daemon::write_prom() {
     w.lit(name).lit(" ").num(value).lit("\n");
   };
   scalar("ipm_agg_jobs", "Jobs known to the aggregation daemon.", false,
-         per_job.size());
+         jobs_.size());
   scalar("ipm_agg_jobs_ended", "Jobs that completed their stream.", false,
-         static_cast<std::uint64_t>(jobs_ended_.load(std::memory_order_relaxed)));
+         static_cast<std::uint64_t>(jobs_ended_));
   scalar("ipm_agg_connections", "Open client connections.", false, sessions_.size());
   scalar("ipm_agg_protocol_errors_total", "Rejected frames/streams.", true,
          protocol_errors_.load(std::memory_order_relaxed));
@@ -1002,13 +1003,13 @@ void Daemon::write_prom() {
          "Frames cut off by a closing connection, never applied (also in "
          "ipm_agg_protocol_errors_total).",
          true, truncated_frames_.load(std::memory_order_relaxed));
-  for (std::size_t i = 0; i < protos.size(); ++i) {
-    head(protos[i].name, protos[i].help, protos[i].counter);
+  for (std::size_t i = 0; i < items; ++i) {
+    head(kItems[i].name, kItems[i].help, kItems[i].counter);
     section(i);
   }
   for (std::size_t m = 0; m < std::size(kRankMetrics); ++m) {
     head(kRankMetrics[m].name, kRankMetrics[m].help, kRankMetrics[m].counter);
-    section(protos.size() + m);
+    section(items + m);
   }
   // Sharded-daemon health counters (additions over the seed exposition).
   scalar("ipm_agg_stalled_disconnects_total",
@@ -1023,16 +1024,13 @@ void Daemon::write_prom() {
          "Batches run on a different worker than their job's previous batch.", true,
          steals());
   scalar("ipm_agg_workers", "Worker threads (0 = serial mode).", false, workers());
-  live::publish_exposition(prom_path_, [&text](std::ostream& os) {
-    os.write(text.data(), static_cast<std::streamsize>(text.size()));
-  });
+  live::publish_exposition(prom_path_, text);
 }
 
 void Daemon::drain_outbounds() {
   // Best-effort: in-flight acks (e.g. the JOB_END acks that triggered the
   // shutdown) get a bounded time to reach their clients before run()
   // returns, waiting in poll(2) on the sessions that still hold bytes.
-  take_replies();  // into the write buffers; written below
   const Clock::time_point deadline = Clock::now() + kShutdownWriteBudget;
   std::vector<Session*> pending;
   std::vector<pollfd> fds;
@@ -1064,16 +1062,19 @@ void Daemon::drain_outbounds() {
 }
 
 void Daemon::shutdown_flush() {
-  // The workers are joined, so job state is safe to touch from this thread
-  // (the join gave us the happens-before edge).
+  // The workers are joined, so this thread ends each job as a worker would
+  // (the join ordered their writes before these reads), and takes what the
+  // ends left in the outbox before the fleet's last emission.
   for (auto& [id, job] : jobs_) {
+    if (job->st.ended) continue;
     if (job->st.spilled) rehydrate_job(*job);  // reopen for the end line
-    FleetBatch fb;
-    end_job(*job, fb);
-    fold_fleet(fb);
-    update_snap(*job);
+    BatchOut out;
+    out.job = job.get();
+    end_job(*job, out);
+    refresh_job(*job, out);
+    hand_over(std::move(out));
   }
-  const std::lock_guard<std::mutex> lock(fleet_mu_);
+  take_outbox(/*write=*/false);
   std::vector<live::ClusterPoint> pts;
   fleet_.emit_all(static_cast<int>(jobs_.size()), pts);
   for (const live::ClusterPoint& p : pts) {
@@ -1087,11 +1088,11 @@ void Daemon::run() {
   std::vector<epoll_event> evs(128);
   for (;;) {
     run_due(Clock::now());
+    // Each pass ends by taking the outbox: the workers' output, and in
+    // serial mode that of every batch the pass ran inline.
+    take_outbox(/*write=*/true);
     if (stop_.load(std::memory_order_relaxed)) break;
-    if (opt_.exit_after_jobs > 0 &&
-        jobs_ended_.load(std::memory_order_relaxed) >= opt_.exit_after_jobs) {
-      break;
-    }
+    if (opt_.exit_after_jobs > 0 && jobs_ended_ >= opt_.exit_after_jobs) break;
     // Tail-only mode is done once every tailed stream ended.
     if (listen_fd_ < 0 && !tails_.empty() &&
         std::all_of(tails_.begin(), tails_.end(),
@@ -1106,8 +1107,8 @@ void Daemon::run() {
       if (key == kListenKey) {
         accept_pending();
       } else if (key == kWakeKey) {
-        // Read before take_replies() takes the queue: a worker that queues
-        // a reply after the take writes the eventfd again.
+        // Read before take_outbox() takes the outbox: a worker that leaves
+        // output after the take writes the eventfd again.
         std::uint64_t count = 0;
         [[maybe_unused]] const auto r = ::read(event_fd_, &count, sizeof count);
       } else {
@@ -1121,12 +1122,10 @@ void Daemon::run() {
         }
       }
     }
-    // The sessions replied to since the last take: by the workers, and in
-    // serial mode by the frames this pass read.
-    for (Session* ses : take_replies()) flush_session(*ses);
   }
   // Workers finish every queued frame before they exit.
   stop_workers();
+  take_outbox(/*write=*/false);  // their last replies, for drain_outbounds
   drain_outbounds();
   shutdown_flush();
   write_prom();

@@ -11,29 +11,41 @@
 //
 // Architecture (fleet scale): one epoll (level-triggered) IO thread
 // accepts connections, reads/decodes frames, and routes each frame to its
-// job's FIFO frame queue.  The IO thread and the worker threads meet at two
-// queues.  The work queue is one FIFO of runnable jobs: a worker pops a job
-// and applies its frames until the job's queue is empty, and a scheduled
-// flag keeps every other worker off that job meanwhile, so per-job state —
-// the JobMerger, rank epochs, the output stream — is touched by one thread
-// at a time and needs no lock of its own.  The reply queue carries
-// (session id, bytes) back: the IO thread moves each reply into its
-// session's write buffer, and drops it when the session is gone (ids are
-// never reused).  Serial mode (no workers) applies frames inline on the IO
-// thread and replies through the same queue.  A worker folds each sample
-// once (live::fold_sample) for its job's merger; fleet-wide merging adds
-// each batch's folds under one narrow mutex, and each job publishes an
-// exposition snapshot under its own.  A client that stops reading is
-// disconnected on a bounded stall budget and counted, never blocks the
-// daemon.  A job's JSONL is its one on-disk format: an idle job's spill
-// closes that stream and keeps its merge state and rank epochs in memory,
-// and its next frame reopens the stream in append mode.  An ended job
-// closes its stream after the end line.
+// job's FIFO frame queue.  Every piece of state has one owning thread, and
+// the IO thread and the worker threads meet at two places: the work queue
+// and the outbox.  The work queue is one FIFO of runnable jobs: a worker
+// pops a job and applies its frames until the job's queue is empty, and a
+// scheduled flag keeps every other worker off that job meanwhile, so per-job
+// state — the JobMerger, rank epochs, the output stream — belongs to one
+// thread at a time and needs no lock of its own.  The outbox carries back
+// everything a batch produced: its replies (session id, bytes), queued at
+// once; and at the batch's end its sample folds (live::fold_sample, made
+// once per sample) with new and finalized composite ranks, the job's freshly
+// rendered exposition lines, and whether it ended the job.  The IO thread
+// owns the sessions, the fleet merger, the fleet stream and the exposition:
+// it takes the outbox at the end of each pass, moves each reply into its
+// session's write buffer (ids are never reused, so a reply whose session is
+// gone is dropped), then folds the fleet.  Serial mode (no workers) applies
+// frames inline on the IO thread and fills the same outbox.  A client that
+// stops reading is disconnected on a bounded stall budget and counted,
+// never blocks the daemon.  A job's JSONL is its one on-disk format: an idle
+// job's spill closes that stream and keeps its merge state and rank epochs
+// in memory, and its next frame reopens the stream in append mode.  An
+// ended job closes its stream after the end line.
+//
+// Outputs are brought up to date at most once per 1 s floor.  A batch
+// refreshes its job (due points into the JSONL, then the exposition lines)
+// once the job's last refresh is a floor old, and always when it ends the
+// job; a batch that skips the refresh leaves its job owing one (between
+// refreshes, due points still reach the JSONL every 20 ms while frames
+// arrive).  The IO thread emits fleet points and rewrites the exposition at
+// the floor, and queues a refresh item for each owing job that ran no batch
+// for a whole floor, so a quiet job's outputs catch up.
 //
 // Event-driven: the IO thread sleeps in epoll_wait until a socket, the
-// worker eventfd or its nearest pending deadline (stall check, fleet
-// emission, spill scan, exposition rewrite, tail poll) needs it; with none
-// pending it blocks without a timeout, so an idle daemon burns no CPU.
+// worker eventfd or its nearest pending deadline (stall check, spill scan,
+// exposition and fleet emission, tail poll) needs it; with none pending it
+// blocks without a timeout, so an idle daemon burns no CPU.
 //
 // Conservation: a sample frame is applied (written + merged) only when its
 // epoch exceeds the rank's last applied epoch, so client resends after a
@@ -96,11 +108,6 @@ struct Options {
   /// SO_SNDBUF for accepted sockets (0 = kernel default; tests shrink it
   /// to exercise the stall budget).
   int session_sndbuf = 0;
-  /// Minimum milliseconds between exposition rewrites (the seed rewrote on
-  /// every dirty loop, which is quadratic at fleet scale: a full rewrite is
-  /// ~15 us per job).  Prometheus scrape intervals are >= 1 s, so a 1 s
-  /// floor loses nothing.
-  int prom_interval_ms = 1000;
 };
 
 /// Per-(job, rank) transport/resume state.
@@ -160,7 +167,7 @@ class Daemon {
   [[nodiscard]] std::uint64_t rehydrations() const {
     return rehydrations_.load(std::memory_order_relaxed);
   }
-  /// Full exposition rewrites performed (rate-limited by prom_interval_ms).
+  /// Full exposition rewrites performed (at most one per 1 s floor).
   [[nodiscard]] std::uint64_t prom_writes() const {
     return prom_writes_.load(std::memory_order_relaxed);
   }
@@ -195,24 +202,34 @@ class Daemon {
   };
 
   struct Work {
-    enum class Kind { kFrame, kSpill };
+    /// A frame to apply, an idle job's spill, or a quiet job's refresh.
+    enum class Kind { kFrame, kSpill, kRefresh };
     Kind kind = Kind::kFrame;
     live::wire::Frame frame;
-    std::uint64_t session = 0;  ///< reply to this session; 0: tail or spill
+    std::uint64_t session = 0;  ///< reply to this session; 0: none
   };
 
-  /// Encoded reply frames for one session, on the reply queue.
+  /// Encoded reply frames for one session, in the outbox.
   struct Reply {
     std::uint64_t session = 0;
     std::string bytes;
   };
 
-  /// Exposition snapshot a worker publishes after each batch, so the IO
-  /// thread composes ipm_agg.prom without touching live job state.
-  struct PromSnap {
-    std::vector<live::PromItem> items;
-    std::vector<std::pair<std::uint32_t, RankState>> ranks;
-    std::uint64_t version = 0;  ///< bumped by every refresh
+  /// What one batch produced for the IO thread besides its replies, left in
+  /// the outbox at the batch's end.  Each sample arrives as the fold its
+  /// job's merger added, so the fleet merger never classifies a delta.
+  struct BatchOut {
+    Job* job = nullptr;
+    std::vector<live::SampleFold> folds;  ///< rank already composite
+    std::vector<int> new_ranks;           ///< composite ranks first seen
+    std::vector<int> fin_ranks;           ///< composite ranks finalized
+    /// The batch refreshed its job: the job's exposition lines, where
+    /// `prom_ends[i]` ends the lines of metric i.  Otherwise the job owes a
+    /// refresh.
+    bool refreshed = false;
+    std::string prom_text;
+    std::vector<std::size_t> prom_ends;
+    bool ended = false;  ///< the batch ended the job
   };
 
   /// Worker-exclusive job state (scheduled flag: at most one worker runs
@@ -223,8 +240,8 @@ class Daemon {
     std::map<std::uint32_t, RankState> ranks;
     bool ended = false;    ///< end line written, `out` closed for good
     bool spilled = false;  ///< idle: `out` closed until the next frame
-    std::int64_t last_snap_ms = -1;  ///< worker-owned: last PromSnap refresh
-    std::int64_t last_emit_ms = -1;  ///< worker-owned: last emit_due pass
+    std::int64_t last_refresh_ms = -1;  ///< last refresh_job (-1: none yet)
+    std::int64_t last_emit_ms = -1;     ///< last emit_due_job
     int worker = -1;  ///< worker that ran the previous batch (-1: none yet)
   };
 
@@ -237,14 +254,14 @@ class Daemon {
     /// IO thread: when the job's last frame was routed; -1 while it is not a
     /// spill candidate (spilled, ended, never active or spill off).
     std::int64_t last_frame_ms = -1;
-    JobState st;
-    std::mutex snap_mu;
-    PromSnap snap;
-    // IO thread: this job's exposition lines, rendered from `snap` when its
-    // version moves; `prom_ends[i]` ends the lines of metric i.
-    std::uint64_t prom_version = 0;
+    // IO thread: the job's exposition lines as its last refresh rendered
+    // them (`prom_ends[i]` ends the lines of metric i); whether its last
+    // batch left it owing a refresh, and when that batch's output was taken.
     std::string prom_text;
     std::vector<std::size_t> prom_ends;
+    bool owes = false;
+    Clock::time_point last_batch{};
+    JobState st;
   };
 
   struct Tail {
@@ -254,24 +271,14 @@ class Daemon {
     bool done = false;
   };
 
-  /// Per-batch fleet-merge delta, added under fleet_mu_ in one step.  Each
-  /// sample arrives as the fold its job's merger added, so the fleet merger
-  /// never classifies a delta.
-  struct FleetBatch {
-    std::vector<live::SampleFold> add;  ///< rank already composite
-    std::vector<int> new_ranks;      ///< composite ranks first seen
-    std::vector<int> fin_ranks;      ///< composite ranks finalized
-    [[nodiscard]] bool empty() const {
-      return add.empty() && new_ranks.empty() && fin_ranks.empty();
-    }
-  };
-
   // --- IO thread ------------------------------------------------------------
   void accept_pending();
   void read_session(Session& ses, bool closing);
   void close_session(Session& ses);
   void flush_session(Session& ses);
-  std::vector<Session*> take_replies();
+  void take_outbox(bool write);
+  void apply_batch(BatchOut& b, Clock::time_point now);
+  void set_owes(Job& job, bool owes);
   void reap_closed();
   void set_write_interest(Session& ses, bool on);
   void mark_closed(Session& ses);
@@ -281,8 +288,8 @@ class Daemon {
   int wait_ms(Clock::time_point now);
   void run_due(Clock::time_point now);
   void check_stalls(Clock::time_point now);
-  void emit_fleet();
   void scan_spills(Clock::time_point now);
+  void refresh_outputs(Clock::time_point now);
   void write_prom();
   void shutdown_flush();
   void drain_outbounds();
@@ -295,20 +302,22 @@ class Daemon {
   // --- worker side (exclusive per job via the scheduled flag) ---------------
   void work(int me);
   void handle_batch(Job& job, std::span<Work> batch);
-  void handle_frame(Job& job, Work& w, FleetBatch& fb, bool& replied);
+  void handle_frame(Job& job, Work& w, BatchOut& out, bool& replied);
   void apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
                     const live::Sample& s, const std::string& raw_line,
-                    FleetBatch& fb);
+                    BatchOut& out);
   void finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                     const std::string& payload, FleetBatch& fb);
-  void end_job(Job& job, FleetBatch& fb);
+                     const std::string& payload, BatchOut& out);
+  void end_job(Job& job, BatchOut& out);
+  void refresh_job(Job& job, BatchOut& out);
   void emit_due_job(Job& job);
-  bool fold_fleet(FleetBatch& fb);
-  void update_snap(Job& job);
+  static void render_lines(const Job& job, std::string& text,
+                           std::vector<std::size_t>& ends);
   void spill_job(Job& job);
   void rehydrate_job(Job& job);
   void push_reply(std::uint64_t session, std::string&& bytes);
-  [[nodiscard]] bool claim_reply_wake();
+  bool hand_over(BatchOut&& out);
+  [[nodiscard]] bool claim_wake();
   void wake_io();
 
   Options opt_;
@@ -317,7 +326,8 @@ class Daemon {
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int event_fd_ = -1;
-  // IO thread (and introspection after run()): sessions, jobs, tails.
+  // IO thread (and introspection after run()): sessions, jobs, tails, the
+  // fleet merger and stream, and the exposition's state.
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;  ///< by id
   std::uint64_t last_session_id_ = 0;
   std::set<std::uint64_t> blocked_;    ///< sessions with Session::blocked
@@ -326,6 +336,13 @@ class Daemon {
   std::vector<Tail> tails_;
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::uint64_t fleet_next_base_ = 0;
+  live::JobMerger fleet_;
+  std::ofstream fleet_out_;
+  std::set<int> fleet_live_;  ///< composite ranks seen, not finalized
+  int jobs_ended_ = 0;
+  std::size_t owing_ = 0;      ///< jobs with Job::owes
+  bool prom_dirty_ = false;    ///< the exposition is out of date
+  bool fleet_folded_ = false;  ///< folds added since the last fleet emission
 
   std::mutex work_mu_;  ///< guards runnable_, workers_quit_, every Job::q/scheduled
   std::condition_variable work_cv_;  ///< idle workers wait here
@@ -333,39 +350,22 @@ class Daemon {
   bool workers_quit_ = false;        ///< exit once runnable_ is empty
   std::atomic<std::uint64_t> steals_{0};
 
-  std::mutex reply_mu_;         ///< guards replies_ and reply_woken_
-  std::vector<Reply> replies_;  ///< oldest first, not yet taken by the IO thread
-  bool reply_woken_ = false;    ///< the eventfd was written for replies_
+  std::mutex out_mu_;  ///< guards out_replies_, out_batches_, out_woken_
+  std::vector<Reply> out_replies_;     ///< oldest first
+  std::vector<BatchOut> out_batches_;  ///< in the order the batches ended
+  bool out_woken_ = false;  ///< the eventfd was written for the outbox
 
-  std::mutex fleet_mu_;  ///< guards fleet_, fleet_out_, fleet_live_
-  live::JobMerger fleet_;
-  std::ofstream fleet_out_;
-  std::set<int> fleet_live_;  ///< composite ranks seen, not finalized
-  /// Cached copy of fleet_live_ for emit_due; rebuilt only when the set
-  /// changes (copying tens of thousands of set nodes per emission check
-  /// would dwarf the emission itself).
-  std::vector<int> fleet_live_vec_;
-  bool fleet_live_dirty_ = false;
-  bool fleet_any_ = false;    ///< any rank ever seen
-
-  std::atomic<int> jobs_ended_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> truncated_frames_{0};
   std::atomic<std::uint64_t> stalled_disconnects_{0};
   std::atomic<std::uint64_t> spills_{0};
   std::atomic<std::uint64_t> rehydrations_{0};
-  // Set by whoever dirties the exposition or folds into the fleet merger,
-  // cleared by the IO thread when it serves them.  A worker that sets one
-  // from clear wakes the IO thread, so it can arm the matching deadline.
-  std::atomic<bool> prom_dirty_{false};
-  std::atomic<bool> fleet_folded_{false};
   std::atomic<std::uint64_t> prom_writes_{0};
   std::atomic<bool> stop_{false};
   // IO-thread deadlines; each counts only while its condition holds (see
   // wait_ms): time_point::max() when disarmed.
   Clock::time_point prom_next_{};
   Clock::time_point spill_next_ = Clock::time_point::max();
-  Clock::time_point fleet_next_ = Clock::time_point::max();
   Clock::time_point stall_next_ = Clock::time_point::max();
   Clock::time_point tail_next_{};
 

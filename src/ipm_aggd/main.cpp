@@ -35,7 +35,6 @@ int usage(const char* argv0, int code) {
       "                          next frame (0 = never)\n"
       "  --stall-ms <ms>         disconnect clients stalled this long\n"
       "  --outbuf-max <bytes>    per-session outbound buffer bound\n"
-      "  --prom-interval-ms <ms> min gap between exposition rewrites\n"
       "\n"
       "Point monitored jobs at the daemon with IPM_AGG_ADDR=<addr> (plus\n"
       "IPM_SNAPSHOT=<interval> and an IPM_JOB_ID per job).  The daemon\n"
@@ -80,8 +79,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--outbuf-max") {
       opt.session_outbuf_max =
           static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
-    } else if (arg == "--prom-interval-ms") {
-      opt.prom_interval_ms = std::atoi(value());
     } else if (arg == "-h" || arg == "--help") {
       return usage(argv[0], 0);
     } else {

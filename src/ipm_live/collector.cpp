@@ -101,9 +101,7 @@ class CollectorSink final : public SampleSink {
       w.lit(it.counter ? " counter\n" : " gauge\n").lit(it.name).lit(" ").num(it.value);
       w.lit("\n");
     }
-    publish_exposition(prom_path_, [&text](std::ostream& os) {
-      os.write(text.data(), static_cast<std::streamsize>(text.size()));
-    });
+    publish_exposition(prom_path_, text);
   }
 
   JobMerger merger_;
@@ -155,11 +153,10 @@ void scan(detail::Registry& reg, SampleSink& sink, bool drain_everything) {
 
 }  // namespace
 
-void publish_exposition(const std::string& path,
-                        const std::function<void(std::ostream&)>& write) {
+void publish_exposition(const std::string& path, std::string_view text) {
   const std::string tmp = path + ".tmp";
   std::ofstream os(tmp, std::ios::trunc);
-  if (os) write(os);
+  if (os) os.write(text.data(), static_cast<std::streamsize>(text.size()));
   os.close();  // flushes: a full disk fails here, not at the last <<
   if (os && std::rename(tmp.c_str(), path.c_str()) == 0) return;
   std::fprintf(stderr, "ipm: cannot publish exposition %s\n", path.c_str());
@@ -212,12 +209,6 @@ CollectorSummary collector_stop() {
   }
   g_state.reset();
   return sum;
-}
-
-bool collector_running() {
-  detail::Registry& reg = detail::registry();
-  std::scoped_lock lk(reg.mu);
-  return reg.collector_running;
 }
 
 }  // namespace ipm::live

@@ -33,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -107,6 +106,8 @@ class SampleChannel {
  public:
   explicit SampleChannel(unsigned log2_slots);
 
+  /// Moves `s` into the channel and returns true, or returns false and
+  /// leaves `s` untouched when the channel is full.
   bool push(Sample&& s) noexcept;
   bool pop(Sample& out);
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
@@ -286,16 +287,14 @@ void collector_start(const Config& cfg, const std::string& command);
 /// intervals / flush the socket) and return what was written.
 CollectorSummary collector_stop();
 
-[[nodiscard]] bool collector_running();
-
 // --- exposition file --------------------------------------------------------
 
-/// Publish the exposition file `path` atomically: `write` fills
-/// `<path>.tmp`, which is closed and then renamed over `path`.  When a write,
-/// the close or the rename fails, the failure is printed, the tmp removed
-/// and the previous file kept, so a reader never sees a partial exposition.
-void publish_exposition(const std::string& path,
-                        const std::function<void(std::ostream&)>& write);
+/// Publish the exposition file `path` atomically: `text` is written to
+/// `<path>.tmp`, which is closed and then renamed over `path`.  When the
+/// write, the close or the rename fails, the failure is printed, the tmp
+/// removed and the previous file kept, so a reader never sees a partial
+/// exposition.
+void publish_exposition(const std::string& path, std::string_view text);
 
 // --- time-series file -------------------------------------------------------
 

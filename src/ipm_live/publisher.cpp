@@ -145,9 +145,9 @@ void LivePublisher::capture(bool final_flush) noexcept {
   bool published;
   if (final_flush) {
     // The finalize flush must never lose data: overflow past the channel
-    // into a side vector the collector consumes after `finalized_`.
-    Sample copy = s;
-    if (!channel_.push(std::move(s))) final_overflow_.push_back(std::move(copy));
+    // into a side vector the collector consumes after `finalized_`.  A
+    // refused push leaves `s` whole.
+    if (!channel_.push(std::move(s))) final_overflow_.push_back(std::move(s));
     published = true;
   } else {
     published = channel_.push(std::move(s));

@@ -13,8 +13,9 @@
 // checks follow: ended jobs release their JSONL descriptor, a failed
 // exposition write keeps the previous exposition, and a failed fleet
 // time-series write is reported.
-// The last two guard the event-driven IO loop against lost wake-ups: an
-// idle daemon answers every round trip at once and stops when told to.
+// The last three guard the event-driven IO loop against lost wake-ups: an
+// idle daemon answers every round trip at once, a quiet job's outputs catch
+// up while it runs, and the daemon stops when told to.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -736,7 +737,7 @@ TEST(Aggd, FailedFleetWriteIsReported) {
 /// With no other traffic, a reply goes out as soon as its frame is applied:
 /// a wake-up the event-driven IO loop missed would hold a round trip until
 /// its next deadline, or forever when none is pending.  Serial and with
-/// four workers; both answer through the reply queue.
+/// four workers; both answer through the outbox.
 TEST(Aggd, IdleDaemonAnswersEveryRoundTripPromptly) {
   for (const int workers : {0, 4}) {
     SCOPED_TRACE(workers);
@@ -783,6 +784,71 @@ TEST(Aggd, IdleDaemonAnswersEveryRoundTripPromptly) {
     std::sort(ms.begin(), ms.end());
     EXPECT_LT(ms[ms.size() / 2], 5.0) << "median round trip (ms)";
     EXPECT_EQ(runner.d.job_ranks("rt")->at(0).samples, 200u);
+  }
+}
+
+/// A job that goes quiet while it is still running gets its outputs caught
+/// up: the exposition's rank counter, the job's points and the fleet's
+/// points all reach their files within a few floors, with no frame after
+/// the last acked sample (no RANK_FIN, no JOB_END) and the daemon still
+/// running.  Ten back-to-back samples of one rank close ten job intervals
+/// (0.5 s each) and five fleet intervals (1 s).  Serial and with two
+/// workers.
+TEST(Aggd, QuietJobCatchesUpWhileRunning) {
+  for (const int workers : {0, 2}) {
+    SCOPED_TRACE(workers);
+    const std::string dir = test_dir("aggd_quiet" + std::to_string(workers));
+    const std::string sock = "unix:" + dir + "/agg.sock";
+    ipm::aggd::Options opt;
+    opt.listen = sock;
+    opt.out_dir = dir;
+    opt.workers = workers;
+    DaemonRunner runner(opt);
+    ASSERT_TRUE(runner.start());
+    const int fd = connect_block(sock);
+    ASSERT_GE(fd, 0);
+    Decoder dec;
+    Frame f;
+    send_all(fd, frame_bytes(FrameType::kHello, "quiet", 0, 0,
+                             ipm::live::wire::hello_payload("./quiet", 0.5)));
+    ASSERT_TRUE(read_frame(fd, dec, f));
+    ASSERT_EQ(f.type, FrameType::kWelcome);
+    for (std::uint64_t k = 0; k < 10; ++k) {
+      const double t0 = 0.5 * static_cast<double>(k);
+      send_all(fd, sample_bytes("quiet", make_sample(0, k, t0, t0 + 0.5, "MPI_Bcast",
+                                                     1, 64, 0.125)));
+      ASSERT_TRUE(read_frame(fd, dec, f));
+      ASSERT_EQ(f.type, FrameType::kAck);
+      ASSERT_EQ(f.epoch, k + 1);
+    }
+    // Point lines among a file's complete lines: a live stream may end in a
+    // line still being written.
+    const auto points = [](const std::string& path) {
+      std::string text = slurp(path);
+      text.resize(text.rfind('\n') + 1);
+      std::size_t n = 0;
+      for (std::size_t at = text.find("{\"type\":\"point\""); at != std::string::npos;
+           at = text.find("{\"type\":\"point\"", at + 1)) {
+        ++n;
+      }
+      return n;
+    };
+    const std::string rank_line = "\nipm_agg_rank_samples_total{job=\"quiet\",rank=\"0\"} 10\n";
+    bool rank_seen = false;
+    std::size_t job_points = 0;
+    std::size_t fleet_points = 0;
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < give_up) {
+      rank_seen = slurp(dir + "/ipm_agg.prom").find(rank_line) != std::string::npos;
+      job_points = points(dir + "/quiet_timeseries.jsonl");
+      fleet_points = points(dir + "/fleet_timeseries.jsonl");
+      if (rank_seen && job_points == 10 && fleet_points == 5) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    EXPECT_TRUE(rank_seen) << "exposition never showed the 10 applied samples";
+    EXPECT_EQ(job_points, 10u);
+    EXPECT_EQ(fleet_points, 5u);
+    ipm::live::net::close_fd(fd);
   }
 }
 
