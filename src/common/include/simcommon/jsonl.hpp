@@ -1,12 +1,13 @@
 // JSONL line codec: the one encoder behind every JSONL line and wire
 // payload (time-series lines, HELLO/WELCOME/RANK_FIN payloads,
-// ipm-bench-v1) and the Chrome-trace strings, and the strict
-// cursor every reader of those bytes is built on.  The writer appends fields
-// to a caller-owned std::string without temporaries: integers via
-// std::to_chars, doubles via std::to_chars(general, 17) — byte for byte what
-// printf("%.17g") prints, so every double round-trips bit-exactly — and
-// JSON-escaped strings.  A reader calls JsonlReader in its writer's field
-// order, so it accepts exactly the bytes that writer emits.
+// ipm-bench-v1) and the Chrome trace, and the strict cursor every reader of
+// those bytes is built on.  The writer appends fields to a caller-owned
+// std::string without temporaries: integers via std::to_chars, doubles via
+// std::to_chars(general, 17) — byte for byte what printf("%.17g") prints, so
+// every double round-trips bit-exactly — fixed-point doubles (the Chrome
+// trace's microseconds) via std::to_chars(fixed), and JSON-escaped strings.
+// A reader calls JsonlReader in its writer's field order, so it accepts
+// exactly the bytes that writer emits.
 #pragma once
 
 #include <charconv>
@@ -43,12 +44,47 @@ class JsonlWriter {
     return *this;
   }
 
+  /// Exactly the bytes of printf("%.*f", precision, v), precision <= 17.
+  JsonlWriter& fixed(double v, int precision) {
+    // DBL_MAX has 309 integer digits; add a sign, the point and the fraction.
+    char buf[1 + 309 + 1 + 17];
+    const std::to_chars_result res =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
+    out_.append(buf, res.ptr);
+    return *this;
+  }
+
   /// Quoted JSON string: '"' and '\\' backslash-escaped, control characters
   /// as \n, \t, \r or \u00XX.
   JsonlWriter& str(std::string_view s);
 
  private:
   std::string& out_;
+};
+
+/// A string field as JsonlReader::str(JsonlStr&) found it: the bytes between
+/// its quotes, not yet unescaped.
+struct JsonlStr {
+  std::string_view raw;
+  bool escaped = false;  ///< raw holds a backslash escape
+
+  /// The string's value: `raw` itself when nothing is escaped, else `raw`
+  /// unescaped into `scratch`, which the view then points into.
+  [[nodiscard]] std::string_view value(std::string& scratch) const {
+    return escaped ? unescape(scratch) : raw;
+  }
+
+  /// Store the string's value in `out`.
+  void assign_to(std::string& out) const {
+    if (escaped) {
+      (void)unescape(out);
+    } else {
+      out.assign(raw);
+    }
+  }
+
+ private:
+  std::string_view unescape(std::string& scratch) const;
 };
 
 /// Strict cursor over bytes a JsonlWriter wrote.  lit(), num() and str()
@@ -79,44 +115,51 @@ class JsonlReader {
     return true;
   }
 
-  /// Inverse of JsonlWriter::str: a quoted string holding only the escapes
-  /// it writes and no raw control character.
-  bool str(std::string& s) {
+  /// A quoted string holding only the escapes JsonlWriter::str writes and no
+  /// raw control character, left escaped: `s.raw` views the line.
+  bool str(JsonlStr& s) noexcept {
     if (p_ == end_ || *p_ != '"') return false;
-    s.clear();
-    const char* run = p_ + 1;  // start of the pending unescaped run
-    for (const char* q = run; q != end_; ++q) {
+    bool escaped = false;
+    for (const char* q = p_ + 1; q != end_; ++q) {
       const auto c = static_cast<unsigned char>(*q);
       if (c == '"') {
-        s.append(run, q);
+        s.raw = std::string_view(p_ + 1, static_cast<std::size_t>(q - p_ - 1));
+        s.escaped = escaped;
         p_ = q + 1;
         return true;
       }
       if (c < 0x20) return false;
       if (c != '\\') continue;
-      s.append(run, q);
+      escaped = true;
       if (++q == end_) return false;
       switch (*q) {
-        case '"': s += '"'; break;
-        case '\\': s += '\\'; break;
-        case 'n': s += '\n'; break;
-        case 't': s += '\t'; break;
-        case 'r': s += '\r'; break;
+        case '"':
+        case '\\':
+        case 'n':
+        case 't':
+        case 'r':
+          break;
         case 'u': {
           unsigned code = 0;
           if (end_ - q < 5 || q[1] != '0' || q[2] != '0' ||
               std::from_chars(q + 3, q + 5, code, 16).ptr != q + 5) {
             return false;
           }
-          s += static_cast<char>(code);
           q += 4;
           break;
         }
         default: return false;
       }
-      run = q + 1;
     }
     return false;
+  }
+
+  /// Inverse of JsonlWriter::str: the same string, unescaped into `s`.
+  bool str(std::string& s) {
+    JsonlStr j;
+    if (!str(j)) return false;
+    j.assign_to(s);
+    return true;
   }
 
   /// The items of an array whose '[' was consumed: "]" or

@@ -28,4 +28,30 @@ JsonlWriter& JsonlWriter::str(std::string_view s) {
   return *this;
 }
 
+std::string_view JsonlStr::unescape(std::string& scratch) const {
+  // JsonlReader::str validated every escape, so each one decodes.
+  scratch.clear();
+  std::size_t run = 0;  // start of the pending unescaped run
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    if (raw[i] != '\\') continue;
+    scratch.append(raw.substr(run, i - run));
+    switch (raw[++i]) {
+      case 'n': scratch += '\n'; break;
+      case 't': scratch += '\t'; break;
+      case 'r': scratch += '\r'; break;
+      case 'u': {
+        unsigned code = 0;
+        (void)std::from_chars(raw.data() + i + 3, raw.data() + i + 5, code, 16);
+        scratch += static_cast<char>(code);
+        i += 4;
+        break;
+      }
+      default: scratch += raw[i]; break;  // '"' or '\\'
+    }
+    run = i + 1;
+  }
+  scratch.append(raw.substr(run));
+  return scratch;
+}
+
 }  // namespace simx

@@ -1,9 +1,11 @@
 // Sharded ipm_aggd daemon core (see aggd.hpp): the epoll IO thread routes
-// frames to per-job FIFO queues, and worker threads take runnable jobs from
-// one work queue and hand everything a batch produced back through one
-// outbox.  Per-job state is worker-exclusive (scheduled flag); the IO thread
-// owns the sessions, the fleet merger and the exposition, and takes the
-// outbox at the end of each pass.  Idle jobs close their JSONL stream, quiet
+// frames to per-job FIFO queues, as header fields and payload bytes, and
+// worker threads take runnable jobs from one work queue and hand everything
+// a batch produced back through one outbox, ACKs encoded in place.  A
+// SAMPLE folds straight from its bytes into a flat fold.  Per-job state is
+// worker-exclusive (scheduled flag); the IO thread owns the sessions, the
+// fleet merger and the exposition, and takes the outbox at the end of each
+// pass.  Idle jobs close their JSONL stream, quiet
 // jobs' outputs catch up, and slow clients are disconnected on a bounded
 // stall budget.  The IO thread waits on its sockets, the worker eventfd and
 // its nearest deadline.
@@ -33,11 +35,11 @@ namespace ipm::aggd {
 using live::wire::Frame;
 using live::wire::FrameType;
 
+using detail::job_stem;
 using detail::kFleetStride;
 using detail::prom_escape;
 using detail::read_hello;
 using detail::read_rank_fin_drops;
-using detail::sanitize;
 using detail::tail_job_id;
 
 namespace {
@@ -183,11 +185,12 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
   Job& job = *slot;
   job.id = id;
   job.st.merger = live::JobMerger(interval > 0.0 ? interval : 1.0);
-  job.ts_path = opt_.out_dir + "/" + sanitize(id) + "_timeseries.jsonl";
+  const std::string stem = opt_.out_dir + "/" + job_stem(id);
+  job.ts_path = stem + "_timeseries.jsonl";
   // A tailed file in out_dir would be its own output: write beside it.
   for (const Tail& t : tails_) {
     if (t.path == job.ts_path) {
-      job.ts_path = opt_.out_dir + "/" + sanitize(id) + "_agg_timeseries.jsonl";
+      job.ts_path = stem + "_agg_timeseries.jsonl";
       break;
     }
   }
@@ -208,14 +211,17 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
   return job;
 }
 
-void Daemon::enqueue(Job& job, Work&& w) {
-  if (workers_.empty()) {  // serial mode: a batch of one, inline
-    handle_batch(job, std::span<Work>(&w, 1));
+void Daemon::enqueue(Job& job, Work w, std::string_view payload) {
+  w.len = payload.size();
+  if (workers_.empty()) {  // serial mode: a batch of one, inline, in place
+    handle_batch(job, std::span<const Work>(&w, 1), payload, serial_scratch_);
     return;
   }
   {
     const std::lock_guard<std::mutex> lock(work_mu_);
-    job.q.push_back(std::move(w));
+    w.off = job.qbytes.size();
+    job.qbytes.append(payload);
+    job.q.push_back(w);
     if (job.scheduled) return;  // its worker takes this frame in a batch
     job.scheduled = true;
     runnable_.push_back(&job);
@@ -238,6 +244,8 @@ void Daemon::stop_workers() {
 
 void Daemon::work(int me) {
   std::vector<Work> batch;
+  std::string bytes;
+  live::FoldScratch scratch;
   std::unique_lock<std::mutex> lock(work_mu_);
   for (;;) {
     work_cv_.wait(lock, [this] { return !runnable_.empty() || workers_quit_; });
@@ -248,21 +256,26 @@ void Daemon::work(int me) {
     // work_mu_, so no other worker takes it meanwhile and job->st needs no
     // lock.  An enqueue that saw it scheduled left its frame in job->q.
     while (!job->q.empty()) {
-      batch.swap(job->q);  // job->q keeps the emptied batch's capacity
+      // The job keeps the emptied buffers: both capacities pass back and
+      // forth, so a warm queue allocates nothing.
+      batch.swap(job->q);
+      bytes.swap(job->qbytes);
       lock.unlock();
       if (job->st.worker != me) {
         if (job->st.worker >= 0) steals_.fetch_add(1, std::memory_order_relaxed);
         job->st.worker = me;
       }
-      handle_batch(*job, batch);
-      batch.clear();  // frees the frames before the lock is retaken
+      handle_batch(*job, batch, bytes, scratch);
+      batch.clear();
+      bytes.clear();
       lock.lock();
     }
     job->scheduled = false;
   }
 }
 
-void Daemon::handle_batch(Job& job, std::span<Work> batch) {
+void Daemon::handle_batch(Job& job, std::span<const Work> batch,
+                          std::string_view bytes, live::FoldScratch& scratch) {
   JobState& st = job.st;
   bool any_frame = false;
   bool refresh = false;  // a quiet job's refresh item
@@ -273,9 +286,10 @@ void Daemon::handle_batch(Job& job, std::span<Work> batch) {
   if (st.spilled && any_frame) rehydrate_job(job);
   BatchOut out;
   out.job = &job;
+  out.folds.reserve(batch.size());
   bool replied = false;
   Clock::time_point next_flush = Clock::now() + kReplyFlushPeriod;
-  for (Work& w : batch) {
+  for (const Work& w : batch) {
     if (w.kind == Work::Kind::kSpill) {
       // Re-check under worker exclusivity; a frame in the same batch means
       // the job is active again, so the spill request is stale.
@@ -283,7 +297,7 @@ void Daemon::handle_batch(Job& job, std::span<Work> batch) {
       continue;
     }
     if (w.kind == Work::Kind::kRefresh) continue;
-    handle_frame(job, w, out, replied);
+    handle_frame(job, w, bytes.substr(w.off, w.len), scratch, out, replied);
     if (replied && !workers_.empty() && Clock::now() >= next_flush) {
       if (claim_wake()) wake_io();
       next_flush = Clock::now() + kReplyFlushPeriod;
@@ -308,14 +322,15 @@ void Daemon::handle_batch(Job& job, std::span<Work> batch) {
   if (hand_over(std::move(out)) && !workers_.empty()) wake_io();
 }
 
-void Daemon::handle_frame(Job& job, Work& w, BatchOut& out, bool& replied) {
+void Daemon::handle_frame(Job& job, const Work& w, std::string_view payload,
+                          live::FoldScratch& scratch, BatchOut& out, bool& replied) {
   JobState& st = job.st;
-  Frame& f = w.frame;
   // A reply is queued at once, so an IO pass that runs during the batch
   // sends it; the eventfd waits for the batch's end (claim_wake).
-  const auto append_reply = [&](std::string&& bytes) {
+  const auto reply = [&](FrameType type, std::uint32_t rank, std::uint64_t epoch,
+                         std::string_view body) {
     if (w.session == 0) return;
-    push_reply(w.session, std::move(bytes));
+    push_reply(w.session, type, job.id, rank, epoch, body);
     replied = true;
   };
   const auto ensure_rank = [&](std::uint32_t rank) -> RankState& {
@@ -325,7 +340,7 @@ void Daemon::handle_frame(Job& job, Work& w, BatchOut& out, bool& replied) {
     }
     return it->second;
   };
-  switch (f.type) {
+  switch (w.type) {
     case FrameType::kHello: {
       // WELCOME: per-rank resume epochs, so the client prunes everything
       // already applied and resends only the rest.
@@ -334,88 +349,70 @@ void Daemon::handle_frame(Job& job, Work& w, BatchOut& out, bool& replied) {
       for (const auto& [rank, rs] : st.ranks) {
         epochs.emplace_back(rank, rs.last_epoch);
       }
-      Frame welcome;
-      welcome.type = FrameType::kWelcome;
-      welcome.job = f.job;
-      welcome.payload = live::wire::welcome_payload(epochs);
-      append_reply(live::wire::encode(welcome));
+      reply(FrameType::kWelcome, 0, 0, live::wire::welcome_payload(epochs));
       break;
     }
     case FrameType::kSample: {
-      RankState& rs = ensure_rank(f.rank);
-      // Every SAMPLE payload is a live::sample_line(); anything else is a
-      // protocol error, acked at the rank's previous epoch and not applied.
-      live::Sample s;
-      if (live::parse_sample_line(f.payload, s)) {
-        apply_sample(job, f.rank, f.epoch, s, f.payload, out);
-      } else {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      }
-      Frame a;
-      a.type = FrameType::kAck;
-      a.rank = f.rank;
-      a.epoch = rs.last_epoch;
-      a.job = f.job;
-      append_reply(live::wire::encode(a));
+      RankState& rs = ensure_rank(w.rank);
+      apply_sample(job, rs, w, payload, scratch, out);
+      reply(FrameType::kAck, w.rank, rs.last_epoch, {});
       break;
     }
     case FrameType::kRankFin: {
-      RankState& rs = ensure_rank(f.rank);
-      finalize_rank(job, f.rank, f.epoch, f.payload, out);
-      Frame a;
-      a.type = FrameType::kAck;
-      a.rank = f.rank;
-      a.epoch = rs.last_epoch;
-      a.job = f.job;
-      append_reply(live::wire::encode(a));
+      RankState& rs = ensure_rank(w.rank);
+      finalize_rank(job, rs, w, payload, out);
+      reply(FrameType::kAck, w.rank, rs.last_epoch, {});
       break;
     }
-    case FrameType::kJobEnd: {
+    case FrameType::kJobEnd:
       end_job(job, out);
-      Frame a;
-      a.type = FrameType::kJobEndAck;
-      a.job = f.job;
-      append_reply(live::wire::encode(a));
+      reply(FrameType::kJobEndAck, 0, 0, {});
       break;
-    }
     default:
       break;  // filtered by route_frame
   }
 }
 
-void Daemon::apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                          const live::Sample& s, const std::string& raw_line,
+void Daemon::apply_sample(Job& job, RankState& rs, const Work& w,
+                          std::string_view line, live::FoldScratch& scratch,
                           BatchOut& out) {
+  // Every SAMPLE payload is a live::sample_line(), folded as it is read;
+  // anything else is a protocol error, acked at the rank's previous epoch
+  // and not applied, whatever its epoch.
   JobState& st = job.st;
-  RankState& rs = st.ranks[rank];
-  if (epoch <= rs.last_epoch) {  // resend of an applied frame: dedupe
-    rs.resent += 1;
+  const std::size_t mark = out.region_flops.size();
+  live::SampleFold fold;
+  if (!live::fold_sample_line(line, fold, out.region_flops, scratch)) {
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  rs.last_epoch = epoch;
+  if (w.epoch <= rs.last_epoch) {  // resend of an applied frame: dedupe
+    rs.resent += 1;
+    out.region_flops.resize(mark);
+    return;
+  }
+  rs.last_epoch = w.epoch;
   rs.samples += 1;
-  if (st.out) st.out << raw_line << '\n';
-  live::SampleFold fold = live::fold_sample(s);
-  st.merger.add(fold);
-  fold.rank = static_cast<int>(job.fleet_base + rank);
-  out.folds.push_back(std::move(fold));
+  if (st.out) st.out << line << '\n';
+  st.merger.add(fold, std::span(out.region_flops).subspan(mark));
+  fold.rank = static_cast<int>(job.fleet_base + w.rank);
+  out.folds.push_back(fold);
 }
 
-void Daemon::finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                           const std::string& payload, BatchOut& out) {
+void Daemon::finalize_rank(Job& job, RankState& rs, const Work& w,
+                           std::string_view payload, BatchOut& out) {
   JobState& st = job.st;
-  RankState& rs = st.ranks[rank];
-  if (epoch != 0 && epoch <= rs.last_epoch && rs.finalized) {
+  if (w.epoch != 0 && w.epoch <= rs.last_epoch && rs.finalized) {
     rs.resent += 1;
     return;
   }
-  if (epoch > rs.last_epoch) rs.last_epoch = epoch;
+  if (w.epoch > rs.last_epoch) rs.last_epoch = w.epoch;
   rs.finalized = true;
   if (!read_rank_fin_drops(payload, rs.drops)) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   }
-  st.merger.finalize_rank(static_cast<int>(rank));
-  out.fin_ranks.push_back(static_cast<int>(job.fleet_base + rank));
+  st.merger.finalize_rank(static_cast<int>(w.rank));
+  out.fin_ranks.push_back(static_cast<int>(job.fleet_base + w.rank));
 }
 
 void Daemon::end_job(Job& job, BatchOut& out) {
@@ -501,12 +498,17 @@ void Daemon::rehydrate_job(Job& job) {
   rehydrations_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Daemon::push_reply(std::uint64_t session, std::string&& bytes) {
+void Daemon::push_reply(std::uint64_t session, FrameType type, const std::string& job,
+                        std::uint32_t rank, std::uint64_t epoch,
+                        std::string_view payload) {
+  // Encoded in place, straight into the bytes the IO thread sends:
+  // consecutive replies to one session share an entry.
   const std::lock_guard<std::mutex> lock(out_mu_);
+  live::wire::encode_to(out_bytes_, type, job, rank, epoch, payload);
   if (!out_replies_.empty() && out_replies_.back().session == session) {
-    out_replies_.back().bytes += bytes;
+    out_replies_.back().end = out_bytes_.size();
   } else {
-    out_replies_.push_back(Reply{session, std::move(bytes)});
+    out_replies_.push_back(Reply{session, out_bytes_.size()});
   }
 }
 
@@ -553,7 +555,7 @@ void Daemon::accept_pending() {
   }
 }
 
-void Daemon::route_frame(Session& ses, Frame&& f) {
+void Daemon::route_frame(Session& ses, const Frame& f) {
   const auto cached = [&ses](const std::string& id) -> Job* {
     return ses.job_cache != nullptr && ses.job_cache_id == id ? ses.job_cache
                                                               : nullptr;
@@ -563,6 +565,11 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
     ses.job_cache_id = id;
     return job;
   };
+  Work w;
+  w.type = f.type;
+  w.rank = f.rank;
+  w.epoch = f.epoch;
+  w.session = ses.id;
   switch (f.type) {
     case FrameType::kHello: {
       std::string command;
@@ -572,10 +579,7 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
       }
       Job& job = remember(get_or_create_job(f.job, command, interval), f.job);
       note_frame(job, false);
-      Work w;
-      w.frame = std::move(f);
-      w.session = ses.id;
-      enqueue(job, std::move(w));
+      enqueue(job, w);
       break;
     }
     case FrameType::kSample:
@@ -584,10 +588,7 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
       Job& job =
           jp != nullptr ? *jp : remember(get_or_create_job(f.job, "?", 0.0), f.job);
       note_frame(job, false);
-      Work w;
-      w.frame = std::move(f);
-      w.session = ses.id;
-      enqueue(job, std::move(w));
+      enqueue(job, w, f.payload);
       break;
     }
     case FrameType::kJobEnd: {
@@ -599,16 +600,10 @@ void Daemon::route_frame(Session& ses, Frame&& f) {
       if (job == nullptr) {
         // Unknown job: ack directly, nothing to end (seed behavior).  The
         // IO thread takes the outbox at the end of its pass.
-        Frame a;
-        a.type = FrameType::kJobEndAck;
-        a.job = f.job;
-        push_reply(ses.id, live::wire::encode(a));
+        push_reply(ses.id, FrameType::kJobEndAck, f.job, 0, 0);
       } else {
         note_frame(*job, true);
-        Work w;
-        w.frame = std::move(f);
-        w.session = ses.id;
-        enqueue(*job, std::move(w));
+        enqueue(*job, w);
       }
       break;
     }
@@ -650,8 +645,7 @@ void Daemon::read_session(Session& ses, bool closing) {
     // Closing reads on to EOF to see every byte the peer sent.
     if (!closing && static_cast<std::size_t>(r) < sizeof buf) break;
   }
-  Frame f;
-  while (!ses.closed && ses.dec.next(f)) route_frame(ses, std::move(f));
+  while (!ses.closed && ses.dec.next(frame_)) route_frame(ses, frame_);
   if (ses.closed) return;  // route_frame dropped it for a protocol violation
   if (!ses.dec.error().empty()) {
     std::fprintf(stderr, "ipm_aggd: protocol error: %s\n",
@@ -732,38 +726,50 @@ void Daemon::flush_session(Session& ses) {
 }
 
 void Daemon::take_outbox(bool write) {
-  std::vector<Reply> replies;
-  std::vector<BatchOut> batches;
   {
+    // Swapped, not moved: each buffer's capacity passes back and forth
+    // between the workers and this thread.
     const std::lock_guard<std::mutex> lock(out_mu_);
-    replies.swap(out_replies_);
-    batches.swap(out_batches_);
+    taken_bytes_.swap(out_bytes_);
+    taken_replies_.swap(out_replies_);
+    taken_batches_.swap(out_batches_);
     out_woken_ = false;
   }
   // Replies first, so no ack waits for the fleet fold.
-  std::vector<Session*> got;
-  for (const Reply& r : replies) {
+  replied_.clear();
+  std::size_t begin = 0;
+  for (const Reply& r : taken_replies_) {
+    const std::string_view bytes(taken_bytes_.data() + begin, r.end - begin);
+    begin = r.end;
     // Ids are never reused: a reply whose session is gone is dropped.
     const auto it = sessions_.find(r.session);
     if (it == sessions_.end() || it->second->closed) continue;
-    it->second->wbuf += r.bytes;
-    got.push_back(it->second.get());
+    it->second->wbuf += bytes;
+    replied_.push_back(it->second.get());
   }
+  taken_bytes_.clear();
+  taken_replies_.clear();
   if (write) {
-    std::sort(got.begin(), got.end());
-    got.erase(std::unique(got.begin(), got.end()), got.end());
-    for (Session* ses : got) flush_session(*ses);
+    std::sort(replied_.begin(), replied_.end());
+    replied_.erase(std::unique(replied_.begin(), replied_.end()), replied_.end());
+    for (Session* ses : replied_) flush_session(*ses);
   }
-  if (batches.empty()) return;
+  if (taken_batches_.empty()) return;
   const Clock::time_point now = Clock::now();
-  for (BatchOut& b : batches) apply_batch(b, now);
+  for (BatchOut& b : taken_batches_) apply_batch(b, now);
+  taken_batches_.clear();
   prom_dirty_ = true;
 }
 
 void Daemon::apply_batch(BatchOut& b, Clock::time_point now) {
   // The fleet merger is the IO thread's: no lock.
   for (const int r : b.new_ranks) fleet_live_.insert(r);
-  for (const live::SampleFold& f : b.folds) fleet_.add(f);
+  const std::span<const std::pair<std::string, double>> regions(b.region_flops);
+  std::size_t at = 0;
+  for (const live::SampleFold& f : b.folds) {
+    fleet_.add(f, regions.subspan(at, f.regions));
+    at += f.regions;
+  }
   for (const int r : b.fin_ranks) {
     fleet_.finalize_rank(r);
     fleet_live_.erase(r);
@@ -823,9 +829,8 @@ void Daemon::pump_tails() {
         if (it != jobs_.end()) {
           note_frame(*it->second, true);
           Work w;
-          w.frame.type = FrameType::kJobEnd;
-          w.frame.job = t.job;
-          enqueue(*it->second, std::move(w));
+          w.type = FrameType::kJobEnd;
+          enqueue(*it->second, w);
         }
         t.done = true;
         break;
@@ -840,21 +845,15 @@ void Daemon::pump_tails() {
         // The file carries no epochs; seq+1 is the same monotone epoch the
         // socket client derives, so resumed tails dedupe identically.
         Work w;
-        w.frame.type = FrameType::kSample;
-        w.frame.rank = static_cast<std::uint32_t>(s.rank);
-        w.frame.epoch = s.seq + 1;
-        w.frame.job = t.job;
-        w.frame.payload = line;
-        const bool fin = s.final_flush;
+        w.type = FrameType::kSample;
+        w.rank = static_cast<std::uint32_t>(s.rank);
+        w.epoch = s.seq + 1;
         note_frame(job, false);
-        enqueue(job, std::move(w));
-        if (fin) {
-          Work wf;
-          wf.frame.type = FrameType::kRankFin;
-          wf.frame.rank = static_cast<std::uint32_t>(s.rank);
-          wf.frame.epoch = 0;
-          wf.frame.job = t.job;
-          enqueue(job, std::move(wf));
+        enqueue(job, w, line);
+        if (s.final_flush) {
+          w.type = FrameType::kRankFin;
+          w.epoch = 0;
+          enqueue(job, w);
         }
       }
       // Emitted points in the file are ignored: the daemon re-derives them.
@@ -932,7 +931,7 @@ void Daemon::scan_spills(Clock::time_point now) {
     --active_jobs_;
     Work w;
     w.kind = Work::Kind::kSpill;
-    enqueue(*job, std::move(w));
+    enqueue(*job, w);
   }
 }
 
@@ -946,7 +945,7 @@ void Daemon::refresh_outputs(Clock::time_point now) {
       set_owes(*job, false);
       Work w;
       w.kind = Work::Kind::kRefresh;
-      enqueue(*job, std::move(w));
+      enqueue(*job, w);
     }
   }
   if (fleet_folded_) {

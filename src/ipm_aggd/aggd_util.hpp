@@ -1,9 +1,12 @@
 // Internal helpers of the daemon (aggd.cpp): fleet-rank composition, job id
-// and exposition-label escaping, and payload readers with their defaults.
+// and exposition-label escaping, a job's output file name, and payload
+// readers with their defaults.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "ipm_live/wire.hpp"
 
@@ -24,6 +27,28 @@ inline std::string sanitize(const std::string& id) {
   return out.empty() ? "job" : out;
 }
 
+/// File stem of a job's JSONL (`<stem>_timeseries.jsonl`), a function of the
+/// id alone that no other id and not the fleet stream share: the id itself
+/// where sanitize() keeps it, except the reserved "fleet"; else its
+/// sanitized form, '~' and 16 hex digits of a 64-bit FNV-1a hash of the id.
+/// sanitize() never emits '~', so a hashed stem never meets a kept one.
+inline std::string job_stem(const std::string& id) {
+  std::string stem = sanitize(id);
+  if (stem == id && id != "fleet") return stem;
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : id) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  char hex[16];
+  const std::size_t digits =
+      static_cast<std::size_t>(std::to_chars(hex, hex + sizeof hex, h, 16).ptr - hex);
+  stem += '~';
+  stem.append(sizeof hex - digits, '0');
+  stem.append(hex, digits);
+  return stem;
+}
+
 inline std::string prom_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -40,7 +65,7 @@ inline std::string prom_escape(const std::string& s) {
 
 /// Command and interval of a HELLO payload; false, with the defaults
 /// command "?" and interval 1.0, when its reader rejects the payload.
-inline bool read_hello(const std::string& payload, std::string& command,
+inline bool read_hello(std::string_view payload, std::string& command,
                        double& interval) {
   if (live::wire::parse_hello(payload, command, interval)) return true;
   command = "?";
@@ -50,7 +75,7 @@ inline bool read_hello(const std::string& payload, std::string& command,
 
 /// Drops of a RANK_FIN payload; false, with 0 drops, when its reader
 /// rejects the payload.
-inline bool read_rank_fin_drops(const std::string& payload, std::uint64_t& drops) {
+inline bool read_rank_fin_drops(std::string_view payload, std::uint64_t& drops) {
   std::uint64_t samples = 0;
   if (live::wire::parse_rank_fin(payload, samples, drops)) return true;
   drops = 0;

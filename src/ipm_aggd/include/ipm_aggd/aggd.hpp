@@ -9,6 +9,11 @@
 //   out_dir/fleet_timeseries.jsonl   fleet-wide ClusterPoints (all jobs)
 //   prom_path (ipm_agg.prom)         one exposition, `job`/`rank` labels
 //
+// <job> is the job id where a file name can carry it unchanged; an id with
+// other characters, and the reserved id "fleet", is written
+// <sanitized id>~<16 hex digits of its hash>, so no two jobs, and no job
+// and the fleet stream, share a file.
+//
 // Architecture (fleet scale): one epoll (level-triggered) IO thread
 // accepts connections, reads/decodes frames, and routes each frame to its
 // job's FIFO frame queue.  Every piece of state has one owning thread, and
@@ -17,21 +22,28 @@
 // pops a job and applies its frames until the job's queue is empty, and a
 // scheduled flag keeps every other worker off that job meanwhile, so per-job
 // state — the JobMerger, rank epochs, the output stream — belongs to one
-// thread at a time and needs no lock of its own.  The outbox carries back
-// everything a batch produced: its replies (session id, bytes), queued at
-// once; and at the batch's end its sample folds (live::fold_sample, made
-// once per sample) with new and finalized composite ranks, the job's freshly
-// rendered exposition lines, and whether it ended the job.  The IO thread
-// owns the sessions, the fleet merger, the fleet stream and the exposition:
-// it takes the outbox at the end of each pass, moves each reply into its
+// thread at a time and needs no lock of its own.  A queued frame is bytes:
+// its header fields sit in the job's frame queue and its payload in the
+// job's byte queue beside it, and a worker swaps both out per batch, so
+// their capacity passes back and forth.  The outbox carries back everything
+// a batch produced: its replies, encoded in place into the outbox's reply
+// bytes and queued at once; and at the batch's end its sample folds
+// (live::fold_sample_line, made once per sample straight from the payload
+// bytes; flat, their region flops in one vector per batch) with new and
+// finalized composite ranks, the job's freshly rendered exposition lines,
+// and whether it ended the job.  The IO thread owns the sessions, the fleet
+// merger, the fleet stream and the exposition: it takes the outbox at the
+// end of each pass (swapping its buffers too), copies each reply into its
 // session's write buffer (ids are never reused, so a reply whose session is
 // gone is dropped), then folds the fleet.  Serial mode (no workers) applies
-// frames inline on the IO thread and fills the same outbox.  A client that
-// stops reading is disconnected on a bounded stall budget and counted,
-// never blocks the daemon.  A job's JSONL is its one on-disk format: an idle
-// job's spill closes that stream and keeps its merge state and rank epochs
-// in memory, and its next frame reopens the stream in append mode.  An
-// ended job closes its stream after the end line.
+// frames inline on the IO thread, from the decoded frame's own bytes, and
+// fills the same outbox.  Warm, the daemon makes well under one heap
+// allocation per frame on either side.  A client that stops reading is
+// disconnected on a bounded stall budget and counted, never blocks the
+// daemon.  A job's JSONL is its one on-disk format: an idle job's spill
+// closes that stream and keeps its merge state and rank epochs in memory,
+// and its next frame reopens the stream in append mode.  An ended job
+// closes its stream after the end line.
 //
 // Outputs are brought up to date at most once per 1 s floor.  A batch
 // refreshes its job (due points into the JSONL, then the exposition lines)
@@ -72,6 +84,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -201,18 +214,27 @@ class Daemon {
     std::string job_cache_id;
   };
 
+  /// A frame to apply, an idle job's spill, or a quiet job's refresh.  A
+  /// frame's payload (SAMPLE and RANK_FIN: the ones a worker reads) is bytes
+  /// [off, off + len) of the bytes its batch runs over — its job's byte
+  /// queue, or in serial mode the decoded frame's payload; its job id is the
+  /// job's.
   struct Work {
-    /// A frame to apply, an idle job's spill, or a quiet job's refresh.
     enum class Kind { kFrame, kSpill, kRefresh };
     Kind kind = Kind::kFrame;
-    live::wire::Frame frame;
+    live::wire::FrameType type = live::wire::FrameType::kHello;
+    std::uint32_t rank = 0;
+    std::uint64_t epoch = 0;
     std::uint64_t session = 0;  ///< reply to this session; 0: none
+    std::size_t off = 0;
+    std::size_t len = 0;
   };
 
-  /// Encoded reply frames for one session, in the outbox.
+  /// Reply frames for one session in the outbox: its bytes end at `end` of
+  /// the outbox's reply bytes and begin where the previous entry's end.
   struct Reply {
     std::uint64_t session = 0;
-    std::string bytes;
+    std::size_t end = 0;
   };
 
   /// What one batch produced for the IO thread besides its replies, left in
@@ -221,6 +243,7 @@ class Daemon {
   struct BatchOut {
     Job* job = nullptr;
     std::vector<live::SampleFold> folds;  ///< rank already composite
+    live::RegionFlops region_flops;       ///< the folds' entries, in fold order
     std::vector<int> new_ranks;           ///< composite ranks first seen
     std::vector<int> fin_ranks;           ///< composite ranks finalized
     /// The batch refreshed its job: the job's exposition lines, where
@@ -250,6 +273,7 @@ class Daemon {
     std::string ts_path;
     std::uint64_t fleet_base = 0;  ///< composite-rank offset, fleet merge
     std::vector<Work> q;     ///< guarded by work_mu_
+    std::string qbytes;      ///< guarded by work_mu_: payloads of q's frames
     bool scheduled = false;  ///< guarded by work_mu_: runnable or running
     /// IO thread: when the job's last frame was routed; -1 while it is not a
     /// spill candidate (spilled, ended, never active or spill off).
@@ -282,7 +306,7 @@ class Daemon {
   void reap_closed();
   void set_write_interest(Session& ses, bool on);
   void mark_closed(Session& ses);
-  void route_frame(Session& ses, live::wire::Frame&& f);
+  void route_frame(Session& ses, const live::wire::Frame& f);
   void note_frame(Job& job, bool end);
   void pump_tails();
   int wait_ms(Clock::time_point now);
@@ -296,18 +320,19 @@ class Daemon {
 
   Job& get_or_create_job(const std::string& id, const std::string& command,
                          double interval);
-  void enqueue(Job& job, Work&& w);
+  void enqueue(Job& job, Work w, std::string_view payload = {});
   void stop_workers();
 
   // --- worker side (exclusive per job via the scheduled flag) ---------------
   void work(int me);
-  void handle_batch(Job& job, std::span<Work> batch);
-  void handle_frame(Job& job, Work& w, BatchOut& out, bool& replied);
-  void apply_sample(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                    const live::Sample& s, const std::string& raw_line,
-                    BatchOut& out);
-  void finalize_rank(Job& job, std::uint32_t rank, std::uint64_t epoch,
-                     const std::string& payload, BatchOut& out);
+  void handle_batch(Job& job, std::span<const Work> batch, std::string_view bytes,
+                    live::FoldScratch& scratch);
+  void handle_frame(Job& job, const Work& w, std::string_view payload,
+                    live::FoldScratch& scratch, BatchOut& out, bool& replied);
+  void apply_sample(Job& job, RankState& rs, const Work& w, std::string_view line,
+                    live::FoldScratch& scratch, BatchOut& out);
+  void finalize_rank(Job& job, RankState& rs, const Work& w,
+                     std::string_view payload, BatchOut& out);
   void end_job(Job& job, BatchOut& out);
   void refresh_job(Job& job, BatchOut& out);
   void emit_due_job(Job& job);
@@ -315,7 +340,9 @@ class Daemon {
                            std::vector<std::size_t>& ends);
   void spill_job(Job& job);
   void rehydrate_job(Job& job);
-  void push_reply(std::uint64_t session, std::string&& bytes);
+  void push_reply(std::uint64_t session, live::wire::FrameType type,
+                  const std::string& job, std::uint32_t rank, std::uint64_t epoch,
+                  std::string_view payload = {});
   bool hand_over(BatchOut&& out);
   [[nodiscard]] bool claim_wake();
   void wake_io();
@@ -335,6 +362,13 @@ class Daemon {
   std::size_t active_jobs_ = 0;        ///< jobs with last_frame_ms >= 0
   std::vector<Tail> tails_;
   std::map<std::string, std::unique_ptr<Job>> jobs_;
+  live::wire::Frame frame_;  ///< each decoded frame, its strings reused
+  // What take_outbox took, kept from take to take for the capacity.
+  std::string taken_bytes_;
+  std::vector<Reply> taken_replies_;
+  std::vector<BatchOut> taken_batches_;
+  std::vector<Session*> replied_;  ///< sessions the taken replies went to
+  live::FoldScratch serial_scratch_;  ///< serial mode's fold storage
   std::uint64_t fleet_next_base_ = 0;
   live::JobMerger fleet_;
   std::ofstream fleet_out_;
@@ -350,7 +384,8 @@ class Daemon {
   bool workers_quit_ = false;        ///< exit once runnable_ is empty
   std::atomic<std::uint64_t> steals_{0};
 
-  std::mutex out_mu_;  ///< guards out_replies_, out_batches_, out_woken_
+  std::mutex out_mu_;  ///< guards out_bytes_, out_replies_, out_batches_, out_woken_
+  std::string out_bytes_;              ///< reply frames, encoded in place
   std::vector<Reply> out_replies_;     ///< oldest first
   std::vector<BatchOut> out_batches_;  ///< in the order the batches ended
   bool out_woken_ = false;  ///< the eventfd was written for the outbox

@@ -330,8 +330,10 @@ struct TimeSeries {
 [[nodiscard]] bool parse_header_line(std::string_view line, std::string& command,
                                      double& interval);
 
-/// The aggregation daemon's hot ingest path parses millions of these, and
-/// counts a SAMPLE payload this rejects as a protocol error.
+/// parse_sample_line and fold_sample_line (merge.hpp) are one scan of this
+/// grammar, so they accept the same bytes.  The aggregation daemon folds
+/// millions of these as it reads them, without a Sample, and counts a
+/// SAMPLE payload the scan rejects as a protocol error.
 [[nodiscard]] std::string sample_line(const Sample& s);
 [[nodiscard]] bool parse_sample_line(std::string_view line, Sample& out);
 

@@ -8,10 +8,14 @@
 // serialized form: the daemon keeps an idle job's merger in memory when it
 // spills the job, which only closes the job's JSONL stream.
 //
-// A sample is reduced once, by fold_sample, to a SampleFold: its deltas
-// summed per family (ipm::family_of, one prefix check per delta) and per
-// region.  A merger adds folds, so the daemon folds each sample once and
-// hands the same fold to the job's merger and to the fleet merger.
+// A sample is reduced once to a SampleFold: its deltas summed per family
+// (ipm::family_of, one prefix check per delta), and its flops per region
+// name appended to a caller-owned vector, so a fold is flat and owns no heap
+// memory.  fold_sample reduces a Sample; fold_sample_line reduces a sample
+// line as it reads it, with no Sample in between.  A merger adds a fold with
+// its region entries, so the daemon folds each sample once, straight from
+// the frame's bytes, and hands the same fold to the job's merger and to the
+// fleet merger.
 //
 // Interval k = [k*interval, (k+1)*interval) closes once every *live* rank
 // (attached, not finalized) has published a sample whose t1 reaches past
@@ -22,12 +26,15 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ipm_live/live.hpp"
+#include "simcommon/jsonl.hpp"
 
 namespace ipm::live {
 
@@ -43,8 +50,13 @@ struct MergeTotals {
   std::uint64_t events = 0, samples = 0;
 };
 
+/// Estimated flops by region name, in first-seen order.
+using RegionFlops = std::vector<std::pair<std::string, double>>;
+
 /// One sample reduced to what the merge adds: its deltas summed per
-/// family and per region, beside the sample's device counters.
+/// family, beside the sample's device counters.  Its flops per region
+/// name are the last `regions` entries of the RegionFlops it was folded
+/// into.
 struct SampleFold {
   int rank = 0;
   double t1 = 0.0;             ///< the sample's end: picks the bucket
@@ -54,12 +66,28 @@ struct SampleFold {
   std::uint64_t mpi_bytes = 0, cuda_bytes = 0;
   double flops = 0.0;
   double dev_flops = 0.0, dev_bytes = 0.0;
-  std::vector<std::pair<std::string, double>> region_flops;  ///< by region name
+  std::uint32_t regions = 0;   ///< region-flops entries the fold appended
 };
 
-/// Classify each of `s`'s deltas once (ipm::family_of) and sum them per
-/// family and per region name.
-[[nodiscard]] SampleFold fold_sample(const Sample& s);
+/// Classify each of `s`'s deltas once (ipm::family_of), sum them per family
+/// and append their flops per region name to `region_flops`.
+[[nodiscard]] SampleFold fold_sample(const Sample& s, RegionFlops& region_flops);
+
+/// Storage fold_sample_line reuses from call to call: warm, a fold
+/// allocates nothing but its new region entries.
+struct FoldScratch {
+  std::vector<simx::JsonlStr> regions;  ///< the line's region names
+  std::string name;    ///< a delta name that holds an escape, unescaped
+  std::string region;  ///< a region name that holds an escape, unescaped
+};
+
+/// fold_sample of the sample parse_sample_line reads from `line`, folded
+/// as the line is read, without a Sample: the two readers are one scan, so
+/// they accept the same bytes, and the fold and its region entries are
+/// bit-identical.  A name without an escape is read in place.  False, with
+/// `region_flops` as it was and `fold` unspecified, on a rejected line.
+[[nodiscard]] bool fold_sample_line(std::string_view line, SampleFold& fold,
+                                    RegionFlops& region_flops, FoldScratch& scratch);
 
 class JobMerger {
  public:
@@ -67,12 +95,13 @@ class JobMerger {
 
   [[nodiscard]] double interval() const noexcept { return interval_; }
 
-  /// Same as add(fold_sample(s)).
+  /// Same as add(fold_sample(s, regions), regions).
   void add_sample(const Sample& s);
 
-  /// Add one sample's fold to its interval bucket and advance the rank's
-  /// watermark.
-  void add(const SampleFold& f);
+  /// Add one sample's fold, with the region flops it appended, to its
+  /// interval bucket and advance the rank's watermark.
+  void add(const SampleFold& f,
+           std::span<const std::pair<std::string, double>> region_flops);
 
   /// `rank` finished: it no longer holds back interval emission.
   void finalize_rank(int rank);
@@ -115,6 +144,7 @@ class JobMerger {
   std::uint64_t intervals_emitted_ = 0;
   MergeTotals totals_;
   ClusterPoint last_;
+  RegionFlops sample_regions_;  ///< add_sample's region entries, reused
 };
 
 /// One metric of the Prometheus exposition for a merged stream.  items are

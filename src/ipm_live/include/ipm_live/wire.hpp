@@ -35,7 +35,9 @@
 //
 // Every payload is written by simx::JsonlWriter and read back by a strict
 // mirror on simx::JsonlReader that accepts exactly the writer's bytes; the
-// daemon counts a payload its reader rejects as a protocol error.
+// daemon counts a payload its reader rejects as a protocol error.  The
+// daemon encodes its replies in place (encode_to), appending each frame to
+// the bytes it sends.
 //
 // The decoder is a strict incremental parser: a frame whose length field
 // is out of range, whose version is unknown, or whose job_len overruns the
@@ -79,8 +81,14 @@ struct Frame {
   std::string payload;
 };
 
-/// Serialize `f` (length prefix included).  Throws std::invalid_argument
-/// when the job id or payload exceed the protocol bounds.
+/// Append one frame, length prefix included, to `out` — the daemon encodes
+/// its ACKs in place this way, straight into the bytes it sends.  Throws
+/// std::invalid_argument, with `out` unchanged, when the job id or payload
+/// exceed the protocol bounds.
+void encode_to(std::string& out, FrameType type, std::string_view job,
+               std::uint32_t rank, std::uint64_t epoch, std::string_view payload);
+
+/// Serialize `f` (length prefix included): encode_to into a new string.
 [[nodiscard]] std::string encode(const Frame& f);
 
 /// Incremental frame parser over a byte stream.  feed() appends bytes;

@@ -3,58 +3,126 @@
 #include "ipm_live/merge.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "internal.hpp"
 #include "ipm/key.hpp"
 #include "ipm/monitor.hpp"
-#include "simcommon/str.hpp"
 
 namespace ipm::live {
 
-SampleFold fold_sample(const Sample& s) {
+namespace {
+
+/// The name a delta's region index does not resolve to: "region<index>".
+struct IndexName {
+  char buf[32];
+  std::string_view operator()(std::uint32_t index) {
+    std::memcpy(buf, "region", 6);
+    return {buf, static_cast<std::size_t>(
+                     std::to_chars(buf + 6, buf + sizeof buf, index).ptr - buf)};
+  }
+};
+
+/// The per-delta step of both folds: the delta's family sums, then its
+/// flops under its region's name, entries in first-seen order.  The
+/// region's name is looked up only for a delta with flops.
+template <typename RegionName>
+void fold_delta(SampleFold& f, RegionFlops& region_flops, std::string_view name,
+                std::uint64_t dcount, std::uint64_t dbytes, double dtsum,
+                double dflops, RegionName&& region_name) {
+  f.devents += dcount;
+  switch (family_of(name)) {
+    case Family::kMpi:
+      f.mpi_s += dtsum;
+      f.mpi_bytes += dbytes;
+      break;
+    case Family::kCuda:
+      f.cuda_s += dtsum;
+      f.cuda_bytes += dbytes;
+      break;
+    case Family::kGpu: f.gpu_s += dtsum; break;
+    case Family::kIdle: f.idle_s += dtsum; break;
+    case Family::kCublas: f.blas_s += dtsum; break;
+    case Family::kCufft: f.fft_s += dtsum; break;
+    case Family::kNone: break;
+  }
+  if (dflops == 0.0) return;
+  f.flops += dflops;
+  const std::string_view region = region_name();
+  const auto mine = region_flops.end() - f.regions;  // this fold's entries
+  const auto it = std::find_if(mine, region_flops.end(),
+                               [&](const auto& rf) { return rf.first == region; });
+  if (it == region_flops.end()) {
+    region_flops.emplace_back(region, dflops);
+    f.regions += 1;
+  } else {
+    it->second += dflops;
+  }
+}
+
+}  // namespace
+
+SampleFold fold_sample(const Sample& s, RegionFlops& region_flops) {
   SampleFold f;
   f.rank = s.rank;
   f.t1 = s.t1;
   f.dev_flops = s.ddev_flops;
   f.dev_bytes = s.ddev_bytes;
+  IndexName index_name;
   for (const KeyDelta& d : s.deltas) {
-    f.devents += d.dcount;
-    switch (family_of(d.name_str.empty() ? name_of(d.name) : d.name_str)) {
-      case Family::kMpi:
-        f.mpi_s += d.dtsum;
-        f.mpi_bytes += d.dbytes;
-        break;
-      case Family::kCuda:
-        f.cuda_s += d.dtsum;
-        f.cuda_bytes += d.dbytes;
-        break;
-      case Family::kGpu: f.gpu_s += d.dtsum; break;
-      case Family::kIdle: f.idle_s += d.dtsum; break;
-      case Family::kCublas: f.blas_s += d.dtsum; break;
-      case Family::kCufft: f.fft_s += d.dtsum; break;
-      case Family::kNone: break;
-    }
-    if (d.dflops != 0.0) {
-      f.flops += d.dflops;
-      std::string region = d.region < s.regions.size()
-                               ? s.regions[d.region]
-                               : simx::strprintf("region%u", d.region);
-      const auto it = std::find_if(f.region_flops.begin(), f.region_flops.end(),
-                                   [&](const auto& rf) { return rf.first == region; });
-      if (it == f.region_flops.end()) {
-        f.region_flops.emplace_back(std::move(region), d.dflops);
-      } else {
-        it->second += d.dflops;
-      }
-    }
+    fold_delta(f, region_flops, d.name_str.empty() ? name_of(d.name) : d.name_str,
+               d.dcount, d.dbytes, d.dtsum, d.dflops, [&]() -> std::string_view {
+                 return d.region < s.regions.size() ? s.regions[d.region]
+                                                    : index_name(d.region);
+               });
   }
   return f;
 }
 
-void JobMerger::add_sample(const Sample& s) { add(fold_sample(s)); }
+bool fold_sample_line(std::string_view line, SampleFold& fold,
+                      RegionFlops& region_flops, FoldScratch& scratch) {
+  // Folds what detail::scan_sample_line reads, delta by delta.
+  struct Folder {
+    SampleFold& f;
+    RegionFlops& out;
+    FoldScratch& sc;
+    IndexName index_name;
+    void head(const detail::SampleHead& h) {
+      f.rank = h.rank;
+      f.t1 = h.t1;
+      f.dev_flops = h.gf;
+      f.dev_bytes = h.gb;
+    }
+    void region(const simx::JsonlStr& name) { sc.regions.push_back(name); }
+    void delta(const detail::DeltaFields& d) {
+      fold_delta(f, out, d.name.value(sc.name), d.dcount, d.dbytes, d.dtsum,
+                 d.dflops, [&]() -> std::string_view {
+                   return d.region < sc.regions.size()
+                              ? sc.regions[d.region].value(sc.region)
+                              : index_name(d.region);
+                 });
+    }
+  };
+  const std::size_t mark = region_flops.size();
+  fold = SampleFold{};
+  scratch.regions.clear();
+  Folder folder{fold, region_flops, scratch, {}};
+  if (detail::scan_sample_line(line, folder)) return true;
+  region_flops.resize(mark);
+  return false;
+}
 
-void JobMerger::add(const SampleFold& f) {
+void JobMerger::add_sample(const Sample& s) {
+  sample_regions_.clear();
+  const SampleFold f = fold_sample(s, sample_regions_);
+  add(f, sample_regions_);
+}
+
+void JobMerger::add(const SampleFold& f,
+                    std::span<const std::pair<std::string, double>> region_flops) {
   std::uint64_t k =
       static_cast<std::uint64_t>(std::floor(std::max(0.0, f.t1) / interval_));
   // A sample landing behind the emission cursor is added to the next emitted
@@ -79,7 +147,7 @@ void JobMerger::add(const SampleFold& f) {
   p.flops += f.flops;
   p.dev_flops += f.dev_flops;
   p.dev_bytes += f.dev_bytes;
-  for (const auto& [region, flops] : f.region_flops) b.region_flops[region] += flops;
+  for (const auto& [region, flops] : region_flops) b.region_flops[region] += flops;
   auto [it, inserted] = watermark_.try_emplace(f.rank, f.t1);
   if (!inserted && f.t1 > it->second) it->second = f.t1;
 }

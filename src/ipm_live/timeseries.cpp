@@ -8,6 +8,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "internal.hpp"
 #include "simcommon/jsonl.hpp"
 #include "simcommon/str.hpp"
 
@@ -107,32 +108,33 @@ bool parse_header_line(std::string_view line, std::string& command,
 }
 
 bool parse_sample_line(std::string_view line, Sample& out) {
-  simx::JsonlReader r(line);
-  out = Sample{};
-  int final_flag = 0;
-  if (!r.lit("{\"type\":\"sample\",\"rank\":") || !r.num(out.rank) ||
-      !r.lit(",\"seq\":") || !r.num(out.seq) || !r.lit(",\"t0\":") ||
-      !r.num(out.t0) || !r.lit(",\"t1\":") || !r.num(out.t1) ||
-      !r.lit(",\"final\":") || !r.num(final_flag)) {
-    return false;
-  }
-  out.final_flush = final_flag != 0;
-  if (r.lit(",\"gf\":") && !r.num(out.ddev_flops)) return false;
-  if (r.lit(",\"gb\":") && !r.num(out.ddev_bytes)) return false;
-  const auto region = [&] { return r.str(out.regions.emplace_back()); };
-  const auto delta = [&] {
-    KeyDelta& d = out.deltas.emplace_back();
-    if (!r.lit("{\"n\":") || !r.str(d.name_str) || !r.lit(",\"r\":") ||
-        !r.num(d.region) || !r.lit(",\"s\":") || !r.num(d.select) ||
-        !r.lit(",\"c\":") || !r.num(d.dcount) || !r.lit(",\"b\":") ||
-        !r.num(d.dbytes) || !r.lit(",\"t\":") || !r.num(d.dtsum)) {
-      return false;
+  // Builds the Sample that detail::scan_sample_line reads field by field.
+  struct Builder {
+    Sample& s;
+    void head(const detail::SampleHead& h) {
+      s.rank = h.rank;
+      s.seq = h.seq;
+      s.t0 = h.t0;
+      s.t1 = h.t1;
+      s.final_flush = h.final_flag != 0;
+      s.ddev_flops = h.gf;
+      s.ddev_bytes = h.gb;
     }
-    if (r.lit(",\"f\":") && !r.num(d.dflops)) return false;
-    return r.lit("}");
+    void region(const simx::JsonlStr& name) { name.assign_to(s.regions.emplace_back()); }
+    void delta(const detail::DeltaFields& f) {
+      KeyDelta& d = s.deltas.emplace_back();
+      f.name.assign_to(d.name_str);
+      d.region = f.region;
+      d.select = f.select;
+      d.dcount = f.dcount;
+      d.dbytes = f.dbytes;
+      d.dtsum = f.dtsum;
+      d.dflops = f.dflops;
+    }
   };
-  return r.lit(",\"regions\":[") && r.list(region) && r.lit(",\"deltas\":[") &&
-         r.list(delta) && r.lit("}") && r.done();
+  out = Sample{};
+  Builder b{out};
+  return detail::scan_sample_line(line, b);
 }
 
 bool parse_point_line(std::string_view line, ClusterPoint& out) {

@@ -10,17 +10,9 @@ namespace ipm::live::wire {
 
 namespace {
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+/// Write the low `bytes` bytes of `v` at `p`, little-endian.
+void put_le(char* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) p[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 std::uint64_t get_le(const char* p, int bytes) {
@@ -47,24 +39,31 @@ bool valid_type(std::uint8_t t) noexcept {
   return false;
 }
 
-std::string encode(const Frame& f) {
-  if (f.job.size() > kMaxJobLen) {
+void encode_to(std::string& out, FrameType type, std::string_view job,
+               std::uint32_t rank, std::uint64_t epoch, std::string_view payload) {
+  if (job.size() > kMaxJobLen) {
     throw std::invalid_argument("ipm_agg: job id exceeds protocol bound");
   }
-  const std::size_t len = kHeaderBytes + f.job.size() + f.payload.size();
+  const std::size_t len = kHeaderBytes + job.size() + payload.size();
   if (len > kMaxFrameLen) {
     throw std::invalid_argument("ipm_agg: frame exceeds protocol bound");
   }
+  char head[4 + kHeaderBytes];
+  put_le(head, len, 4);
+  head[4] = static_cast<char>(kWireVersion);
+  head[5] = static_cast<char>(type);
+  put_le(head + 6, job.size(), 2);
+  put_le(head + 8, rank, 4);
+  put_le(head + 12, epoch, 8);
+  out.append(head, sizeof head);
+  out.append(job);
+  out.append(payload);
+}
+
+std::string encode(const Frame& f) {
   std::string out;
-  out.reserve(4 + len);
-  put_u32(out, static_cast<std::uint32_t>(len));
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(f.type));
-  put_u16(out, static_cast<std::uint16_t>(f.job.size()));
-  put_u32(out, f.rank);
-  put_u64(out, f.epoch);
-  out += f.job;
-  out += f.payload;
+  out.reserve(4 + kHeaderBytes + f.job.size() + f.payload.size());
+  encode_to(out, f.type, f.job, f.rank, f.epoch, f.payload);
   return out;
 }
 

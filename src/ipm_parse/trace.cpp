@@ -87,35 +87,25 @@ void write_chrome_trace(std::ostream& os, const std::vector<ipm::RankTrace>& tra
                        return la != lb ? la < lb : a->t0 < b->t0;
                      });
     for (const ipm::TraceSpan* s : spans) {
-      const std::string lane = trace_lane(*s);
-      if (s->kind == ipm::TraceKind::kMarker) {
-        emit(strprintf(
-            "{\"ph\":\"i\",\"pid\":%d,\"tid\":\"%s\",\"ts\":%.3f,"
-            "\"name\":%s,\"s\":\"t\"}",
-            t.rank, lane.c_str(), s->t0 * 1e6, quoted(s->name).c_str()));
+      std::string event;
+      simx::JsonlWriter w(event);
+      const bool marker = s->kind == ipm::TraceKind::kMarker;
+      w.lit(marker ? "{\"ph\":\"i\",\"pid\":" : "{\"ph\":\"X\",\"pid\":").num(t.rank);
+      w.lit(",\"tid\":\"").lit(trace_lane(*s)).lit("\",\"ts\":").fixed(s->t0 * 1e6, 3);
+      if (marker) {
+        w.lit(",\"name\":").str(s->name).lit(",\"s\":\"t\"}");
+        emit(event);
         continue;
       }
       // Failed calls carry their raw error code; a distinct category makes
       // them stand out (and colorable) in the Chrome trace viewer.
-      if (s->err != 0) {
-        emit(strprintf(
-            "{\"ph\":\"X\",\"pid\":%d,\"tid\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,"
-            "\"name\":%s,\"cat\":\"%s,error\","
-            "\"args\":{\"region\":%s,\"bytes\":%llu,\"select\":%d,\"err\":%d}}",
-            t.rank, lane.c_str(), s->t0 * 1e6, s->dur * 1e6,
-            quoted(s->name).c_str(), kind_cat(s->kind),
-            quoted(s->region).c_str(), static_cast<unsigned long long>(s->bytes),
-            s->select, s->err));
-      } else {
-        emit(strprintf(
-            "{\"ph\":\"X\",\"pid\":%d,\"tid\":\"%s\",\"ts\":%.3f,\"dur\":%.3f,"
-            "\"name\":%s,\"cat\":\"%s\","
-            "\"args\":{\"region\":%s,\"bytes\":%llu,\"select\":%d}}",
-            t.rank, lane.c_str(), s->t0 * 1e6, s->dur * 1e6,
-            quoted(s->name).c_str(), kind_cat(s->kind),
-            quoted(s->region).c_str(), static_cast<unsigned long long>(s->bytes),
-            s->select));
-      }
+      w.lit(",\"dur\":").fixed(s->dur * 1e6, 3).lit(",\"name\":").str(s->name);
+      w.lit(",\"cat\":\"").lit(kind_cat(s->kind)).lit(s->err != 0 ? ",error\"" : "\"");
+      w.lit(",\"args\":{\"region\":").str(s->region).lit(",\"bytes\":").num(s->bytes);
+      w.lit(",\"select\":").num(s->select);
+      if (s->err != 0) w.lit(",\"err\":").num(s->err);
+      w.lit("}}");
+      emit(event);
     }
   }
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";

@@ -8,11 +8,13 @@
 // bit-exactly — under the faults the wire can throw at it: daemon absent at
 // client startup, connection killed mid-run (reconnect + epoch resume, no
 // double count), truncated/corrupt frames (rejected, never partially
-// applied, each counted), and two concurrent jobs multiplexed into one
-// daemon, whose fleet stream's points sum the jobs' points.  Two file-side
-// checks follow: ended jobs release their JSONL descriptor, a failed
-// exposition write keeps the previous exposition, and a failed fleet
-// time-series write is reported.
+// applied, each counted), a delta with an empty name (applied), and two
+// concurrent jobs multiplexed into one daemon, whose fleet stream's points
+// sum the jobs' points.  File-side
+// checks follow: ended jobs release their JSONL descriptor, no job shares a
+// file with another job or with the fleet stream, a failed exposition write
+// keeps the previous exposition, and a failed fleet time-series write is
+// reported.
 // The last three guard the event-driven IO loop against lost wake-ups: an
 // idle daemon answers every round trip at once, a quiet job's outputs catch
 // up while it runs, and the daemon stops when told to.
@@ -371,6 +373,46 @@ TEST(Aggd, ReorderedSampleFieldsAreAProtocolError) {
   EXPECT_EQ(ranks->at(0).drops, 0u);
 }
 
+/// A delta name may be empty: the grammar reads it, and the daemon folds it
+/// under no family as it reads it.  (Folding a parsed Sample looks an empty
+/// name up as the in-process NameId 0, which the daemon never interned: it
+/// threw and aborted the daemon.)
+TEST(Aggd, SampleWithAnEmptyNameIsApplied) {
+  const std::string dir = test_dir("aggd_empty_name");
+  const std::string sock = "unix:" + dir + "/agg.sock";
+  ipm::aggd::Options opt;
+  opt.listen = sock;
+  opt.out_dir = dir;
+  DaemonRunner runner(opt);
+  ASSERT_TRUE(runner.start());
+  const int fd = connect_block(sock);
+  ASSERT_GE(fd, 0);
+  Decoder dec;
+  Frame f;
+  send_all(fd, frame_bytes(FrameType::kHello, "empty", 0, 0,
+                           ipm::live::wire::hello_payload("./empty", 0.5)));
+  ASSERT_TRUE(read_frame(fd, dec, f));
+  ASSERT_EQ(f.type, FrameType::kWelcome);
+  // sample_line() itself would write name_of(0) for an empty name_str.
+  std::string line =
+      ipm::live::sample_line(make_sample(0, 0, 0.0, 0.5, "X", 2, 64, 0.25));
+  line.replace(line.find(R"("n":"X")"), 7, R"("n":"")");
+  send_all(fd, frame_bytes(FrameType::kSample, "empty", 0, 1, line));
+  ASSERT_TRUE(read_frame(fd, dec, f));
+  ASSERT_EQ(f.type, FrameType::kAck);
+  EXPECT_EQ(f.epoch, 1u);
+  ipm::live::net::close_fd(fd);
+  runner.d.stop();
+  runner.join();
+  EXPECT_EQ(runner.d.protocol_errors(), 0u);
+  const ipm::live::TimeSeries ts =
+      ipm::live::read_timeseries_file(runner.d.job_timeseries_path("empty"));
+  ASSERT_EQ(ts.samples.size(), 1u);
+  ASSERT_EQ(ts.samples[0].deltas.size(), 1u);
+  EXPECT_EQ(ts.samples[0].deltas[0].name_str, "");
+  EXPECT_EQ(ts.samples[0].deltas[0].dcount, 2u);
+}
+
 /// Two concurrent jobs multiplexed into one daemon, with a mid-stream
 /// reconnect on one of them: per-job separation (files, merge, prom
 /// labels), epoch resume via WELCOME, and duplicate resends deduplicated.
@@ -525,6 +567,7 @@ TEST(Aggd, TwoConcurrentJobsStaySeparate) {
 struct PointTotals {
   std::uint64_t samples = 0, devents = 0, mpi_bytes = 0, cuda_bytes = 0;
   std::array<double, 9> sums{};
+  std::map<std::string, double> region_flops;
 
   void add(const ipm::live::ClusterPoint& p) {
     samples += p.samples;
@@ -535,13 +578,17 @@ struct PointTotals {
                                      p.idle_s, p.blas_s, p.fft_s,
                                      p.flops,  p.dev_flops, p.dev_bytes};
     for (std::size_t i = 0; i < v.size(); ++i) sums[i] += v[i];
+    for (const auto& [region, flops] : p.region_flops) region_flops[region] += flops;
   }
 };
 
 /// The fleet merger adds the folds its jobs' mergers added: through one
-/// daemon, the fleet stream's point totals equal the sum of the two jobs'
-/// (integers exactly, seconds and flops to 1e-12 relative).  Each job's
-/// samples mix every family, regions and device counters over three ranks.
+/// daemon, the fleet stream's point totals, per-region flops included,
+/// equal the sum of the two jobs' (integers exactly, seconds and flops to
+/// 1e-12 relative).  Each job's samples mix every family, regions and
+/// device counters over three ranks, and every third sample line repeats,
+/// as a resumed tail repeats it: the repeat dedupes and leaves nothing in
+/// either merge.
 TEST(Aggd, FleetPointsSumTheJobsPoints) {
   const std::string dir = test_dir("aggd_fleet_sum");
   static constexpr const char* kNames[] = {
@@ -576,6 +623,7 @@ TEST(Aggd, FleetPointsSumTheJobsPoints) {
           s.deltas.push_back(std::move(d));
         }
         out << ipm::live::sample_line(s) << '\n';
+        if ((step * 3 + rank) % 3 == 0) out << ipm::live::sample_line(s) << '\n';
       }
     }
     out << ipm::live::end_line(0) << '\n';
@@ -606,6 +654,10 @@ TEST(Aggd, FleetPointsSumTheJobsPoints) {
     for (std::size_t i = 0; i < mine.sums.size(); ++i) {
       EXPECT_GT(mine.sums[i], 0.0) << job << " field " << i;
     }
+    EXPECT_EQ(mine.region_flops.size(), 2u) << job;
+    std::uint64_t resent = 0;
+    for (const auto& [rank, rs] : *d.job_ranks(job)) resent += rs.resent;
+    EXPECT_EQ(resent, 12u) << job;
   }
   const ipm::live::TimeSeries fleet_ts =
       ipm::live::read_timeseries_file(d.fleet_timeseries_path());
@@ -618,6 +670,10 @@ TEST(Aggd, FleetPointsSumTheJobsPoints) {
   for (std::size_t i = 0; i < fleet.sums.size(); ++i) {
     EXPECT_NEAR(fleet.sums[i], jobs.sums[i], 1e-12 * jobs.sums[i])
         << "field " << i;
+  }
+  ASSERT_EQ(fleet.region_flops.size(), jobs.region_flops.size());
+  for (const auto& [region, flops] : jobs.region_flops) {
+    EXPECT_NEAR(fleet.region_flops[region], flops, 1e-12 * flops) << region;
   }
 }
 
@@ -679,6 +735,93 @@ TEST(Aggd, EndedJobsCloseTheirStream) {
     EXPECT_NE(text.find("{\"type\":\"end\","), std::string::npos) << path;
     EXPECT_EQ(ipm::live::read_timeseries_file(path).samples.size(), 1u) << path;
   }
+}
+
+/// Every job writes a file no other stream holds: a job named "fleet" does
+/// not write into the fleet stream's file, and "a:b" and "a_b", which
+/// sanitize to one name, get a file each.  Each job's JSONL holds one
+/// header and exactly the sample lines it was sent, and the fleet file
+/// reads back.
+TEST(Aggd, JobPathsNeverCollide) {
+  const std::string dir = test_dir("aggd_paths");
+  const std::string sock = "unix:" + dir + "/agg.sock";
+  ipm::aggd::Options opt;
+  opt.listen = sock;
+  opt.out_dir = dir;
+  DaemonRunner runner(opt);
+  ASSERT_TRUE(runner.start());
+  const std::vector<std::string> jobs = {"fleet", "a:b", "a_b"};
+  const int fd = connect_block(sock);
+  ASSERT_GE(fd, 0);
+  Decoder dec;
+  Frame f;
+  for (const std::string& job : jobs) {
+    send_all(fd, frame_bytes(FrameType::kHello, job, 0, 0,
+                             ipm::live::wire::hello_payload("./" + job, 0.5)));
+    ASSERT_TRUE(read_frame(fd, dec, f));
+    ASSERT_EQ(f.type, FrameType::kWelcome);
+  }
+  // Four samples per job over two ranks, the jobs interleaved, each job's
+  // deltas its own.
+  std::map<std::string, std::vector<std::string>> sent;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const int rank = static_cast<int>(k % 2);
+      const std::uint64_t seq = k / 2;
+      const double t0 = 0.5 * static_cast<double>(seq);
+      const ipm::live::Sample s =
+          make_sample(rank, seq, t0, t0 + 0.5, "MPI_Send", 1 + j, 8 * (k + 1),
+                      0.125 * static_cast<double>(j + 1) + 1e-3 * static_cast<double>(k));
+      sent[jobs[j]].push_back(ipm::live::sample_line(s));
+      send_all(fd, sample_bytes(jobs[j], s));
+      ASSERT_TRUE(read_frame(fd, dec, f));
+      ASSERT_EQ(f.type, FrameType::kAck);
+      EXPECT_EQ(f.job, jobs[j]);
+      EXPECT_EQ(f.epoch, seq + 1);
+    }
+  }
+  for (const std::string& job : jobs) {
+    for (std::uint32_t rank = 0; rank < 2; ++rank) {
+      send_all(fd, frame_bytes(FrameType::kRankFin, job, rank, 0,
+                               ipm::live::wire::rank_fin_payload(2, 0)));
+      ASSERT_TRUE(read_frame(fd, dec, f));
+      ASSERT_EQ(f.type, FrameType::kAck);
+    }
+    send_all(fd, frame_bytes(FrameType::kJobEnd, job, 0, 0, ""));
+    ASSERT_TRUE(read_frame(fd, dec, f));
+    ASSERT_EQ(f.type, FrameType::kJobEndAck);
+    EXPECT_EQ(f.job, job);
+  }
+  ipm::live::net::close_fd(fd);
+  runner.d.stop();
+  runner.join();
+
+  std::set<std::string> paths = {runner.d.fleet_timeseries_path()};
+  for (const std::string& job : jobs) {
+    SCOPED_TRACE(job);
+    const std::string path = runner.d.job_timeseries_path(job);
+    ASSERT_FALSE(path.empty());
+    EXPECT_TRUE(paths.insert(path).second) << path << " is another stream's file";
+    const std::string text = slurp(path);
+    std::size_t headers = 0;
+    for (std::size_t at = text.find("{\"ipm_timeseries\""); at != std::string::npos;
+         at = text.find("{\"ipm_timeseries\"", at + 1)) {
+      ++headers;
+    }
+    EXPECT_EQ(headers, 1u);
+    const ipm::live::TimeSeries ts = ipm::live::read_timeseries_file(path);
+    EXPECT_EQ(ts.command, "./" + job);
+    std::vector<std::string> stored;
+    for (const ipm::live::Sample& s : ts.samples) stored.push_back(ipm::live::sample_line(s));
+    EXPECT_EQ(stored, sent[job]);  // bit-exact: each line as it was sent
+  }
+  // An id sanitize() keeps keeps its name; only "fleet" is reserved.
+  EXPECT_EQ(runner.d.job_timeseries_path("a_b"), dir + "/a_b_timeseries.jsonl");
+  ipm::live::TimeSeries fleet;
+  ASSERT_NO_THROW(fleet = ipm::live::read_timeseries_file(runner.d.fleet_timeseries_path()));
+  EXPECT_EQ(fleet.command, "fleet");
+  EXPECT_TRUE(fleet.samples.empty());
+  EXPECT_FALSE(fleet.points.empty());
 }
 
 /// The exposition is replaced through `<prom>.tmp`: a tmp that cannot be

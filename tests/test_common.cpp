@@ -1,12 +1,17 @@
 // Unit tests for the simcommon substrate: RNG, virtual clock / execution
-// contexts, noise model, string helpers, and the XML writer/parser.
+// contexts, noise model, string helpers, the JSONL writer's fixed-point
+// numbers, and the XML writer/parser.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
+#include <string>
 #include <thread>
 
 #include "simcommon/clock.hpp"
+#include "simcommon/jsonl.hpp"
 #include "simcommon/noise.hpp"
 #include "simcommon/rng.hpp"
 #include "simcommon/str.hpp"
@@ -233,6 +238,27 @@ TEST(Xml, WriterBalancesOnFinish) {
     w.finish();
   }
   EXPECT_NO_THROW((void)simx::xml::parse(ss.str()));
+}
+
+// --- JSONL writer -----------------------------------------------------------
+
+/// JsonlWriter::fixed at precision 3 writes the bytes of printf("%.3f") —
+/// the Chrome trace's ts/dur — for signed zeros, values that round up at
+/// the third digit, a value needing 17 significant digits, the largest
+/// double (309 integer digits) and negative values.
+TEST(JsonlWriter, FixedMatchesPrintf) {
+  const double kValues[] = {0.0,       -0.0,    0.0005,   0.0015,  1e15 + 0.5,
+                            DBL_MAX,   -DBL_MAX, -12.3456, 0.0625,  -0.0004};
+  for (const double v : kValues) {
+    std::string got;
+    simx::JsonlWriter(got).fixed(v, 3);
+    char want[400];
+    std::snprintf(want, sizeof want, "%.3f", v);
+    EXPECT_EQ(got, want) << v;
+  }
+  std::string dbl_max;
+  simx::JsonlWriter(dbl_max).fixed(DBL_MAX, 3);
+  EXPECT_EQ(dbl_max.size(), 309u + 4u);
 }
 
 }  // namespace

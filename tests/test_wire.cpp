@@ -1,10 +1,12 @@
 // ipm_agg wire protocol (wire.hpp): frame codec round-trips, the strict
 // incremental decoder (truncation, bad version/type/length poisoning), the
 // line codec (every time-series line and wire payload round-trips through its
-// strict reader, which rejects every proper prefix), and aggregator address
-// parsing (net.hpp).
+// strict reader, which rejects every proper prefix; the sample fold reads
+// exactly what the sample reader reads), and aggregator address parsing
+// (net.hpp).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "ipm_live/live.hpp"
+#include "ipm_live/merge.hpp"
 #include "ipm_live/net.hpp"
 #include "ipm_live/wire.hpp"
 
@@ -390,6 +393,113 @@ TEST(Wire, SampleRoundTripProperty) {
   }
 }
 
+/// Bit-exact equality of two doubles (-0 differs from 0).
+void expect_same_bits(double a, double b, const char* field) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << field << ": " << a << " vs " << b;
+}
+
+/// fold_sample_line(line) against fold_sample(parse_sample_line(line)):
+/// both accept or both reject, and an accepted line folds to the same
+/// fold, field for field and bit for bit, with the same region entries in
+/// the same order.  A rejected line leaves the region entries as they were.
+void expect_fold_matches_parse(const std::string& line, ipm::live::FoldScratch& scratch) {
+  namespace live = ipm::live;
+  live::Sample parsed;
+  const bool parse_ok = live::parse_sample_line(line, parsed);
+  live::RegionFlops line_regions = {{"entry of an earlier fold", 1.0}};
+  live::SampleFold folded;
+  const bool fold_ok = live::fold_sample_line(line, folded, line_regions, scratch);
+  ASSERT_EQ(fold_ok, parse_ok) << line;
+  ASSERT_EQ(line_regions.front().first, "entry of an earlier fold");
+  line_regions.erase(line_regions.begin());
+  if (!parse_ok) {
+    EXPECT_TRUE(line_regions.empty()) << line;
+    return;
+  }
+  live::RegionFlops sample_regions;
+  const live::SampleFold want = live::fold_sample(parsed, sample_regions);
+  EXPECT_EQ(folded.rank, want.rank);
+  expect_same_bits(folded.t1, want.t1, "t1");
+  EXPECT_EQ(folded.devents, want.devents);
+  expect_same_bits(folded.mpi_s, want.mpi_s, "mpi_s");
+  expect_same_bits(folded.cuda_s, want.cuda_s, "cuda_s");
+  expect_same_bits(folded.gpu_s, want.gpu_s, "gpu_s");
+  expect_same_bits(folded.idle_s, want.idle_s, "idle_s");
+  expect_same_bits(folded.blas_s, want.blas_s, "blas_s");
+  expect_same_bits(folded.fft_s, want.fft_s, "fft_s");
+  EXPECT_EQ(folded.mpi_bytes, want.mpi_bytes);
+  EXPECT_EQ(folded.cuda_bytes, want.cuda_bytes);
+  expect_same_bits(folded.flops, want.flops, "flops");
+  expect_same_bits(folded.dev_flops, want.dev_flops, "dev_flops");
+  expect_same_bits(folded.dev_bytes, want.dev_bytes, "dev_bytes");
+  EXPECT_EQ(folded.regions, want.regions);
+  ASSERT_EQ(line_regions.size(), sample_regions.size()) << line;
+  EXPECT_EQ(line_regions.size(), folded.regions);
+  for (std::size_t i = 0; i < line_regions.size(); ++i) {
+    EXPECT_EQ(line_regions[i].first, sample_regions[i].first);
+    expect_same_bits(line_regions[i].second, sample_regions[i].second, "region flops");
+  }
+}
+
+/// The line fold and the sample reader are one scan: over the round-trip
+/// corpus (escaped names, %.17g edge values, flops in named, repeated and
+/// out-of-range regions), every single-bit flip of every byte of those
+/// lines, and sample lines with their fields reordered, fold_sample_line
+/// accepts exactly the lines parse_sample_line accepts and folds each to
+/// fold_sample of the parse.
+TEST(Wire, SampleFoldReadsWhatTheSampleReaderReads) {
+  std::vector<ipm::live::Sample> inputs = {golden_sample(), edge_sample()};
+  std::mt19937_64 rng(20260809u);
+  for (int iter = 0; iter < 300; ++iter) inputs.push_back(random_sample(rng));
+  // Flops in a region named twice, and in one past the region list.
+  ipm::live::Sample regions = golden_sample();
+  regions.deltas.push_back(regions.deltas[0]);
+  regions.deltas.back().region = 9;
+  regions.deltas.push_back(regions.deltas[0]);
+  inputs.push_back(regions);
+  ipm::live::FoldScratch scratch;
+  std::size_t accepted_flips = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const std::string line = ipm::live::sample_line(inputs[i]);
+    expect_fold_matches_parse(line, scratch);
+    // Every bit of every byte for the pinned lines, one bit per byte for
+    // the random ones.
+    const int bits = i < 2 || i + 1 == inputs.size() ? 8 : 1;
+    for (std::size_t at = 0; at < line.size(); ++at) {
+      for (int bit = 0; bit < bits; ++bit) {
+        std::string flipped = line;
+        flipped[at] = static_cast<char>(flipped[at] ^ (1 << ((at + bit) % 8)));
+        ipm::live::Sample ignored;
+        accepted_flips += ipm::live::parse_sample_line(flipped, ignored) ? 1 : 0;
+        expect_fold_matches_parse(flipped, scratch);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(accepted_flips, 0u);  // some flips change a value, not the grammar
+  // Reordered fields: the same objects, never the writer's bytes.
+  const std::string line = ipm::live::sample_line(golden_sample());
+  const auto swapped = [&line](const std::string& a, const std::string& b) {
+    std::string out = line;
+    const std::size_t pa = out.find(a);
+    const std::size_t pb = out.find(b);
+    EXPECT_TRUE(pa != std::string::npos && pb != std::string::npos && pa < pb);
+    out.replace(pb, b.size(), a);
+    out.replace(pa, a.size(), b);
+    return out;
+  };
+  for (const std::string& reordered :
+       {swapped(R"("rank":1,)", R"("seq":7,)"), swapped(R"("t0":0.5,)", R"("t1":0.75,)"),
+        swapped(R"("gf":2500000000,)", R"("gb":0.10000000000000001,)"),
+        swapped(R"("n":"MPI_Send",)", R"("r":0,)"),
+        swapped(R"("c":1,)", R"("b":0,)")}) {
+    ipm::live::Sample ignored;
+    EXPECT_FALSE(ipm::live::parse_sample_line(reordered, ignored)) << reordered;
+    expect_fold_matches_parse(reordered, scratch);
+  }
+}
+
 /// Pinned byte for byte: every optional field, doubles needing all 17
 /// digits, -0, and a region name holding '"' and '\\'.
 ipm::live::ClusterPoint golden_point() {
@@ -508,6 +618,17 @@ TEST(Wire, ReadersRejectEveryProperPrefix) {
           << line.substr(0, n);
       EXPECT_TRUE(ts.samples.empty() && ts.points.empty() && ts.command.empty());
     }
+  }
+  // The sample fold reads through the same scan, so a defect there that
+  // the fold-equals-parse property cannot see still shows here.
+  const std::string sample = kGoldenSampleLine;
+  ipm::live::FoldScratch scratch;
+  for (std::size_t n = 0; n < sample.size(); ++n) {
+    ipm::live::RegionFlops regions;
+    ipm::live::SampleFold fold;
+    EXPECT_FALSE(ipm::live::fold_sample_line(sample.substr(0, n), fold, regions, scratch))
+        << sample.substr(0, n);
+    EXPECT_TRUE(regions.empty());
   }
   const std::string hello = kGoldenHello;
   const std::string welcome = kGoldenWelcome;
