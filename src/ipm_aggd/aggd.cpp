@@ -1,20 +1,20 @@
 // Sharded ipm_aggd daemon core (see aggd.hpp): the epoll IO thread routes
 // frames to per-job FIFO queues, as header fields and payload bytes, and
 // worker threads take runnable jobs from one work queue and hand everything
-// a batch produced back through one outbox, ACKs encoded in place.  A
-// SAMPLE folds straight from its bytes into a flat fold.  Per-job state is
-// worker-exclusive (scheduled flag); the IO thread owns the sessions, the
-// fleet merger and the exposition, and takes the outbox at the end of each
-// pass.  Idle jobs close their JSONL stream, quiet
-// jobs' outputs catch up, and slow clients are disconnected on a bounded
-// stall budget.  The IO thread waits on its sockets, the worker eventfd and
-// its nearest deadline.
+// a batch produced back through one outbox, ACKs encoded in place.  With no
+// workers the IO thread runs the same batch loop at the end of each pass.
+// A SAMPLE folds straight from its bytes into a flat fold.  Per-job state
+// is batch-exclusive (scheduled flag), and a job's queue is the only way
+// into it, at shutdown too; the IO thread owns the sessions, the fleet
+// merger and the exposition, and takes the outbox at the end of each pass.
+// Idle jobs close their JSONL stream, quiet jobs' outputs catch up, and slow
+// clients are disconnected on a bounded stall budget.  The IO thread waits
+// on its sockets, the worker eventfd and its nearest deadline.
 #include "ipm_aggd/aggd.hpp"
 
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,7 +22,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -187,9 +189,11 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
   job.st.merger = live::JobMerger(interval > 0.0 ? interval : 1.0);
   const std::string stem = opt_.out_dir + "/" + job_stem(id);
   job.ts_path = stem + "_timeseries.jsonl";
-  // A tailed file in out_dir would be its own output: write beside it.
+  // A tailed file that is the output file (compared as files: one file has
+  // many path spellings) would be its own output: write beside it.
   for (const Tail& t : tails_) {
-    if (t.path == job.ts_path) {
+    std::error_code ec;  // no output file yet: not the tailed one
+    if (std::filesystem::equivalent(t.path, job.ts_path, ec)) {
       job.ts_path = stem + "_agg_timeseries.jsonl";
       break;
     }
@@ -204,29 +208,33 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
                                                job.st.merger.interval())
                << '\n';
   }
-  // No worker has the job yet: render its lines here, so it appears in
-  // ipm_agg.prom before its first batch's refresh.
-  render_lines(job, job.prom_text, job.prom_ends);
+  // From here on only batches touch job.st; the first one renders the job's
+  // exposition lines (last_refresh_ms is -1).
   prom_dirty_ = true;
   return job;
 }
 
 void Daemon::enqueue(Job& job, Work w, std::string_view payload) {
   w.len = payload.size();
-  if (workers_.empty()) {  // serial mode: a batch of one, inline, in place
-    handle_batch(job, std::span<const Work>(&w, 1), payload, serial_scratch_);
-    return;
-  }
   {
     const std::lock_guard<std::mutex> lock(work_mu_);
     w.off = job.qbytes.size();
     job.qbytes.append(payload);
     job.q.push_back(w);
-    if (job.scheduled) return;  // its worker takes this frame in a batch
+    if (job.scheduled) return;  // whoever runs the job takes this in a batch
     job.scheduled = true;
     runnable_.push_back(&job);
   }
-  work_cv_.notify_one();
+  // With no workers the IO thread runs the job at the end of its pass.
+  if (!workers_.empty()) work_cv_.notify_one();
+}
+
+void Daemon::run_serial() {
+  // No workers: this thread runs their batch loop until no job is runnable.
+  if (!workers_.empty()) return;
+  std::unique_lock<std::mutex> lock(work_mu_);
+  while (run_next_job(0, io_batch_, lock)) {
+  }
 }
 
 void Daemon::stop_workers() {
@@ -240,64 +248,67 @@ void Daemon::stop_workers() {
   }
 }
 
-// --- worker side ------------------------------------------------------------
+// --- batch side -------------------------------------------------------------
 
 void Daemon::work(int me) {
-  std::vector<Work> batch;
-  std::string bytes;
-  live::FoldScratch scratch;
+  Batch b;
   std::unique_lock<std::mutex> lock(work_mu_);
   for (;;) {
     work_cv_.wait(lock, [this] { return !runnable_.empty() || workers_quit_; });
-    if (runnable_.empty()) return;  // quitting, and every queued frame ran
-    Job* job = runnable_.front();
-    runnable_.pop_front();
-    // The job stays scheduled until its queue is observed empty under
-    // work_mu_, so no other worker takes it meanwhile and job->st needs no
-    // lock.  An enqueue that saw it scheduled left its frame in job->q.
-    while (!job->q.empty()) {
-      // The job keeps the emptied buffers: both capacities pass back and
-      // forth, so a warm queue allocates nothing.
-      batch.swap(job->q);
-      bytes.swap(job->qbytes);
-      lock.unlock();
-      if (job->st.worker != me) {
-        if (job->st.worker >= 0) steals_.fetch_add(1, std::memory_order_relaxed);
-        job->st.worker = me;
-      }
-      handle_batch(*job, batch, bytes, scratch);
-      batch.clear();
-      bytes.clear();
-      lock.lock();
-    }
-    job->scheduled = false;
+    if (!run_next_job(me, b, lock)) return;  // quitting, and every item ran
   }
 }
 
-void Daemon::handle_batch(Job& job, std::span<const Work> batch,
-                          std::string_view bytes, live::FoldScratch& scratch) {
+bool Daemon::run_next_job(int me, Batch& b, std::unique_lock<std::mutex>& lock) {
+  if (runnable_.empty()) return false;
+  Job* job = runnable_.front();
+  runnable_.pop_front();
+  // The job stays scheduled until its queue is observed empty under
+  // work_mu_, so no other thread takes it meanwhile and job->st needs no
+  // lock.  An enqueue that saw it scheduled left its frame in job->q.
+  while (!job->q.empty()) {
+    // The job keeps the emptied buffers: both capacities pass back and
+    // forth, so a warm queue allocates nothing.
+    b.work.swap(job->q);
+    b.bytes.swap(job->qbytes);
+    lock.unlock();
+    if (job->st.worker != me) {
+      if (job->st.worker >= 0) steals_.fetch_add(1, std::memory_order_relaxed);
+      job->st.worker = me;
+    }
+    handle_batch(*job, b);
+    b.work.clear();
+    b.bytes.clear();
+    lock.lock();
+  }
+  job->scheduled = false;
+  return true;
+}
+
+void Daemon::handle_batch(Job& job, Batch& b) {
   JobState& st = job.st;
   bool any_frame = false;
   bool refresh = false;  // a quiet job's refresh item
-  for (const Work& w : batch) {
+  for (const Work& w : b.work) {
     any_frame = any_frame || w.kind == Work::Kind::kFrame;
     refresh = refresh || w.kind == Work::Kind::kRefresh;
   }
   if (st.spilled && any_frame) rehydrate_job(job);
   BatchOut out;
   out.job = &job;
-  out.folds.reserve(batch.size());
+  out.folds.reserve(b.work.size());
   bool replied = false;
   Clock::time_point next_flush = Clock::now() + kReplyFlushPeriod;
-  for (const Work& w : batch) {
+  for (const Work& w : b.work) {
     if (w.kind == Work::Kind::kSpill) {
-      // Re-check under worker exclusivity; a frame in the same batch means
+      // Re-check under batch exclusivity; a frame in the same batch means
       // the job is active again, so the spill request is stale.
       if (!any_frame && !st.ended && !st.spilled) spill_job(job);
       continue;
     }
     if (w.kind == Work::Kind::kRefresh) continue;
-    handle_frame(job, w, bytes.substr(w.off, w.len), scratch, out, replied);
+    handle_frame(job, w, std::string_view(b.bytes).substr(w.off, w.len), b.scratch,
+                 out, replied);
     if (replied && !workers_.empty() && Clock::now() >= next_flush) {
       if (claim_wake()) wake_io();
       next_flush = Clock::now() + kReplyFlushPeriod;
@@ -317,8 +328,8 @@ void Daemon::handle_batch(Job& job, std::span<const Work> batch,
     emit_due_job(job);
     st.last_emit_ms = nowm;
   }
-  // Serial mode runs this on the IO thread, which takes the outbox at the
-  // end of its pass.
+  // In serial mode this is the IO thread, which takes the outbox right after
+  // its batch loop.
   if (hand_over(std::move(out)) && !workers_.empty()) wake_io();
 }
 
@@ -540,10 +551,6 @@ void Daemon::accept_pending() {
   for (;;) {
     const int fd = live::net::accept_fd(listen_fd_);
     if (fd < 0) break;
-    if (opt_.session_sndbuf > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opt_.session_sndbuf,
-                   sizeof opt_.session_sndbuf);
-    }
     auto ses = std::make_unique<Session>();
     ses->id = ++last_session_id_;
     ses->fd = fd;
@@ -598,8 +605,8 @@ void Daemon::route_frame(Session& ses, const Frame& f) {
         if (it != jobs_.end()) job = it->second.get();
       }
       if (job == nullptr) {
-        // Unknown job: ack directly, nothing to end (seed behavior).  The
-        // IO thread takes the outbox at the end of its pass.
+        // Unknown job: ack directly, nothing to end (seed behavior).  This
+        // thread takes the outbox at the end of its pass.
         push_reply(ses.id, FrameType::kJobEndAck, f.job, 0, 0);
       } else {
         note_frame(*job, true);
@@ -784,7 +791,10 @@ void Daemon::apply_batch(BatchOut& b, Clock::time_point now) {
   }
   set_owes(job, !b.refreshed);
   job.last_batch = now;
-  if (b.ended) ++jobs_ended_;
+  if (b.ended) {
+    job.ended = true;
+    ++jobs_ended_;
+  }
 }
 
 void Daemon::set_owes(Job& job, bool owes) {
@@ -965,8 +975,9 @@ void Daemon::refresh_outputs(Clock::time_point now) {
 void Daemon::write_prom() {
   prom_writes_.fetch_add(1, std::memory_order_relaxed);
   // Each job's lines come rendered by its last refresh, so a rewrite only
-  // concatenates them, jobs in id order as the seed iterated its map.  The
-  // metrics of prom_items() have a fixed order; their names are taken once.
+  // concatenates them, jobs in id order as the seed iterated its map; a job
+  // whose first batch record is not taken yet has none.  The metrics of
+  // prom_items() have a fixed order; their names are taken once.
   static const std::vector<live::PromItem> kItems =
       live::prom_items(live::JobMerger(1.0), 0, /*up=*/true);
   const std::size_t items = jobs_.empty() ? 0 : kItems.size();
@@ -982,6 +993,7 @@ void Daemon::write_prom() {
   // Metric i of every job, under one HELP/TYPE block.
   const auto section = [this, &w](std::size_t i) {
     for (const auto& [id, job] : jobs_) {
+      if (job->prom_ends.empty()) continue;
       const std::size_t begin = i == 0 ? 0 : job->prom_ends[i - 1];
       w.lit(std::string_view(job->prom_text).substr(begin, job->prom_ends[i] - begin));
     }
@@ -1061,19 +1073,8 @@ void Daemon::drain_outbounds() {
 }
 
 void Daemon::shutdown_flush() {
-  // The workers are joined, so this thread ends each job as a worker would
-  // (the join ordered their writes before these reads), and takes what the
-  // ends left in the outbox before the fleet's last emission.
-  for (auto& [id, job] : jobs_) {
-    if (job->st.ended) continue;
-    if (job->st.spilled) rehydrate_job(*job);  // reopen for the end line
-    BatchOut out;
-    out.job = job.get();
-    end_job(*job, out);
-    refresh_job(*job, out);
-    hand_over(std::move(out));
-  }
-  take_outbox(/*write=*/false);
+  // Every job ended through its queue, and its batch records are taken: the
+  // fleet's last emission.
   std::vector<live::ClusterPoint> pts;
   fleet_.emit_all(static_cast<int>(jobs_.size()), pts);
   for (const live::ClusterPoint& p : pts) {
@@ -1087,8 +1088,9 @@ void Daemon::run() {
   std::vector<epoll_event> evs(128);
   for (;;) {
     run_due(Clock::now());
-    // Each pass ends by taking the outbox: the workers' output, and in
-    // serial mode that of every batch the pass ran inline.
+    // Serial mode runs what this pass queued (routed frames, run_due's
+    // items); each pass ends by taking the outbox.
+    run_serial();
     take_outbox(/*write=*/true);
     if (stop_.load(std::memory_order_relaxed)) break;
     if (opt_.exit_after_jobs > 0 && jobs_ended_ >= opt_.exit_after_jobs) break;
@@ -1122,9 +1124,17 @@ void Daemon::run() {
       }
     }
   }
-  // Workers finish every queued frame before they exit.
+  // Each job not known to have ended ends through its queue (a spilled one
+  // reopens its stream in that batch), and every queued item runs.
+  for (auto& [id, job] : jobs_) {
+    if (job->ended) continue;
+    Work w;
+    w.type = FrameType::kJobEnd;
+    enqueue(*job, w);
+  }
+  run_serial();
   stop_workers();
-  take_outbox(/*write=*/false);  // their last replies, for drain_outbounds
+  take_outbox(/*write=*/false);  // the last replies and batch records
   drain_outbounds();
   shutdown_flush();
   write_prom();

@@ -14,36 +14,36 @@
 // <sanitized id>~<16 hex digits of its hash>, so no two jobs, and no job
 // and the fleet stream, share a file.
 //
-// Architecture (fleet scale): one epoll (level-triggered) IO thread
-// accepts connections, reads/decodes frames, and routes each frame to its
-// job's FIFO frame queue.  Every piece of state has one owning thread, and
-// the IO thread and the worker threads meet at two places: the work queue
-// and the outbox.  The work queue is one FIFO of runnable jobs: a worker
-// pops a job and applies its frames until the job's queue is empty, and a
-// scheduled flag keeps every other worker off that job meanwhile, so per-job
-// state — the JobMerger, rank epochs, the output stream — belongs to one
-// thread at a time and needs no lock of its own.  A queued frame is bytes:
-// its header fields sit in the job's frame queue and its payload in the
-// job's byte queue beside it, and a worker swaps both out per batch, so
-// their capacity passes back and forth.  The outbox carries back everything
-// a batch produced: its replies, encoded in place into the outbox's reply
-// bytes and queued at once; and at the batch's end its sample folds
-// (live::fold_sample_line, made once per sample straight from the payload
-// bytes; flat, their region flops in one vector per batch) with new and
-// finalized composite ranks, the job's freshly rendered exposition lines,
-// and whether it ended the job.  The IO thread owns the sessions, the fleet
-// merger, the fleet stream and the exposition: it takes the outbox at the
-// end of each pass (swapping its buffers too), copies each reply into its
-// session's write buffer (ids are never reused, so a reply whose session is
-// gone is dropped), then folds the fleet.  Serial mode (no workers) applies
-// frames inline on the IO thread, from the decoded frame's own bytes, and
-// fills the same outbox.  Warm, the daemon makes well under one heap
-// allocation per frame on either side.  A client that stops reading is
-// disconnected on a bounded stall budget and counted, never blocks the
-// daemon.  A job's JSONL is its one on-disk format: an idle job's spill
-// closes that stream and keeps its merge state and rank epochs in memory,
-// and its next frame reopens the stream in append mode.  An ended job
-// closes its stream after the end line.
+// Architecture (fleet scale): one epoll (level-triggered) IO thread accepts
+// connections, reads/decodes frames, and routes each frame to its job's FIFO
+// frame queue.  Every piece of state has one owning thread, and the IO thread
+// and the worker threads meet at two places: the work queue and the outbox.
+// The work queue is one FIFO of runnable jobs: a worker pops a job and runs
+// batches of its frames until the job's queue is empty, and a scheduled flag
+// keeps every other thread off that job meanwhile, so per-job state — the
+// JobMerger, rank epochs, the output stream — belongs to one thread at a time
+// and needs no lock of its own.  Once created, a job is reached only through
+// its queue, at shutdown too.  A queued frame is bytes: its header fields sit
+// in the job's frame queue and its payload in the job's byte queue beside it,
+// and a batch swaps both out, so their capacity passes back and forth.  The
+// outbox carries back everything a batch produced: its replies, encoded in
+// place into the outbox's reply bytes and queued at once; and at the batch's
+// end its sample folds (live::fold_sample_line, made once per sample straight
+// from the payload bytes; flat, their region flops in one vector per batch)
+// with new and finalized composite ranks, the job's freshly rendered
+// exposition lines, and whether it ended the job.  The IO thread owns the
+// sessions, the fleet merger, the fleet stream and the exposition: it takes
+// the outbox at the end of each pass (swapping its buffers too), copies each
+// reply into its session's write buffer (ids are never reused, so a reply
+// whose session is gone is dropped), then folds the fleet.  Serial mode (no
+// workers) runs the same batch loop on the IO thread at the end of each pass,
+// so a serial batch holds every frame its job received in that pass.  Warm,
+// the daemon makes well under one heap allocation per frame on either side.
+// A client that stops reading is disconnected on a bounded stall budget and
+// counted, never blocks the daemon.  A job's JSONL is its one on-disk format:
+// an idle job's spill closes that stream and keeps its merge state and rank
+// epochs in memory, and its next frame reopens the stream in append mode.  An
+// ended job closes its stream after the end line.
 //
 // Outputs are brought up to date at most once per 1 s floor.  A batch
 // refreshes its job (due points into the JSONL, then the exposition lines)
@@ -82,7 +82,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -108,8 +107,8 @@ struct Options {
   std::vector<std::string> tails;
   /// Exit run() once this many jobs ended (0 = run until stop()).
   int exit_after_jobs = 0;
-  /// Worker threads: <0 auto-sizes from the host, 0 runs serial (frames
-  /// applied inline on the IO thread), >0 is an explicit pool size.
+  /// Worker threads: <0 auto-sizes from the host, 0 runs serial (the IO
+  /// thread runs every batch), >0 is an explicit pool size.
   int workers = -1;
   /// Close an idle job's JSONL stream after this much idle wall time in
   /// milliseconds (0 = never spill); its next frame reopens it.
@@ -118,9 +117,6 @@ struct Options {
   std::size_t session_outbuf_max = 8u << 20;
   /// Disconnect a session blocked on writes for this long (milliseconds).
   int stall_ms = 5000;
-  /// SO_SNDBUF for accepted sockets (0 = kernel default; tests shrink it
-  /// to exercise the stall budget).
-  int session_sndbuf = 0;
 };
 
 /// Per-(job, rank) transport/resume state.
@@ -144,9 +140,9 @@ class Daemon {
   /// `err` on failure.
   [[nodiscard]] bool start(std::string& err);
 
-  /// Serve until stop() or `exit_after_jobs` jobs ended.  Lets the workers
-  /// finish every queued frame, then stops them and flushes every open job
-  /// and the fleet stream before returning.
+  /// Serve until stop() or `exit_after_jobs` jobs ended.  Then ends every
+  /// open job through its queue, lets the workers finish every queued item,
+  /// stops them and ends the fleet stream before returning.
   void run();
 
   /// Signal run() to return and wake it (callable from any thread and from
@@ -215,10 +211,8 @@ class Daemon {
   };
 
   /// A frame to apply, an idle job's spill, or a quiet job's refresh.  A
-  /// frame's payload (SAMPLE and RANK_FIN: the ones a worker reads) is bytes
-  /// [off, off + len) of the bytes its batch runs over — its job's byte
-  /// queue, or in serial mode the decoded frame's payload; its job id is the
-  /// job's.
+  /// frame's payload (SAMPLE and RANK_FIN: the ones a batch reads) is bytes
+  /// [off, off + len) of its job's byte queue; its job id is the job's.
   struct Work {
     enum class Kind { kFrame, kSpill, kRefresh };
     Kind kind = Kind::kFrame;
@@ -255,8 +249,15 @@ class Daemon {
     bool ended = false;  ///< the batch ended the job
   };
 
-  /// Worker-exclusive job state (scheduled flag: at most one worker runs
-  /// the job at a time, so no lock needed).
+  /// A batch's buffers (each worker's, and the IO thread's in serial mode).
+  struct Batch {
+    std::vector<Work> work;
+    std::string bytes;
+    live::FoldScratch scratch;
+  };
+
+  /// Batch-exclusive job state (scheduled flag: one batch of the job at a
+  /// time, so no lock needed) once get_or_create_job has opened the stream.
   struct JobState {
     std::ofstream out;
     live::JobMerger merger{1.0};  ///< get_or_create_job sets the interval
@@ -279,11 +280,13 @@ class Daemon {
     /// spill candidate (spilled, ended, never active or spill off).
     std::int64_t last_frame_ms = -1;
     // IO thread: the job's exposition lines as its last refresh rendered
-    // them (`prom_ends[i]` ends the lines of metric i); whether its last
-    // batch left it owing a refresh, and when that batch's output was taken.
+    // them (`prom_ends[i]` ends the lines of metric i; none before its first
+    // batch record); whether it owes a refresh, and when its last batch's
+    // output was taken.
     std::string prom_text;
     std::vector<std::size_t> prom_ends;
     bool owes = false;
+    bool ended = false;  ///< a taken batch record ended the job
     Clock::time_point last_batch{};
     JobState st;
   };
@@ -321,12 +324,13 @@ class Daemon {
   Job& get_or_create_job(const std::string& id, const std::string& command,
                          double interval);
   void enqueue(Job& job, Work w, std::string_view payload = {});
+  void run_serial();
   void stop_workers();
 
-  // --- worker side (exclusive per job via the scheduled flag) ---------------
+  // --- batch side (exclusive per job via the scheduled flag) ----------------
   void work(int me);
-  void handle_batch(Job& job, std::span<const Work> batch, std::string_view bytes,
-                    live::FoldScratch& scratch);
+  bool run_next_job(int me, Batch& b, std::unique_lock<std::mutex>& lock);
+  void handle_batch(Job& job, Batch& b);
   void handle_frame(Job& job, const Work& w, std::string_view payload,
                     live::FoldScratch& scratch, BatchOut& out, bool& replied);
   void apply_sample(Job& job, RankState& rs, const Work& w, std::string_view line,
@@ -368,7 +372,7 @@ class Daemon {
   std::vector<Reply> taken_replies_;
   std::vector<BatchOut> taken_batches_;
   std::vector<Session*> replied_;  ///< sessions the taken replies went to
-  live::FoldScratch serial_scratch_;  ///< serial mode's fold storage
+  Batch io_batch_;  ///< the IO thread's batch buffers (serial mode)
   std::uint64_t fleet_next_base_ = 0;
   live::JobMerger fleet_;
   std::ofstream fleet_out_;

@@ -65,13 +65,9 @@ class SocketSink final : public SampleSink {
     Pending p;
     p.rank = static_cast<std::uint32_t>(s.rank);
     p.epoch = next_epoch(p.rank);
-    wire::Frame f;
-    f.type = wire::FrameType::kSample;
-    f.rank = p.rank;
-    f.epoch = p.epoch;
-    f.job = job_;
-    f.payload = sample_line(s);
-    p.bytes = wire::encode(f);
+    const std::string line = sample_line(s);
+    p.bytes.reserve(4 + wire::kHeaderBytes + job_.size() + line.size());
+    wire::encode_to(p.bytes, wire::FrameType::kSample, job_, p.rank, p.epoch, line);
     if (state_ == State::kStreaming) outbuf_ += p.bytes;
     unacked_.push_back(std::move(p));
     if (chaos_kill_every_ > 0 && ++chaos_count_ >= chaos_kill_every_) {
@@ -85,13 +81,8 @@ class SocketSink final : public SampleSink {
     Pending p;
     p.rank = static_cast<std::uint32_t>(rank);
     p.epoch = next_epoch(p.rank);
-    wire::Frame f;
-    f.type = wire::FrameType::kRankFin;
-    f.rank = p.rank;
-    f.epoch = p.epoch;
-    f.job = job_;
-    f.payload = wire::rank_fin_payload(samples, drops);
-    p.bytes = wire::encode(f);
+    wire::encode_to(p.bytes, wire::FrameType::kRankFin, job_, p.rank, p.epoch,
+                    wire::rank_fin_payload(samples, drops));
     if (state_ == State::kStreaming) outbuf_ += p.bytes;
     unacked_.push_back(std::move(p));
   }
@@ -108,10 +99,7 @@ class SocketSink final : public SampleSink {
       pump();
       if (state_ == State::kStreaming && outbuf_.empty() && unacked_.empty() &&
           !job_end_sent_) {
-        wire::Frame f;
-        f.type = wire::FrameType::kJobEnd;
-        f.job = job_;
-        outbuf_ += wire::encode(f);
+        wire::encode_to(outbuf_, wire::FrameType::kJobEnd, job_, 0, 0, {});
         job_end_sent_ = true;
         write_out();
       }
@@ -244,11 +232,9 @@ class SocketSink final : public SampleSink {
         disconnect();
         return;
       }
-      wire::Frame hello;
-      hello.type = wire::FrameType::kHello;
-      hello.job = job_;
-      hello.payload = wire::hello_payload(command_, interval_);
-      outbuf_ = wire::encode(hello);
+      outbuf_.clear();
+      wire::encode_to(outbuf_, wire::FrameType::kHello, job_, 0, 0,
+                      wire::hello_payload(command_, interval_));
       state_ = State::kAwaitWelcome;
     }
     // Read daemon frames (WELCOME / ACK / JOB_END_ACK).  Frames received in

@@ -34,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -46,10 +47,13 @@
 
 namespace ipm::live {
 
+/// KeyDelta::name of a delta that has no interned id: its name is name_str.
+inline constexpr NameId kNoName = std::numeric_limits<NameId>::max();
+
 /// Per-(name, region, select) delta between two consecutive samples.
 struct KeyDelta {
-  NameId name = 0;          ///< in-process samples; 0 after a file read
-  std::string name_str;     ///< resolved on serialize / file read
+  NameId name = kNoName;    ///< interned id (in-process samples only)
+  std::string name_str;     ///< the name where `name` is kNoName (read back)
   std::uint32_t region = 0;
   std::int32_t select = 0;
   std::uint64_t dcount = 0;

@@ -1,14 +1,17 @@
 // Internals shared across ipm_live's sources: the publisher registry the
-// publisher seam and the collector thread share, and the one scan of the
-// sample-line grammar that parse_sample_line and fold_sample_line read with.
+// publisher seam and the collector thread share, a delta's name, and the one
+// scan of the sample-line grammar that parse_sample_line and
+// fold_sample_line read with.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "ipm_live/live.hpp"
 #include "simcommon/jsonl.hpp"
 
 namespace ipm::live {
@@ -16,6 +19,11 @@ namespace ipm::live {
 class LivePublisher;
 
 namespace detail {
+
+/// A delta's name: its interned one, else name_str, which may be empty.
+[[nodiscard]] inline const std::string& delta_name(const KeyDelta& d) {
+  return d.name == kNoName ? d.name_str : name_of(d.name);
+}
 
 /// Process-wide publisher registry.  Every member is guarded by `mu`; the
 /// collector holds `mu` for a whole scan, so removing/deleting a publisher

@@ -73,8 +73,8 @@ SampleFold fold_sample(const Sample& s, RegionFlops& region_flops) {
   f.dev_bytes = s.ddev_bytes;
   IndexName index_name;
   for (const KeyDelta& d : s.deltas) {
-    fold_delta(f, region_flops, d.name_str.empty() ? name_of(d.name) : d.name_str,
-               d.dcount, d.dbytes, d.dtsum, d.dflops, [&]() -> std::string_view {
+    fold_delta(f, region_flops, detail::delta_name(d), d.dcount, d.dbytes, d.dtsum,
+               d.dflops, [&]() -> std::string_view {
                  return d.region < s.regions.size() ? s.regions[d.region]
                                                     : index_name(d.region);
                });

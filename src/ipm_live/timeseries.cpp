@@ -14,14 +14,6 @@
 
 namespace ipm::live {
 
-namespace {
-
-const std::string& delta_name(const KeyDelta& d) {
-  return d.name_str.empty() ? name_of(d.name) : d.name_str;
-}
-
-}  // namespace
-
 std::string timeseries_path(const Config& cfg) {
   if (!cfg.timeseries_path.empty()) return cfg.timeseries_path;
   if (!cfg.log_path.empty()) {
@@ -60,7 +52,7 @@ std::string sample_line(const Sample& s) {
   for (std::size_t i = 0; i < s.deltas.size(); ++i) {
     const KeyDelta& d = s.deltas[i];
     if (i != 0) w.lit(",");
-    w.lit("{\"n\":").str(delta_name(d)).lit(",\"r\":").num(d.region);
+    w.lit("{\"n\":").str(detail::delta_name(d)).lit(",\"r\":").num(d.region);
     w.lit(",\"s\":").num(d.select).lit(",\"c\":").num(d.dcount);
     w.lit(",\"b\":").num(d.dbytes).lit(",\"t\":").num(d.dtsum);
     if (d.dflops != 0.0) w.lit(",\"f\":").num(d.dflops);

@@ -11,10 +11,12 @@
 // applied, each counted), a delta with an empty name (applied), and two
 // concurrent jobs multiplexed into one daemon, whose fleet stream's points
 // sum the jobs' points.  File-side
-// checks follow: ended jobs release their JSONL descriptor, no job shares a
-// file with another job or with the fleet stream, a failed exposition write
-// keeps the previous exposition, and a failed fleet time-series write is
-// reported.
+// checks follow: a tailed file is never its own job's output, however its
+// path is spelled, a job's exposition lines wait for its first batch,
+// ended jobs release their JSONL descriptor, no job shares
+// a file with another job or with the fleet stream, a failed exposition
+// write keeps the previous exposition, and a failed fleet time-series write
+// is reported.
 // The last three guard the event-driven IO loop against lost wake-ups: an
 // idle daemon answers every round trip at once, a quiet job's outputs catch
 // up while it runs, and the daemon stops when told to.
@@ -117,6 +119,97 @@ TEST(Aggd, TailFallbackConservesFinishedStream) {
   EXPECT_EQ(ranks->size(), 4u);
   for (const auto& [rank, rs] : *ranks) EXPECT_TRUE(rs.finalized) << rank;
   EXPECT_EQ(d.protocol_errors(), 0u);
+}
+
+/// The redirect compares files, not path strings: tailed as
+/// <dir>/./x_timeseries.jsonl with out_dir <dir>, the file is the one the
+/// job's output would be.  It keeps its bytes, and the job writes
+/// x_agg_timeseries.jsonl with every sample line the file holds.  (Compared
+/// as strings, the daemon truncated its own input and wrote over it.)
+TEST(Aggd, TailUnderAnotherSpellingIsNotOverwritten) {
+  const std::string dir = test_dir("aggd_tail_spelling");
+  const std::string ts_path = dir + "/x_timeseries.jsonl";
+  std::string input = ipm::live::timeseries_header_line("./x", 0.5) + '\n';
+  for (int k = 0; k < 6; ++k) {
+    input += ipm::live::sample_line(make_sample(k % 2, static_cast<std::uint64_t>(k / 2),
+                                                0.5 * (k / 2), 0.5 * (k / 2 + 1),
+                                                "MPI_Allreduce", 1 + k, 64, 0.125 * k)) +
+             '\n';
+  }
+  input += ipm::live::end_line(3) + '\n';
+  std::ofstream(ts_path) << input;
+
+  ipm::aggd::Options opt;
+  opt.out_dir = dir;
+  opt.tails = {dir + "/./x_timeseries.jsonl"};
+  opt.fleet_interval = 0.5;
+  ipm::aggd::Daemon d(opt);
+  std::string err;
+  ASSERT_TRUE(d.start(err)) << err;
+  d.run();
+  EXPECT_EQ(slurp(ts_path), input);
+  const std::string out = d.job_timeseries_path("x");
+  EXPECT_EQ(out, dir + "/x_agg_timeseries.jsonl");
+  const ipm::live::TimeSeries want = ipm::live::read_timeseries_file(ts_path);
+  const ipm::live::TimeSeries got = ipm::live::read_timeseries_file(out);
+  ASSERT_EQ(got.samples.size(), want.samples.size());
+  for (std::size_t i = 0; i < want.samples.size(); ++i) {
+    EXPECT_EQ(ipm::live::sample_line(got.samples[i]),
+              ipm::live::sample_line(want.samples[i]));
+  }
+  for (const int rank : {0, 1}) {
+    const auto got_fold = fold_rank(got.samples, rank);
+    const auto want_fold = fold_rank(want.samples, rank);
+    ASSERT_EQ(got_fold.size(), want_fold.size());
+    for (const auto& [key, f] : want_fold) {
+      const auto it = got_fold.find(key);
+      ASSERT_NE(it, got_fold.end());
+      EXPECT_EQ(it->second.count, f.count);
+      EXPECT_EQ(it->second.bytes, f.bytes);
+      EXPECT_EQ(it->second.tsum, f.tsum);  // bit-exact
+    }
+  }
+  EXPECT_EQ(d.protocol_errors(), 0u);
+}
+
+/// A job's exposition lines come from its first batch.  A tailed file that
+/// holds only its header creates the job and queues nothing, so while the
+/// daemon runs, the exposition counts the job and the rewrite leaves its
+/// lines out; at shutdown the job ends through its queue, and its lines and
+/// its end line appear.
+TEST(Aggd, JobWithoutABatchStaysOutOfTheExposition) {
+  for (const int workers : {0, 4}) {
+    SCOPED_TRACE(workers);
+    const std::string dir = test_dir("aggd_no_batch" + std::to_string(workers));
+    const std::string ts_path = dir + "/quiet_timeseries.jsonl";
+    const std::string prom_path = dir + "/ipm_agg.prom";
+    std::ofstream(ts_path) << ipm::live::timeseries_header_line("./quiet", 0.5) << '\n';
+    ipm::aggd::Options opt;
+    opt.out_dir = dir;
+    opt.tails = {ts_path};
+    opt.workers = workers;
+    DaemonRunner runner(opt);
+    ASSERT_TRUE(runner.start());
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::string prom;
+    while (prom.find("\nipm_agg_jobs 1\n") == std::string::npos &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      prom = slurp(prom_path);
+    }
+    EXPECT_NE(prom.find("\nipm_agg_jobs 1\n"), std::string::npos) << prom;
+    EXPECT_EQ(prom.find(R"({job="quiet")"), std::string::npos) << prom;
+    runner.d.stop();
+    runner.join();
+    prom = slurp(prom_path);
+    EXPECT_NE(prom.find("\nipm_agg_jobs_ended 1\n"), std::string::npos) << prom;
+    EXPECT_NE(prom.find(R"({job="quiet"})"), std::string::npos) << prom;
+    std::ifstream in(runner.d.job_timeseries_path("quiet"));
+    std::string line;
+    std::string last;
+    while (std::getline(in, line)) last = line;
+    EXPECT_EQ(last, ipm::live::end_line(0));
+  }
 }
 
 /// A garbage line spliced into the middle of a tailed file is one counted
@@ -393,10 +486,9 @@ TEST(Aggd, SampleWithAnEmptyNameIsApplied) {
                            ipm::live::wire::hello_payload("./empty", 0.5)));
   ASSERT_TRUE(read_frame(fd, dec, f));
   ASSERT_EQ(f.type, FrameType::kWelcome);
-  // sample_line() itself would write name_of(0) for an empty name_str.
-  std::string line =
-      ipm::live::sample_line(make_sample(0, 0, 0.0, 0.5, "X", 2, 64, 0.25));
-  line.replace(line.find(R"("n":"X")"), 7, R"("n":"")");
+  const std::string line =
+      ipm::live::sample_line(make_sample(0, 0, 0.0, 0.5, "", 2, 64, 0.25));
+  ASSERT_NE(line.find(R"("n":"")"), std::string::npos);
   send_all(fd, frame_bytes(FrameType::kSample, "empty", 0, 1, line));
   ASSERT_TRUE(read_frame(fd, dec, f));
   ASSERT_EQ(f.type, FrameType::kAck);

@@ -1,6 +1,7 @@
 // ipm_aggd sharded-daemon concurrency wall (ISSUE 7 satellites): many jobs
 // connecting / chaos-killing / reconnect-replaying simultaneously across
-// explicit worker threads, clean shutdown with in-flight sessions, the
+// explicit worker threads, clean shutdown with in-flight sessions and
+// spilled jobs (serial and with workers), the
 // worker chaos matrix (job arriving during drain, spill
 // rehydration mid-reconnect, JOB_END racing a kill), and the slow-client
 // stall budget.  Designed to run under TSan: the assertions only touch
@@ -218,77 +219,106 @@ TEST(AggdConcurrency, ManyJobsKillReconnectReplayAcrossWorkers) {
 
 // --- clean shutdown with in-flight sessions ---------------------------------
 
-/// stop() while eight sessions are mid-stream (hello + samples, no fin):
-/// the daemon drains its workers, finalizes every known rank, and writes a
-/// consistent JSONL for each job — nothing is lost, nothing applied twice.
+/// stop() while eight sessions are mid-stream (hello + samples, no fin) and
+/// every job is spilled: each job ends through its queue, which reopens its
+/// stream, finalizes every known rank and writes a consistent JSONL ending
+/// in its end line — nothing is lost, nothing applied twice.  Serial and
+/// with four workers.
 TEST(AggdConcurrency, CleanShutdownWithInflightSessions) {
-  const std::string dir = test_dir("aggd_conc_shutdown");
-  const std::string sock = "unix:" + dir + "/agg.sock";
   constexpr int kJobs = 8;
   constexpr int kRanks = 4;
   constexpr int kSent = 3;
-  ipm::aggd::Options opt;
-  opt.listen = sock;
-  opt.out_dir = dir;
-  opt.workers = 4;
-  DaemonRunner runner(opt);
-  ASSERT_TRUE(runner.start());
+  for (const int workers : {0, 4}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    const std::string dir = test_dir("aggd_conc_shutdown_" + std::to_string(workers));
+    const std::string sock = "unix:" + dir + "/agg.sock";
+    ipm::aggd::Options opt;
+    opt.listen = sock;
+    opt.out_dir = dir;
+    opt.workers = workers;
+    opt.spill_idle_ms = 30;
+    DaemonRunner runner(opt);
+    ASSERT_TRUE(runner.start());
 
-  std::atomic<int> streamed{0};
-  std::atomic<bool> release{false};
-  std::vector<std::thread> clients;
-  for (int j = 0; j < kJobs; ++j) {
-    clients.emplace_back([&, j] {
-      const std::string job = "inflight-" + std::to_string(j);
-      const int fd = connect_block(sock);
-      if (fd < 0) return;
-      Decoder dec;
-      Frame f;
-      if (!try_send(fd, frame_bytes(FrameType::kHello, job, 0, 0,
-                                    ipm::live::wire::hello_payload("./s", 0.5))))
-        return;
-      if (!read_frame(fd, dec, f)) return;
-      for (int k = 0; k < kSent; ++k) {
-        for (int r = 0; r < kRanks; ++r) {
-          if (!try_send(fd, sample_bytes(job, truth_sample(r, k)))) return;
+    std::atomic<int> streamed{0};
+    std::atomic<bool> release{false};
+    std::vector<std::thread> clients;
+    for (int j = 0; j < kJobs; ++j) {
+      clients.emplace_back([&, j] {
+        const std::string job = "inflight-" + std::to_string(j);
+        const int fd = connect_block(sock);
+        if (fd < 0) return;
+        Decoder dec;
+        Frame f;
+        if (!try_send(fd, frame_bytes(FrameType::kHello, job, 0, 0,
+                                      ipm::live::wire::hello_payload("./s", 0.5))))
+          return;
+        if (!read_frame(fd, dec, f)) return;
+        for (int k = 0; k < kSent; ++k) {
+          for (int r = 0; r < kRanks; ++r) {
+            if (!try_send(fd, sample_bytes(job, truth_sample(r, k)))) return;
+          }
         }
-      }
-      bool all = true;
-      for (int r = 0; r < kRanks; ++r) {
-        all = all &&
-              wait_acked(fd, dec, job, static_cast<std::uint32_t>(r), kSent);
-      }
-      if (all) streamed.fetch_add(1, std::memory_order_relaxed);
-      // Hold the session open (in-flight, no fin/end) until the daemon is
-      // being shut down under us.
-      while (!release.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      ipm::live::net::close_fd(fd);
-    });
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (streamed.load(std::memory_order_relaxed) < kJobs &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(streamed.load(), kJobs);
-  runner.d.stop();  // sessions still connected
-  runner.join();
-  release.store(true, std::memory_order_relaxed);
-  for (std::thread& t : clients) t.join();
-
-  for (int j = 0; j < kJobs; ++j) {
-    const std::string job = "inflight-" + std::to_string(j);
-    const auto* ranks = runner.d.job_ranks(job);
-    ASSERT_NE(ranks, nullptr) << job;
-    ASSERT_EQ(ranks->size(), static_cast<std::size_t>(kRanks));
-    for (const auto& [rank, rs] : *ranks) {
-      EXPECT_TRUE(rs.finalized) << "shutdown_flush finalizes in-flight ranks";
-      EXPECT_EQ(rs.samples, static_cast<std::uint64_t>(kSent));
+        bool all = true;
+        for (int r = 0; r < kRanks; ++r) {
+          all = all &&
+                wait_acked(fd, dec, job, static_cast<std::uint32_t>(r), kSent);
+        }
+        if (all) streamed.fetch_add(1, std::memory_order_relaxed);
+        // Hold the session open (in-flight, no fin/end) until the daemon is
+        // being shut down under us.
+        while (!release.load(std::memory_order_relaxed)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        ipm::live::net::close_fd(fd);
+      });
     }
-    expect_truth_conserved(runner.d.job_timeseries_path(job), kRanks, kSent);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (streamed.load(std::memory_order_relaxed) < kJobs &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(streamed.load(), kJobs);
+    // Every job idles into a spill.  Its frames are all acked, so none
+    // reopens it again before stop(); a job that idled between its HELLO
+    // and its samples spilled and reopened once more.
+    std::uint64_t spilled = 0;
+    while (spilled < kJobs && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      const std::uint64_t reopened = runner.d.rehydrations();
+      spilled = runner.d.spills() - reopened;
+    }
+    ASSERT_EQ(spilled, static_cast<std::uint64_t>(kJobs));
+    runner.d.stop();  // sessions still connected
+    runner.join();
+    release.store(true, std::memory_order_relaxed);
+    for (std::thread& t : clients) t.join();
+
+    EXPECT_GE(runner.d.rehydrations(), static_cast<std::uint64_t>(kJobs));
+    EXPECT_NE(slurp(runner.d.prom_path())
+                  .find("\nipm_agg_jobs_ended " + std::to_string(kJobs) + "\n"),
+              std::string::npos);
+    for (int j = 0; j < kJobs; ++j) {
+      const std::string job = "inflight-" + std::to_string(j);
+      const auto* ranks = runner.d.job_ranks(job);
+      ASSERT_NE(ranks, nullptr) << job;
+      ASSERT_EQ(ranks->size(), static_cast<std::size_t>(kRanks));
+      for (const auto& [rank, rs] : *ranks) {
+        EXPECT_TRUE(rs.finalized) << "shutdown ends in-flight jobs, ranks and all";
+        EXPECT_EQ(rs.samples, static_cast<std::uint64_t>(kSent));
+      }
+      const std::string path = runner.d.job_timeseries_path(job);
+      std::ifstream in(path);
+      std::string line;
+      std::string last;
+      while (std::getline(in, line)) last = line;
+      ipm::live::TimeSeries ignored;
+      EXPECT_EQ(ipm::live::parse_timeseries_line(last, ignored),
+                ipm::live::LineKind::kEnd)
+          << job << ": " << last;
+      expect_truth_conserved(path, kRanks, kSent);
+    }
   }
 }
 
@@ -577,8 +607,7 @@ TEST(AggdConcurrency, StalledClientIsDisconnectedNotBlocking) {
   opt.listen = sock;
   opt.out_dir = dir;
   opt.workers = 2;
-  opt.stall_ms = 150;          // tight budget so the test is fast
-  opt.session_sndbuf = 4096;   // tiny socket buffer: acks back up quickly
+  opt.stall_ms = 150;  // tight budget so the test is fast
   opt.session_outbuf_max = 1u << 20;
   DaemonRunner runner(opt);
   ASSERT_TRUE(runner.start());

@@ -500,6 +500,21 @@ TEST(Wire, SampleFoldReadsWhatTheSampleReaderReads) {
   }
 }
 
+/// A delta named "" read back from a line keeps that name: the parse
+/// re-encodes to the line, and folds as the line does.  (An empty name_str
+/// used to mean "in-process sample: look up NameId 0", which renamed the
+/// delta or threw where nothing was interned.)
+TEST(Wire, AnEmptyDeltaNameReadsBackAsItself) {
+  std::string line = ipm::live::sample_line(golden_sample());
+  const std::string named = R"("n":"MPI_Send")";
+  line.replace(line.find(named), named.size(), R"("n":"")");
+  ipm::live::Sample parsed;
+  ASSERT_TRUE(ipm::live::parse_sample_line(line, parsed));
+  EXPECT_EQ(ipm::live::sample_line(parsed), line);
+  ipm::live::FoldScratch scratch;
+  expect_fold_matches_parse(line, scratch);
+}
+
 /// Pinned byte for byte: every optional field, doubles needing all 17
 /// digits, -0, and a region name holding '"' and '\\'.
 ipm::live::ClusterPoint golden_point() {
