@@ -1,13 +1,8 @@
 #include "ipm/trace.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <concepts>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -16,6 +11,7 @@
 #include <utility>
 
 #include "ipm/monitor.hpp"
+#include "simcommon/outfile.hpp"
 #include "simcommon/str.hpp"
 
 namespace ipm {
@@ -34,46 +30,6 @@ constexpr std::uint32_t kVersion = 1;
 /// One span on disk: t0, dur, name index, region index, bytes, select, err,
 /// kind — each field stored on its own, so no padding reaches the file.
 constexpr std::size_t kRecordBytes = 8 + 8 + 4 + 4 + 8 + 4 + 4 + 1;
-
-/// Output file whose every write and the close are checked: a full disk
-/// fails the flush instead of leaving a silently truncated file (an
-/// ofstream reports the last buffer's write error only to its destructor).
-class OutFile {
- public:
-  explicit OutFile(const std::string& path)
-      : path_(path),
-        fd_(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666)) {
-    if (fd_ < 0) fail("cannot open");
-  }
-  ~OutFile() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  OutFile(const OutFile&) = delete;
-  OutFile& operator=(const OutFile&) = delete;
-
-  void write(std::string_view buf) {
-    while (!buf.empty()) {
-      const ssize_t n = ::write(fd_, buf.data(), buf.size());
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) fail("write failed for");
-      buf.remove_prefix(static_cast<std::size_t>(n));
-    }
-  }
-
-  void close() {
-    if (::close(std::exchange(fd_, -1)) != 0) fail("close failed for");
-  }
-
- private:
-  [[noreturn]] void fail(const char* what) const {
-    const std::string reason = std::strerror(errno);  // before anything resets errno
-    throw std::runtime_error(std::string("ipm: ") + what + " trace file '" + path_ +
-                             "': " + reason);
-  }
-
-  std::string path_;
-  int fd_;
-};
 
 /// Little-endian byte order, one byte at a time: the file reads the same on
 /// any host, and compilers fold each loop into one plain load or store.
@@ -157,7 +113,7 @@ std::string trace_file_path(const std::string& prefix, int rank) {
 
 void write_trace_file(const std::string& path, const TraceRing& ring,
                       const RankProfile& p) {
-  OutFile file(path);
+  simx::OutFile file(path, simx::OutFile::Mode::kTruncate);
   const std::size_t n = ring.size();
   // The name table holds only the NameIds the ring references, in first-use
   // order.

@@ -7,7 +7,8 @@
 // is batch-exclusive (scheduled flag), and a job's queue is the only way
 // into it, at shutdown too; the IO thread owns the sessions, the fleet
 // merger and the exposition, and takes the outbox at the end of each pass.
-// Idle jobs close their JSONL stream, quiet jobs' outputs catch up, and slow
+// A batch puts its job's lines on disk with one checked append, so no job
+// file stays open between batches; quiet jobs' outputs catch up, and slow
 // clients are disconnected on a bounded stall budget.  The IO thread waits
 // on its sockets, the worker eventfd and its nearest deadline.
 #include "ipm_aggd/aggd.hpp"
@@ -31,6 +32,7 @@
 #include "aggd_util.hpp"
 #include "ipm_live/live.hpp"
 #include "simcommon/jsonl.hpp"
+#include "simcommon/outfile.hpp"
 
 namespace ipm::aggd {
 
@@ -46,8 +48,6 @@ using detail::tail_job_id;
 
 namespace {
 
-/// Job::last_frame_ms sentinel: not a spill candidate until its next frame.
-constexpr std::int64_t kInactive = -1;
 // Outputs are brought up to date at most once per floor: a job's refresh
 // (its due points and exposition lines), the fleet emission (an O(fleet
 // ranks) watermark scan) and the exposition rewrite (~15 us per job).
@@ -95,14 +95,8 @@ constexpr RankMetric kRankMetrics[] = {
      true, &RankState::drops},
 };
 
-/// Closes a time-series stream and reports a failed write, flush or close:
-/// the stream's failbit is sticky, so an earlier failure shows here too.
-void close_stream(std::ofstream& out, const std::string& path) {
-  if (!out.is_open()) return;
-  out.close();
-  if (!out) {
-    std::fprintf(stderr, "ipm_aggd: time-series write failed for %s\n", path.c_str());
-  }
+void report_write_failure(const std::string& path) {
+  std::fprintf(stderr, "ipm_aggd: time-series write failed for %s\n", path.c_str());
 }
 
 }  // namespace
@@ -198,18 +192,11 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
       break;
     }
   }
+  job.command = command;
   job.fleet_base = fleet_next_base_;
   fleet_next_base_ += kFleetStride;
-  job.st.out.open(job.ts_path, std::ios::trunc);
-  if (!job.st.out) {
-    std::fprintf(stderr, "ipm_aggd: cannot open %s\n", job.ts_path.c_str());
-  } else {
-    job.st.out << live::timeseries_header_line(command,
-                                               job.st.merger.interval())
-               << '\n';
-  }
-  // From here on only batches touch job.st; the first one renders the job's
-  // exposition lines (last_refresh_ms is -1).
+  // From here on only batches touch job.st; the first one writes the job's
+  // file and renders its exposition lines (last_refresh_ms is -1).
   prom_dirty_ = true;
   return job;
 }
@@ -293,22 +280,18 @@ void Daemon::handle_batch(Job& job, Batch& b) {
     any_frame = any_frame || w.kind == Work::Kind::kFrame;
     refresh = refresh || w.kind == Work::Kind::kRefresh;
   }
-  if (st.spilled && any_frame) rehydrate_job(job);
+  if (!st.begun) {
+    b.lines.append(live::timeseries_header_line(job.command, st.merger.interval()));
+    b.lines += '\n';
+  }
   BatchOut out;
   out.job = &job;
   out.folds.reserve(b.work.size());
   bool replied = false;
   Clock::time_point next_flush = Clock::now() + kReplyFlushPeriod;
   for (const Work& w : b.work) {
-    if (w.kind == Work::Kind::kSpill) {
-      // Re-check under batch exclusivity; a frame in the same batch means
-      // the job is active again, so the spill request is stale.
-      if (!any_frame && !st.ended && !st.spilled) spill_job(job);
-      continue;
-    }
     if (w.kind == Work::Kind::kRefresh) continue;
-    handle_frame(job, w, std::string_view(b.bytes).substr(w.off, w.len), b.scratch,
-                 out, replied);
+    handle_frame(job, w, b, out, replied);
     if (replied && !workers_.empty() && Clock::now() >= next_flush) {
       if (claim_wake()) wake_io();
       next_flush = Clock::now() + kReplyFlushPeriod;
@@ -321,21 +304,23 @@ void Daemon::handle_batch(Job& job, Batch& b) {
   const std::int64_t nowm = now_ms();
   if (refresh || st.ended || st.last_refresh_ms < 0 ||
       nowm - st.last_refresh_ms >= kFloor.count()) {
-    refresh_job(job, out);
+    refresh_job(job, b.lines, out);
     st.last_refresh_ms = nowm;
     st.last_emit_ms = nowm;
   } else if (any_frame && nowm - st.last_emit_ms >= kJobEmitMs) {
-    emit_due_job(job);
+    emit_due_job(job, b.lines);
     st.last_emit_ms = nowm;
   }
+  append_lines(job, b.lines);
   // In serial mode this is the IO thread, which takes the outbox right after
   // its batch loop.
   if (hand_over(std::move(out)) && !workers_.empty()) wake_io();
 }
 
-void Daemon::handle_frame(Job& job, const Work& w, std::string_view payload,
-                          live::FoldScratch& scratch, BatchOut& out, bool& replied) {
+void Daemon::handle_frame(Job& job, const Work& w, Batch& b, BatchOut& out,
+                          bool& replied) {
   JobState& st = job.st;
+  const std::string_view payload = std::string_view(b.bytes).substr(w.off, w.len);
   // A reply is queued at once, so an IO pass that runs during the batch
   // sends it; the eventfd waits for the batch's end (claim_wake).
   const auto reply = [&](FrameType type, std::uint32_t rank, std::uint64_t epoch,
@@ -365,7 +350,7 @@ void Daemon::handle_frame(Job& job, const Work& w, std::string_view payload,
     }
     case FrameType::kSample: {
       RankState& rs = ensure_rank(w.rank);
-      apply_sample(job, rs, w, payload, scratch, out);
+      apply_sample(job, rs, w, payload, b, out);
       reply(FrameType::kAck, w.rank, rs.last_epoch, {});
       break;
     }
@@ -376,7 +361,7 @@ void Daemon::handle_frame(Job& job, const Work& w, std::string_view payload,
       break;
     }
     case FrameType::kJobEnd:
-      end_job(job, out);
+      end_job(job, b.lines, out);
       reply(FrameType::kJobEndAck, 0, 0, {});
       break;
     default:
@@ -385,15 +370,14 @@ void Daemon::handle_frame(Job& job, const Work& w, std::string_view payload,
 }
 
 void Daemon::apply_sample(Job& job, RankState& rs, const Work& w,
-                          std::string_view line, live::FoldScratch& scratch,
-                          BatchOut& out) {
+                          std::string_view line, Batch& b, BatchOut& out) {
   // Every SAMPLE payload is a live::sample_line(), folded as it is read;
   // anything else is a protocol error, acked at the rank's previous epoch
   // and not applied, whatever its epoch.
   JobState& st = job.st;
   const std::size_t mark = out.region_flops.size();
   live::SampleFold fold;
-  if (!live::fold_sample_line(line, fold, out.region_flops, scratch)) {
+  if (!live::fold_sample_line(line, fold, out.region_flops, b.scratch)) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -404,7 +388,7 @@ void Daemon::apply_sample(Job& job, RankState& rs, const Work& w,
   }
   rs.last_epoch = w.epoch;
   rs.samples += 1;
-  if (st.out) st.out << line << '\n';
+  if (!st.ended) b.lines.append(line) += '\n';
   st.merger.add(fold, std::span(out.region_flops).subspan(mark));
   fold.rank = static_cast<int>(job.fleet_base + w.rank);
   out.folds.push_back(fold);
@@ -426,7 +410,7 @@ void Daemon::finalize_rank(Job& job, RankState& rs, const Work& w,
   out.fin_ranks.push_back(static_cast<int>(job.fleet_base + w.rank));
 }
 
-void Daemon::end_job(Job& job, BatchOut& out) {
+void Daemon::end_job(Job& job, std::string& lines, BatchOut& out) {
   JobState& st = job.st;
   if (st.ended) return;
   for (auto& [rank, rs] : st.ranks) {
@@ -438,27 +422,21 @@ void Daemon::end_job(Job& job, BatchOut& out) {
   }
   std::vector<live::ClusterPoint> pts;
   st.merger.emit_all(static_cast<int>(st.ranks.size()), pts);
-  if (st.out) {
-    for (const live::ClusterPoint& p : pts) {
-      st.out << live::point_line(p) << '\n';
-    }
-    st.out << live::end_line(st.merger.intervals_emitted()) << '\n';
-  }
-  close_stream(job.st.out, job.ts_path);
+  for (const live::ClusterPoint& p : pts) lines.append(live::point_line(p)) += '\n';
+  lines.append(live::end_line(st.merger.intervals_emitted())) += '\n';
   st.ended = true;
   out.ended = true;
 }
 
-void Daemon::refresh_job(Job& job, BatchOut& out) {
-  // A spilled job's stream is closed: its points wait for its next frame or
-  // its end.  An ended job emitted everything at its end line.
-  if (!job.st.ended && !job.st.spilled) emit_due_job(job);
+void Daemon::refresh_job(Job& job, std::string& lines, BatchOut& out) {
+  emit_due_job(job, lines);
   render_lines(job, out.prom_text, out.prom_ends);
   out.refreshed = true;
 }
 
-void Daemon::emit_due_job(Job& job) {
+void Daemon::emit_due_job(Job& job, std::string& lines) {
   JobState& st = job.st;
+  if (st.ended) return;  // its end line followed every point
   std::vector<int> live_ranks;
   for (const auto& [rank, rs] : st.ranks) {
     if (!rs.finalized) live_ranks.push_back(static_cast<int>(rank));
@@ -466,9 +444,7 @@ void Daemon::emit_due_job(Job& job) {
   if (live_ranks.empty() && st.ranks.empty()) return;  // nothing seen yet
   std::vector<live::ClusterPoint> pts;
   st.merger.emit_due(live_ranks, static_cast<int>(st.ranks.size()), pts);
-  if (pts.empty() || !st.out) return;
-  for (const live::ClusterPoint& p : pts) st.out << live::point_line(p) << '\n';
-  st.out.flush();
+  for (const live::ClusterPoint& p : pts) lines.append(live::point_line(p)) += '\n';
 }
 
 void Daemon::render_lines(const Job& job, std::string& text,
@@ -491,22 +467,23 @@ void Daemon::render_lines(const Job& job, std::string& text,
   }
 }
 
-void Daemon::spill_job(Job& job) {
-  // The JSONL is the job's only file: spilling closes it, releasing its
-  // descriptor and stream buffer, while the merger and rank epochs stay in
-  // memory for the next frame.
-  close_stream(job.st.out, job.ts_path);
-  job.st.spilled = true;
-  spills_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Daemon::rehydrate_job(Job& job) {
-  job.st.out.open(job.ts_path, std::ios::app);
-  if (!job.st.out) {
-    std::fprintf(stderr, "ipm_aggd: cannot open %s\n", job.ts_path.c_str());
+void Daemon::append_lines(Job& job, std::string& lines) {
+  // One checked append per batch: the file is open only while it is written.
+  // The first batch's lines begin with the header and truncate the file;
+  // a later batch appends to the file the first one made, or fails.
+  JobState& st = job.st;
+  if (lines.empty()) return;
+  try {
+    simx::OutFile file(job.ts_path, st.begun ? simx::OutFile::Mode::kAppend
+                                             : simx::OutFile::Mode::kTruncate);
+    file.write(lines);
+    file.close();
+  } catch (const std::runtime_error&) {
+    write_errors_.fetch_add(1, std::memory_order_relaxed);
+    if (!std::exchange(st.write_failed, true)) report_write_failure(job.ts_path);
   }
-  job.st.spilled = false;
-  rehydrations_.fetch_add(1, std::memory_order_relaxed);
+  st.begun = true;
+  lines.clear();
 }
 
 void Daemon::push_reply(std::uint64_t session, FrameType type, const std::string& job,
@@ -584,9 +561,7 @@ void Daemon::route_frame(Session& ses, const Frame& f) {
       if (!read_hello(f.payload, command, interval)) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       }
-      Job& job = remember(get_or_create_job(f.job, command, interval), f.job);
-      note_frame(job, false);
-      enqueue(job, w);
+      enqueue(remember(get_or_create_job(f.job, command, interval), f.job), w);
       break;
     }
     case FrameType::kSample:
@@ -594,7 +569,6 @@ void Daemon::route_frame(Session& ses, const Frame& f) {
       Job* jp = cached(f.job);
       Job& job =
           jp != nullptr ? *jp : remember(get_or_create_job(f.job, "?", 0.0), f.job);
-      note_frame(job, false);
       enqueue(job, w, f.payload);
       break;
     }
@@ -609,7 +583,6 @@ void Daemon::route_frame(Session& ses, const Frame& f) {
         // thread takes the outbox at the end of its pass.
         push_reply(ses.id, FrameType::kJobEndAck, f.job, 0, 0);
       } else {
-        note_frame(*job, true);
         enqueue(*job, w);
       }
       break;
@@ -619,20 +592,6 @@ void Daemon::route_frame(Session& ses, const Frame& f) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       mark_closed(ses);
       break;
-  }
-}
-
-void Daemon::note_frame(Job& job, bool end) {
-  // Spill candidates are tracked where frames arrive, so the spill scan runs
-  // only while some job is active.  A job's last frame, JOB_END, ends that.
-  if (opt_.spill_idle_ms <= 0) return;
-  const bool was_active = job.last_frame_ms != kInactive;
-  job.last_frame_ms = end ? kInactive : now_ms();
-  if (end && was_active) {
-    --active_jobs_;
-  } else if (!end && !was_active && active_jobs_++ == 0) {
-    spill_next_ = Clock::now() +
-                  std::chrono::milliseconds(std::max(opt_.spill_idle_ms / 2, 5));
   }
 }
 
@@ -837,7 +796,6 @@ void Daemon::pump_tails() {
       if (kind == live::LineKind::kEnd) {  // the stream is complete
         const auto it = jobs_.find(t.job);
         if (it != jobs_.end()) {
-          note_frame(*it->second, true);
           Work w;
           w.type = FrameType::kJobEnd;
           enqueue(*it->second, w);
@@ -858,7 +816,6 @@ void Daemon::pump_tails() {
         w.type = FrameType::kSample;
         w.rank = static_cast<std::uint32_t>(s.rank);
         w.epoch = s.seq + 1;
-        note_frame(job, false);
         enqueue(job, w, line);
         if (s.final_flush) {
           w.type = FrameType::kRankFin;
@@ -877,7 +834,6 @@ int Daemon::wait_ms(Clock::time_point now) {
   // keeps the exposition deadline armed until it is paid.
   Clock::time_point next = kNever;
   if (!blocked_.empty()) next = std::min(next, stall_next_);
-  if (active_jobs_ > 0) next = std::min(next, spill_next_);
   if (prom_dirty_ || fleet_folded_ || owing_ > 0) next = std::min(next, prom_next_);
   const bool tailing = std::any_of(tails_.begin(), tails_.end(),
                                    [](const Tail& t) { return !t.done; });
@@ -891,7 +847,6 @@ int Daemon::wait_ms(Clock::time_point now) {
 
 void Daemon::run_due(Clock::time_point now) {
   if (!blocked_.empty() && now >= stall_next_) check_stalls(now);
-  if (active_jobs_ > 0 && now >= spill_next_) scan_spills(now);
   if ((prom_dirty_ || fleet_folded_ || owing_ > 0) && now >= prom_next_) {
     refresh_outputs(now);
   }
@@ -932,23 +887,10 @@ void Daemon::check_stalls(Clock::time_point now) {
   }
 }
 
-void Daemon::scan_spills(Clock::time_point now) {
-  spill_next_ = now + std::chrono::milliseconds(std::max(opt_.spill_idle_ms / 2, 5));
-  const std::int64_t cutoff = now_ms() - opt_.spill_idle_ms;
-  for (auto& [id, job] : jobs_) {
-    if (job->last_frame_ms == kInactive || job->last_frame_ms >= cutoff) continue;
-    job->last_frame_ms = kInactive;
-    --active_jobs_;
-    Work w;
-    w.kind = Work::Kind::kSpill;
-    enqueue(*job, w);
-  }
-}
-
 void Daemon::refresh_outputs(Clock::time_point now) {
   prom_next_ = now + kFloor;
   // Collect the debts: a job that owes a refresh and ran no batch for a
-  // whole floor gets a frame-less refresh item, as an idle job gets a spill.
+  // whole floor gets a frame-less refresh item.
   if (owing_ > 0) {
     for (auto& [id, job] : jobs_) {
       if (!job->owes || now - job->last_batch < kFloor) continue;
@@ -1026,11 +968,9 @@ void Daemon::write_prom() {
   scalar("ipm_agg_stalled_disconnects_total",
          "Sessions dropped for blowing the outbound stall budget.", true,
          stalled_disconnects_.load(std::memory_order_relaxed));
-  scalar("ipm_agg_spills_total", "Idle jobs whose JSONL stream was closed.", true,
-         spills_.load(std::memory_order_relaxed));
-  scalar("ipm_agg_rehydrations_total",
-         "Spilled jobs whose stream reopened on new traffic.", true,
-         rehydrations_.load(std::memory_order_relaxed));
+  scalar("ipm_agg_write_errors_total",
+         "Failed time-series writes: job appends and the fleet stream's close.",
+         true, write_errors_.load(std::memory_order_relaxed));
   scalar("ipm_agg_worker_steals_total",
          "Batches run on a different worker than their job's previous batch.", true,
          steals());
@@ -1081,7 +1021,12 @@ void Daemon::shutdown_flush() {
     fleet_out_ << live::point_line(p) << '\n';
   }
   fleet_out_ << live::end_line(fleet_.intervals_emitted()) << '\n';
-  close_stream(fleet_out_, fleet_path_);
+  // The failbit is sticky: a write, flush or close that failed shows here.
+  fleet_out_.close();
+  if (!fleet_out_) {
+    write_errors_.fetch_add(1, std::memory_order_relaxed);
+    report_write_failure(fleet_path_);
+  }
 }
 
 void Daemon::run() {
@@ -1124,8 +1069,8 @@ void Daemon::run() {
       }
     }
   }
-  // Each job not known to have ended ends through its queue (a spilled one
-  // reopens its stream in that batch), and every queued item runs.
+  // Each job not known to have ended ends through its queue, and every
+  // queued item runs.
   for (auto& [id, job] : jobs_) {
     if (job->ended) continue;
     Work w;

@@ -21,17 +21,17 @@
 // The work queue is one FIFO of runnable jobs: a worker pops a job and runs
 // batches of its frames until the job's queue is empty, and a scheduled flag
 // keeps every other thread off that job meanwhile, so per-job state — the
-// JobMerger, rank epochs, the output stream — belongs to one thread at a time
-// and needs no lock of its own.  Once created, a job is reached only through
-// its queue, at shutdown too.  A queued frame is bytes: its header fields sit
-// in the job's frame queue and its payload in the job's byte queue beside it,
-// and a batch swaps both out, so their capacity passes back and forth.  The
-// outbox carries back everything a batch produced: its replies, encoded in
-// place into the outbox's reply bytes and queued at once; and at the batch's
-// end its sample folds (live::fold_sample_line, made once per sample straight
-// from the payload bytes; flat, their region flops in one vector per batch)
-// with new and finalized composite ranks, the job's freshly rendered
-// exposition lines, and whether it ended the job.  The IO thread owns the
+// JobMerger, rank epochs, its file's write state — belongs to one thread at
+// a time and needs no lock of its own.  Once created, a job is reached only
+// through its queue, at shutdown too.  A queued frame is bytes: its header
+// fields sit in the job's frame queue and its payload in the job's byte queue
+// beside it, and a batch swaps both out, so their capacity passes back and
+// forth.  The outbox carries back everything a batch produced: its replies,
+// encoded in place into the outbox's reply bytes and queued at once; and at
+// the batch's end its sample folds (live::fold_sample_line, made once per
+// sample straight from the payload bytes; flat, their region flops in one
+// vector per batch) with new and finalized composite ranks, the job's freshly
+// rendered exposition lines, and whether it ended the job.  The IO thread owns the
 // sessions, the fleet merger, the fleet stream and the exposition: it takes
 // the outbox at the end of each pass (swapping its buffers too), copies each
 // reply into its session's write buffer (ids are never reused, so a reply
@@ -40,10 +40,14 @@
 // so a serial batch holds every frame its job received in that pass.  Warm,
 // the daemon makes well under one heap allocation per frame on either side.
 // A client that stops reading is disconnected on a bounded stall budget and
-// counted, never blocks the daemon.  A job's JSONL is its one on-disk format:
-// an idle job's spill closes that stream and keeps its merge state and rank
-// epochs in memory, and its next frame reopens the stream in append mode.  An
-// ended job closes its stream after the end line.
+// counted, never blocks the daemon.  A job's JSONL is its one on-disk format,
+// and no job file stays open between batches: a batch gathers its job's
+// sample, point and end lines in a buffer its Batch keeps, and puts them on
+// disk with one checked append (open, write, close) at its end.  The job's
+// first batch truncates the file and writes the header; a later append never
+// creates the file, and nothing is appended after the end line.  A failed
+// append is counted (ipm_agg_write_errors_total) and reported on stderr once
+// per job.
 //
 // Outputs are brought up to date at most once per 1 s floor.  A batch
 // refreshes its job (due points into the JSONL, then the exposition lines)
@@ -55,8 +59,8 @@
 // for a whole floor, so a quiet job's outputs catch up.
 //
 // Event-driven: the IO thread sleeps in epoll_wait until a socket, the
-// worker eventfd or its nearest pending deadline (stall check, spill scan,
-// exposition and fleet emission, tail poll) needs it; with none pending it
+// worker eventfd or its nearest pending deadline (stall check, exposition
+// and fleet emission, tail poll) needs it; with none pending it
 // blocks without a timeout, so an idle daemon burns no CPU.
 //
 // Conservation: a sample frame is applied (written + merged) only when its
@@ -110,9 +114,6 @@ struct Options {
   /// Worker threads: <0 auto-sizes from the host, 0 runs serial (the IO
   /// thread runs every batch), >0 is an explicit pool size.
   int workers = -1;
-  /// Close an idle job's JSONL stream after this much idle wall time in
-  /// milliseconds (0 = never spill); its next frame reopens it.
-  int spill_idle_ms = 0;
   /// Disconnect a session once its queued outbound bytes exceed this.
   std::size_t session_outbuf_max = 8u << 20;
   /// Disconnect a session blocked on writes for this long (milliseconds).
@@ -170,12 +171,6 @@ class Daemon {
   [[nodiscard]] std::uint64_t stalled_disconnects() const {
     return stalled_disconnects_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t spills() const {
-    return spills_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t rehydrations() const {
-    return rehydrations_.load(std::memory_order_relaxed);
-  }
   /// Full exposition rewrites performed (at most one per 1 s floor).
   [[nodiscard]] std::uint64_t prom_writes() const {
     return prom_writes_.load(std::memory_order_relaxed);
@@ -210,11 +205,11 @@ class Daemon {
     std::string job_cache_id;
   };
 
-  /// A frame to apply, an idle job's spill, or a quiet job's refresh.  A
-  /// frame's payload (SAMPLE and RANK_FIN: the ones a batch reads) is bytes
-  /// [off, off + len) of its job's byte queue; its job id is the job's.
+  /// A frame to apply or a quiet job's refresh.  A frame's payload (SAMPLE
+  /// and RANK_FIN: the ones a batch reads) is bytes [off, off + len) of its
+  /// job's byte queue; its job id is the job's.
   struct Work {
-    enum class Kind { kFrame, kSpill, kRefresh };
+    enum class Kind { kFrame, kRefresh };
     Kind kind = Kind::kFrame;
     live::wire::FrameType type = live::wire::FrameType::kHello;
     std::uint32_t rank = 0;
@@ -254,16 +249,17 @@ class Daemon {
     std::vector<Work> work;
     std::string bytes;
     live::FoldScratch scratch;
+    std::string lines;  ///< the batch's JSONL lines, appended at its end
   };
 
   /// Batch-exclusive job state (scheduled flag: one batch of the job at a
-  /// time, so no lock needed) once get_or_create_job has opened the stream.
+  /// time, so no lock needed) once get_or_create_job has created the job.
   struct JobState {
-    std::ofstream out;
     live::JobMerger merger{1.0};  ///< get_or_create_job sets the interval
     std::map<std::uint32_t, RankState> ranks;
-    bool ended = false;    ///< end line written, `out` closed for good
-    bool spilled = false;  ///< idle: `out` closed until the next frame
+    bool begun = false;         ///< the first batch truncated the file
+    bool ended = false;         ///< end line gathered: nothing follows it
+    bool write_failed = false;  ///< an append failed (reported once)
     std::int64_t last_refresh_ms = -1;  ///< last refresh_job (-1: none yet)
     std::int64_t last_emit_ms = -1;     ///< last emit_due_job
     int worker = -1;  ///< worker that ran the previous batch (-1: none yet)
@@ -272,13 +268,11 @@ class Daemon {
   struct Job {
     std::string id;
     std::string ts_path;
+    std::string command;  ///< the header's, written by the first batch
     std::uint64_t fleet_base = 0;  ///< composite-rank offset, fleet merge
     std::vector<Work> q;     ///< guarded by work_mu_
     std::string qbytes;      ///< guarded by work_mu_: payloads of q's frames
     bool scheduled = false;  ///< guarded by work_mu_: runnable or running
-    /// IO thread: when the job's last frame was routed; -1 while it is not a
-    /// spill candidate (spilled, ended, never active or spill off).
-    std::int64_t last_frame_ms = -1;
     // IO thread: the job's exposition lines as its last refresh rendered
     // them (`prom_ends[i]` ends the lines of metric i; none before its first
     // batch record); whether it owes a refresh, and when its last batch's
@@ -310,12 +304,10 @@ class Daemon {
   void set_write_interest(Session& ses, bool on);
   void mark_closed(Session& ses);
   void route_frame(Session& ses, const live::wire::Frame& f);
-  void note_frame(Job& job, bool end);
   void pump_tails();
   int wait_ms(Clock::time_point now);
   void run_due(Clock::time_point now);
   void check_stalls(Clock::time_point now);
-  void scan_spills(Clock::time_point now);
   void refresh_outputs(Clock::time_point now);
   void write_prom();
   void shutdown_flush();
@@ -331,19 +323,17 @@ class Daemon {
   void work(int me);
   bool run_next_job(int me, Batch& b, std::unique_lock<std::mutex>& lock);
   void handle_batch(Job& job, Batch& b);
-  void handle_frame(Job& job, const Work& w, std::string_view payload,
-                    live::FoldScratch& scratch, BatchOut& out, bool& replied);
+  void handle_frame(Job& job, const Work& w, Batch& b, BatchOut& out, bool& replied);
   void apply_sample(Job& job, RankState& rs, const Work& w, std::string_view line,
-                    live::FoldScratch& scratch, BatchOut& out);
+                    Batch& b, BatchOut& out);
   void finalize_rank(Job& job, RankState& rs, const Work& w,
                      std::string_view payload, BatchOut& out);
-  void end_job(Job& job, BatchOut& out);
-  void refresh_job(Job& job, BatchOut& out);
-  void emit_due_job(Job& job);
+  void end_job(Job& job, std::string& lines, BatchOut& out);
+  void refresh_job(Job& job, std::string& lines, BatchOut& out);
+  void emit_due_job(Job& job, std::string& lines);
   static void render_lines(const Job& job, std::string& text,
                            std::vector<std::size_t>& ends);
-  void spill_job(Job& job);
-  void rehydrate_job(Job& job);
+  void append_lines(Job& job, std::string& lines);
   void push_reply(std::uint64_t session, live::wire::FrameType type,
                   const std::string& job, std::uint32_t rank, std::uint64_t epoch,
                   std::string_view payload = {});
@@ -363,7 +353,6 @@ class Daemon {
   std::uint64_t last_session_id_ = 0;
   std::set<std::uint64_t> blocked_;    ///< sessions with Session::blocked
   std::vector<std::uint64_t> closed_;  ///< marked closed, not yet reaped
-  std::size_t active_jobs_ = 0;        ///< jobs with last_frame_ms >= 0
   std::vector<Tail> tails_;
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   live::wire::Frame frame_;  ///< each decoded frame, its strings reused
@@ -397,14 +386,12 @@ class Daemon {
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> truncated_frames_{0};
   std::atomic<std::uint64_t> stalled_disconnects_{0};
-  std::atomic<std::uint64_t> spills_{0};
-  std::atomic<std::uint64_t> rehydrations_{0};
+  std::atomic<std::uint64_t> write_errors_{0};
   std::atomic<std::uint64_t> prom_writes_{0};
   std::atomic<bool> stop_{false};
   // IO-thread deadlines; each counts only while its condition holds (see
   // wait_ms): time_point::max() when disarmed.
   Clock::time_point prom_next_{};
-  Clock::time_point spill_next_ = Clock::time_point::max();
   Clock::time_point stall_next_ = Clock::time_point::max();
   Clock::time_point tail_next_{};
 

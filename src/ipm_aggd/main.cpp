@@ -3,12 +3,17 @@
 //   ipm_aggd --listen unix:/tmp/ipm_agg.sock --out /var/lib/ipm
 //   IPM_AGG_ADDR=unix:/tmp/ipm_agg.sock ./monitored_app   (x N jobs)
 //   curl-less scrape: cat /var/lib/ipm/ipm_agg.prom
+#include <climits>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "ipm_aggd/aggd.hpp"
+#include "simcommon/str.hpp"
 
 namespace {
 
@@ -28,13 +33,11 @@ int usage(const char* argv0, int code) {
       "  --prom <file>           exposition file (default <out>/ipm_agg.prom)\n"
       "  --tail <file.jsonl>     follow an existing time-series file\n"
       "                          (file-transport fallback; repeatable)\n"
-      "  --fleet-interval <s>    fleet-wide merge interval (default 1.0)\n"
-      "  --exit-after-jobs <n>   exit once n jobs completed\n"
-      "  --workers <n>           worker threads (-1 auto, 0 serial)\n"
-      "  --spill-idle-ms <ms>    close an idle job's JSONL stream until its\n"
-      "                          next frame (0 = never)\n"
-      "  --stall-ms <ms>         disconnect clients stalled this long\n"
-      "  --outbuf-max <bytes>    per-session outbound buffer bound\n"
+      "  --fleet-interval <s>    fleet-wide merge interval (> 0, default 1.0)\n"
+      "  --exit-after-jobs <n>   exit once n jobs completed (0 = never)\n"
+      "  --workers <n>           worker threads (-1 auto, 0 serial, max 256)\n"
+      "  --stall-ms <ms>         disconnect clients stalled this long (> 0)\n"
+      "  --outbuf-max <bytes>    per-session outbound buffer bound (> 0, <= 1 TiB)\n"
       "\n"
       "Point monitored jobs at the daemon with IPM_AGG_ADDR=<addr> (plus\n"
       "IPM_SNAPSHOT=<interval> and an IPM_JOB_ID per job).  The daemon\n"
@@ -43,6 +46,12 @@ int usage(const char* argv0, int code) {
       "job/rank labels.\n",
       argv0);
   return code;
+}
+
+[[noreturn]] void bad_value(const char* argv0, const std::string& flag,
+                            const char* value) {
+  std::fprintf(stderr, "%s: invalid value '%s' for %s\n", argv0, value, flag.c_str());
+  std::exit(usage(argv0, 2));
 }
 
 }  // namespace
@@ -58,6 +67,25 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric value in range; anything else exits 2 with the usage text.
+    const auto integer = [&](std::int64_t lo, std::int64_t hi) {
+      const char* v = value();
+      try {
+        const std::int64_t n = simx::parse_i64(v);
+        if (n >= lo && n <= hi) return n;
+      } catch (const std::runtime_error&) {
+      }
+      bad_value(argv[0], arg, v);
+    };
+    const auto positive = [&] {
+      const char* v = value();
+      try {
+        const double x = simx::parse_double(v);
+        if (std::isfinite(x) && x > 0.0) return x;
+      } catch (const std::runtime_error&) {
+      }
+      bad_value(argv[0], arg, v);
+    };
     if (arg == "--listen") {
       opt.listen = value();
     } else if (arg == "--out") {
@@ -67,18 +95,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--tail") {
       opt.tails.emplace_back(value());
     } else if (arg == "--fleet-interval") {
-      opt.fleet_interval = std::strtod(value(), nullptr);
+      opt.fleet_interval = positive();
     } else if (arg == "--exit-after-jobs") {
-      opt.exit_after_jobs = std::atoi(value());
+      opt.exit_after_jobs = static_cast<int>(integer(0, INT_MAX));
     } else if (arg == "--workers") {
-      opt.workers = std::atoi(value());
-    } else if (arg == "--spill-idle-ms") {
-      opt.spill_idle_ms = std::atoi(value());
+      opt.workers = static_cast<int>(integer(-1, 256));
     } else if (arg == "--stall-ms") {
-      opt.stall_ms = std::atoi(value());
+      opt.stall_ms = static_cast<int>(integer(1, INT_MAX));
     } else if (arg == "--outbuf-max") {
       opt.session_outbuf_max =
-          static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
+          static_cast<std::size_t>(integer(1, std::int64_t{1} << 40));
     } else if (arg == "-h" || arg == "--help") {
       return usage(argv[0], 0);
     } else {

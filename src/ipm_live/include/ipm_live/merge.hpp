@@ -5,8 +5,8 @@
 // one merger each plus a fleet-wide one).  It is pure bookkeeping: the
 // caller feeds samples and asks which intervals are closed; all IO (JSONL
 // lines, exposition files) stays with the caller.  Its state has no
-// serialized form: the daemon keeps an idle job's merger in memory when it
-// spills the job, which only closes the job's JSONL stream.
+// serialized form: the daemon keeps every job's merger in memory, idle or
+// not, and writes only the lines it emits.
 //
 // A sample is reduced once to a SampleFold: its deltas summed per family
 // (ipm::family_of, one prefix check per delta), and its flops per region

@@ -13,10 +13,10 @@
 // sum the jobs' points.  File-side
 // checks follow: a tailed file is never its own job's output, however its
 // path is spelled, a job's exposition lines wait for its first batch,
-// ended jobs release their JSONL descriptor, no job shares
+// no job file stays open between batches, ended or not, no job shares
 // a file with another job or with the fleet stream, a failed exposition
-// write keeps the previous exposition, and a failed fleet time-series write
-// is reported.
+// write keeps the previous exposition, and a failed time-series write, the
+// fleet's or a job's, is counted and reported.
 // The last three guard the event-driven IO loop against lost wake-ups: an
 // idle daemon answers every round trip at once, a quiet job's outputs catch
 // up while it runs, and the daemon stops when told to.
@@ -778,9 +778,23 @@ std::size_t open_fds() {
   return n;
 }
 
-/// Job churn: an ended job's JSONL is complete, so the daemon closes it.
-/// Many short jobs in a row must not hold one descriptor each until the
-/// daemon exits, and every file still ends with its end line.
+/// The last line of a time-series file is its end line.
+bool ends_with_end_line(const std::string& path) {
+  std::ifstream in(path);
+  std::string line;
+  std::string last;
+  while (std::getline(in, line)) last = line;
+  ipm::live::TimeSeries ignored;
+  return ipm::live::parse_timeseries_line(last, ignored) == ipm::live::LineKind::kEnd;
+}
+
+/// Job churn: a job's file is open only while a batch appends to it.  Many
+/// short jobs in a row must not hold one descriptor each until the daemon
+/// exits: neither jobs that end, nor jobs whose client vanishes after its
+/// HELLO and one sample, with no RANK_FIN or JOB_END.  Every file still
+/// holds its header and its one sample and ends with its end line (an
+/// unended job's is written when shutdown ends it; an ended job's late
+/// sample writes nothing).
 TEST(Aggd, EndedJobsCloseTheirStream) {
   if (!std::filesystem::exists("/proc/self/fd")) GTEST_SKIP() << "no /proc";
   constexpr int kJobs = 64;
@@ -811,21 +825,55 @@ TEST(Aggd, EndedJobsCloseTheirStream) {
       ended = f.type == FrameType::kJobEndAck && f.job == job;
     }
     ASSERT_TRUE(ended) << job;
+    // A late sample for an ended job (its epoch past the RANK_FIN's) is
+    // acked, and its line never follows the end line.
+    send_all(fd, sample_bytes(job, make_sample(0, 2, 1.0, 1.5, "MPI_Barrier", 1,
+                                               0, 0.25)));
+    bool acked = false;
+    while (!acked && read_frame(fd, dec, f)) {
+      acked = f.type == FrameType::kAck && f.job == job;
+    }
+    ASSERT_TRUE(acked) << job;
   }
   const std::size_t after = open_fds();
+  for (int j = 0; j < kJobs; ++j) {
+    const std::string job = "vanish-" + std::to_string(j);
+    const int c = connect_block(sock);
+    ASSERT_GE(c, 0);
+    Decoder cdec;
+    send_all(c, frame_bytes(FrameType::kHello, job, 0, 0,
+                            ipm::live::wire::hello_payload("./vanish", 0.5)));
+    send_all(c, sample_bytes(job, make_sample(0, 0, 0.0, 0.5, "MPI_Barrier", 1,
+                                              0, 0.25)));
+    bool acked = false;
+    while (!acked && read_frame(c, cdec, f)) acked = f.type == FrameType::kAck;
+    ipm::live::net::close_fd(c);
+    ASSERT_TRUE(acked) << job;
+  }
+  const std::size_t after_vanished = open_fds();
   ipm::live::net::close_fd(fd);
   runner.d.stop();
   runner.join();
 
-  // The JOB_END ack follows the close, so ended jobs hold no descriptor;
-  // the slack only covers a concurrent exposition rewrite.
+  // No job file stays open between batches, so neither kind of job holds a
+  // descriptor; the slack covers a concurrent exposition rewrite and a
+  // closed session the daemon has not reaped yet.
   EXPECT_LT(after, before + kJobs / 4) << before << " -> " << after;
+  EXPECT_LT(after_vanished, before + kJobs / 4) << before << " -> " << after_vanished;
   for (int j = 0; j < kJobs; j += 21) {
     const std::string job = "churn-" + std::to_string(j);
     const std::string path = runner.d.job_timeseries_path(job);
-    const std::string text = slurp(path);
-    EXPECT_NE(text.find("{\"type\":\"end\","), std::string::npos) << path;
+    EXPECT_TRUE(ends_with_end_line(path)) << path;
     EXPECT_EQ(ipm::live::read_timeseries_file(path).samples.size(), 1u) << path;
+  }
+  for (int j = 0; j < kJobs; ++j) {
+    const std::string job = "vanish-" + std::to_string(j);
+    const std::string path = runner.d.job_timeseries_path(job);
+    ipm::live::TimeSeries ts;
+    ASSERT_NO_THROW(ts = ipm::live::read_timeseries_file(path)) << path;
+    EXPECT_EQ(ts.command, "./vanish") << path;
+    EXPECT_EQ(ts.samples.size(), 1u) << path;
+    EXPECT_TRUE(ends_with_end_line(path)) << path;
   }
 }
 
@@ -946,9 +994,13 @@ TEST(Aggd, FailedExpositionWriteKeepsThePreviousFile) {
   EXPECT_FALSE(fs::exists(fs::symlink_status(tmp)));
 }
 
-/// The fleet time series is checked at shutdown as a job's stream is: a
-/// fleet file that cannot be written (here a symlink to /dev/full) is
-/// reported, never truncated silently.
+/// A time-series file that cannot be written is reported and counted, never
+/// truncated silently.  The fleet stream (here a symlink to /dev/full) is
+/// checked at shutdown.  A job's file fails every append its batches make,
+/// whether it is a symlink to /dev/full or was removed after the job's first
+/// batch (an append never creates the file): each failure counts in
+/// ipm_agg_write_errors_total, and stderr names the job's file once, however
+/// many batches the job ran.
 TEST(Aggd, FailedFleetWriteIsReported) {
   if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "/dev/full not available";
   const std::string dir = test_dir("aggd_fleet_full");
@@ -967,6 +1019,70 @@ TEST(Aggd, FailedFleetWriteIsReported) {
   EXPECT_NE(log.find("ipm_aggd: time-series write failed for " + fleet),
             std::string::npos)
       << log;
+  const std::string prom = slurp(d.prom_path());
+  EXPECT_NE(prom.find("\nipm_agg_write_errors_total 1\n"), std::string::npos) << prom;
+
+  // A job's file that cannot be written: a symlink to /dev/full, or a file
+  // removed after the job's first batch, which a later append must not
+  // create again.  Serial mode runs one batch per round trip.
+  for (const bool removed : {false, true}) {
+    SCOPED_TRACE(removed ? "removed" : "/dev/full");
+    const std::string jdir = test_dir(removed ? "aggd_job_removed" : "aggd_job_full");
+    const std::string sock = "unix:" + jdir + "/agg.sock";
+    const std::string path = jdir + "/full_timeseries.jsonl";
+    if (!removed) std::filesystem::create_symlink("/dev/full", path);
+    ipm::aggd::Options jopt;
+    jopt.listen = sock;
+    jopt.out_dir = jdir;
+    jopt.workers = 0;
+    DaemonRunner runner(jopt);
+    ::testing::internal::CaptureStderr();
+    ASSERT_TRUE(runner.start());
+    const int fd = connect_block(sock);
+    ASSERT_GE(fd, 0);
+    Decoder dec;
+    Frame f;
+    constexpr std::uint64_t kSamples = 3;
+    send_all(fd, frame_bytes(FrameType::kHello, "full", 0, 0,
+                             ipm::live::wire::hello_payload("./full", 0.5)));
+    EXPECT_TRUE(read_frame(fd, dec, f));
+    if (removed) {
+      EXPECT_TRUE(std::filesystem::remove(path));  // the header's batch ran
+    }
+    for (std::uint64_t k = 0; k < kSamples; ++k) {
+      const double t0 = 0.5 * static_cast<double>(k);
+      send_all(fd, sample_bytes("full", make_sample(0, k, t0, t0 + 0.5, "MPI_Bcast", 1,
+                                                    64, 0.125)));
+      EXPECT_TRUE(read_frame(fd, dec, f));
+      EXPECT_EQ(f.type, FrameType::kAck);
+    }
+    send_all(fd, frame_bytes(FrameType::kJobEnd, "full", 0, 0, ""));
+    EXPECT_TRUE(read_frame(fd, dec, f));
+    EXPECT_EQ(f.type, FrameType::kJobEndAck);
+    ipm::live::net::close_fd(fd);
+    runner.d.stop();
+    runner.join();
+    const std::string jlog = ::testing::internal::GetCapturedStderr();
+
+    const std::string line = "ipm_aggd: time-series write failed for " + path + "\n";
+    std::size_t reported = 0;
+    for (std::size_t at = jlog.find(line); at != std::string::npos;
+         at = jlog.find(line, at + 1)) {
+      ++reported;
+    }
+    EXPECT_EQ(reported, 1u) << jlog;
+    if (removed) {
+      EXPECT_FALSE(std::filesystem::exists(path));
+    }
+    // One failed append per sample and the JOB_END's; on /dev/full the
+    // HELLO's too.
+    const std::string jprom = slurp(runner.d.prom_path());
+    const std::string key = "\nipm_agg_write_errors_total ";
+    const std::size_t at = jprom.find(key);
+    ASSERT_NE(at, std::string::npos) << jprom;
+    EXPECT_GE(std::stoull(jprom.substr(at + key.size())), kSamples + (removed ? 1 : 2))
+        << jprom;
+  }
 }
 
 /// With no other traffic, a reply goes out as soon as its frame is applied:
