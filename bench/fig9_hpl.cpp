@@ -99,7 +99,12 @@ int main() {
   // With IPM_AGG_ADDR set the samples streamed to the out-of-process
   // ipm_aggd daemon instead and there is no local JSONL: the same check
   // runs against the daemon's per-job file via `ipm_parse --conserve`
-  // (the CI aggregation leg does exactly that).
+  // (the CI aggregation leg does exactly that).  In process, no file means
+  // the collector could not write it, and said so on stderr.
+  if (job.timeseries_file.empty() && cfg.agg_addr.empty() && cfg.snapshot_interval > 0.0) {
+    std::fprintf(stderr, "fig9_hpl: no time series was written: conservation not checked\n");
+    return 1;
+  }
   if (job.timeseries_file.empty()) {
     std::printf("snapshots                     : %llu samples, %llu dropped "
                 "(streamed to ipm_aggd at %s)\n",

@@ -62,4 +62,18 @@ class OutFile {
   int fd_;
 };
 
+/// Appends `bytes` to a stream's file with one OutFile: open, write, close.
+/// A stream's first append (`begun` false) truncates the file, creating it;
+/// a later one appends to the file the first made and never creates it, so
+/// a file removed mid-stream fails every later append instead of starting
+/// a stream without its header.  `begun` is set either way.  Throws as
+/// OutFile does.
+inline void append_stream(const std::string& path, std::string_view bytes,
+                          bool& begun) {
+  OutFile file(path, std::exchange(begun, true) ? OutFile::Mode::kAppend
+                                                : OutFile::Mode::kTruncate);
+  file.write(bytes);
+  file.close();
+}
+
 }  // namespace simx

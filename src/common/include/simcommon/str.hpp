@@ -25,7 +25,9 @@ namespace simx {
 /// ("Tue Sep 28 12:35:09 2010" style), offsetting a fixed epoch.
 [[nodiscard]] std::string fmt_banner_date(double seconds_since_job_start);
 
-/// Parse helpers that raise std::runtime_error with a descriptive message.
+/// Parse helpers that raise std::runtime_error with a descriptive message
+/// unless `s` is one number (blanks around it allowed); parse_i64 also
+/// raises on a value outside int64 instead of clamping it.
 [[nodiscard]] double parse_double(std::string_view s);
 [[nodiscard]] std::int64_t parse_i64(std::string_view s);
 

@@ -1,5 +1,6 @@
 #include "simcommon/str.hpp"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <ctime>
@@ -87,10 +88,13 @@ double parse_double(std::string_view s) {
 std::int64_t parse_i64(std::string_view s) {
   const std::string str = trim(s);
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(str.c_str(), &end, 10);
   if (end == str.c_str() || (end != nullptr && *end != '\0')) {
     throw std::runtime_error("parse_i64: invalid integer '" + str + "'");
   }
+  // strtoll clamps an out-of-range value to LLONG_MIN/MAX.
+  if (errno == ERANGE) throw std::runtime_error("parse_i64: out of range '" + str + "'");
   return v;
 }
 

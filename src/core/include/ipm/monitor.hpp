@@ -111,7 +111,11 @@ struct Config {
 /// Populate a Config from IPM_* environment variables
 /// (IPM_REPORT=none|terse|full, IPM_LOG=<path>, IPM_KERNEL_TIMING=0|1,
 ///  IPM_HOST_IDLE=0|1, IPM_KTT_POLICY=d2h|every|never, IPM_HASH_BITS=<n>,
-///  IPM_FAULT=<fault spec>).
+///  IPM_FAULT=<fault spec>).  Throws std::runtime_error naming the variable
+/// on a value it cannot take: IPM_SNAPSHOT and IPM_AGG_FLUSH_TIMEOUT must be
+/// finite numbers >= 0; IPM_HASH_BITS, IPM_TRACE_RECORDS,
+/// IPM_SNAPSHOT_SAMPLES and IPM_AGG_CHAOS_KILL_EVERY integers in
+/// 0..UINT_MAX (the table, ring and channel clamp their sizes further).
 [[nodiscard]] Config config_from_env(Config base = {});
 
 /// Flattened profile entry (merged over hash-table slots with equal name/

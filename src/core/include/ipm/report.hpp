@@ -24,7 +24,8 @@ void write_banner(std::ostream& os, const JobProfile& job, const BannerOptions& 
 /// Render the banner to a string (convenience for tests/examples).
 [[nodiscard]] std::string banner_string(const JobProfile& job, const BannerOptions& opts = {});
 
-/// Write the XML profiling log.
+/// Write the XML profiling log.  write_xml_file throws std::runtime_error
+/// naming the path when the open, the write or the close fails.
 void write_xml(std::ostream& os, const JobProfile& job);
 void write_xml_file(const std::string& path, const JobProfile& job);
 

@@ -1,12 +1,16 @@
 #include "ipm/monitor.hpp"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <tuple>
 #include <utility>
@@ -107,6 +111,34 @@ std::uint64_t JobProfile::snapshot_drops() const noexcept {
   return total;
 }
 
+namespace {
+
+[[noreturn]] void bad_env(const char* key, const char* v, const char* want) {
+  throw std::runtime_error(std::string(key) + " must be " + want + ", got '" + v + "'");
+}
+
+/// A finite number >= 0.
+double env_seconds(const char* key, const char* v) {
+  try {
+    const double x = simx::parse_double(v);
+    if (std::isfinite(x) && x >= 0.0) return x;
+  } catch (const std::runtime_error&) {
+  }
+  bad_env(key, v, "a finite number >= 0");
+}
+
+/// An integer in 0..UINT_MAX.
+unsigned env_unsigned(const char* key, const char* v) {
+  try {
+    const std::int64_t n = simx::parse_i64(v);
+    if (n >= 0 && n <= std::int64_t{UINT_MAX}) return static_cast<unsigned>(n);
+  } catch (const std::runtime_error&) {
+  }
+  bad_env(key, v, "an integer in 0..4294967295");
+}
+
+}  // namespace
+
 Config config_from_env(Config base) {
   const auto getenv_str = [](const char* key) -> const char* { return std::getenv(key); };
   if (const char* v = getenv_str("IPM_REPORT")) {
@@ -128,19 +160,19 @@ Config config_from_env(Config base) {
     else throw std::runtime_error("IPM_KTT_POLICY must be d2h|every|never, got '" + p + "'");
   }
   if (const char* v = getenv_str("IPM_HASH_BITS")) {
-    base.table_log2_slots = static_cast<unsigned>(simx::parse_i64(v));
+    base.table_log2_slots = env_unsigned("IPM_HASH_BITS", v);
   }
   if (const char* v = getenv_str("IPM_TRACE")) base.trace = std::string(v) != "0";
   if (const char* v = getenv_str("IPM_TRACE_RECORDS")) {
-    base.trace_log2_records = static_cast<unsigned>(simx::parse_i64(v));
+    base.trace_log2_records = env_unsigned("IPM_TRACE_RECORDS", v);
   }
   if (const char* v = getenv_str("IPM_TRACE_PATH")) base.trace_path = v;
   if (const char* v = getenv_str("IPM_FAULT")) base.fault = v;
   if (const char* v = getenv_str("IPM_SNAPSHOT")) {
-    base.snapshot_interval = simx::parse_double(v);
+    base.snapshot_interval = env_seconds("IPM_SNAPSHOT", v);
   }
   if (const char* v = getenv_str("IPM_SNAPSHOT_SAMPLES")) {
-    base.snapshot_log2_samples = static_cast<unsigned>(simx::parse_i64(v));
+    base.snapshot_log2_samples = env_unsigned("IPM_SNAPSHOT_SAMPLES", v);
   }
   if (const char* v = getenv_str("IPM_TIMESERIES")) base.timeseries_path = v;
   if (const char* v = getenv_str("IPM_PROM_FILE")) base.prom_path = v;
@@ -150,10 +182,10 @@ Config config_from_env(Config base) {
   if (const char* v = getenv_str("IPM_AGG_ADDR")) base.agg_addr = v;
   if (const char* v = getenv_str("IPM_JOB_ID")) base.job_id = v;
   if (const char* v = getenv_str("IPM_AGG_FLUSH_TIMEOUT")) {
-    base.agg_flush_timeout = simx::parse_double(v);
+    base.agg_flush_timeout = env_seconds("IPM_AGG_FLUSH_TIMEOUT", v);
   }
   if (const char* v = getenv_str("IPM_AGG_CHAOS_KILL_EVERY")) {
-    base.agg_chaos_kill_every = static_cast<unsigned>(simx::parse_i64(v));
+    base.agg_chaos_kill_every = env_unsigned("IPM_AGG_CHAOS_KILL_EVERY", v);
   }
   return base;
 }
@@ -362,7 +394,13 @@ void report_job_at_exit() {
     write_banner(std::cout, jp, {.max_rows = 24, .full = jp.nranks > 1});
     std::cout.flush();
   }
-  if (!cfg.log_path.empty()) write_xml_file(cfg.log_path, jp);
+  if (cfg.log_path.empty()) return;
+  // This runs in a thread-local destructor, where a throw terminates.
+  try {
+    write_xml_file(cfg.log_path, jp);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ipm: cannot write XML log: %s\n", e.what());
+  }
 }
 }  // namespace
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "ipm/report.hpp"
+#include "simcommon/outfile.hpp"
 #include "simcommon/str.hpp"
 #include "simcommon/xml.hpp"
 
@@ -91,9 +92,13 @@ void write_xml(std::ostream& os, const JobProfile& job) {
 }
 
 void write_xml_file(const std::string& path, const JobProfile& job) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("ipm: cannot open XML log '" + path + "'");
-  write_xml(out, job);
+  // Rendered first, then written and closed with every step checked, so a
+  // full disk throws instead of leaving a truncated log.
+  std::ostringstream doc;
+  write_xml(doc, job);
+  simx::OutFile file(path, simx::OutFile::Mode::kTruncate);
+  file.write(doc.view());
+  file.close();
 }
 
 JobProfile parse_xml(const std::string& doc) {

@@ -7,10 +7,12 @@
 // is batch-exclusive (scheduled flag), and a job's queue is the only way
 // into it, at shutdown too; the IO thread owns the sessions, the fleet
 // merger and the exposition, and takes the outbox at the end of each pass.
-// A batch puts its job's lines on disk with one checked append, so no job
-// file stays open between batches; quiet jobs' outputs catch up, and slow
-// clients are disconnected on a bounded stall budget.  The IO thread waits
-// on its sockets, the worker eventfd and its nearest deadline.
+// A batch puts its job's lines on disk with one checked append, as the fleet
+// stream does its points, so no time-series file stays open; every batch
+// leaves its job's due points written and its exposition values handed
+// over, which the IO thread renders at its floor.  Slow clients are
+// disconnected on a bounded stall budget.  The IO thread waits on its
+// sockets, the worker eventfd and its nearest deadline.
 #include "ipm_aggd/aggd.hpp"
 
 #include <poll.h>
@@ -48,15 +50,11 @@ using detail::tail_job_id;
 
 namespace {
 
-// Outputs are brought up to date at most once per floor: a job's refresh
-// (its due points and exposition lines), the fleet emission (an O(fleet
-// ranks) watermark scan) and the exposition rewrite (~15 us per job).
-// Prometheus scrape intervals are >= 1 s, so a 1 s floor loses nothing.
+// The IO thread's outputs are brought up to date at most once per floor:
+// the fleet emission (an O(fleet ranks) watermark scan) and the exposition
+// rewrite (~15 us per changed job).  Prometheus scrape intervals are >= 1 s,
+// so a 1 s floor loses nothing.
 constexpr std::chrono::milliseconds kFloor{1000};
-// Between refreshes, a job's due points are emitted at this cadence while
-// its frames arrive.  At the floor alone, a short job's end would format
-// its whole run's points on its JOB_END ack's path.
-constexpr std::int64_t kJobEmitMs = 20;
 // Tailed files are re-read at this period while any of them is open.
 constexpr std::chrono::milliseconds kTailPollPeriod{10};
 // A long batch hands its replies to the IO thread at this period, so its
@@ -70,12 +68,6 @@ constexpr std::chrono::steady_clock::time_point kNever =
 // counted from 1.
 constexpr std::uint64_t kListenKey = std::numeric_limits<std::uint64_t>::max();
 constexpr std::uint64_t kWakeKey = kListenKey - 1;
-
-std::int64_t now_ms() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Per-rank transport state (provenance through aggregation).
 struct RankMetric {
@@ -117,12 +109,12 @@ bool Daemon::start(std::string& err) {
   prom_path_ = opt_.prom_path.empty() ? opt_.out_dir + "/ipm_agg.prom"
                                       : opt_.prom_path;
   fleet_path_ = opt_.out_dir + "/fleet_timeseries.jsonl";
-  fleet_out_.open(fleet_path_, std::ios::trunc);
-  if (!fleet_out_) {
+  try {  // create check: the fleet's first append writes its header
+    simx::OutFile(fleet_path_, simx::OutFile::Mode::kTruncate).close();
+  } catch (const std::runtime_error&) {
     err = "cannot open " + fleet_path_;
     return false;
   }
-  fleet_out_ << live::timeseries_header_line("fleet", fleet_.interval()) << '\n';
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (epoll_fd_ < 0 || event_fd_ < 0) {
@@ -196,7 +188,7 @@ Daemon::Job& Daemon::get_or_create_job(const std::string& id,
   job.fleet_base = fleet_next_base_;
   fleet_next_base_ += kFleetStride;
   // From here on only batches touch job.st; the first one writes the job's
-  // file and renders its exposition lines (last_refresh_ms is -1).
+  // file and hands over its exposition values.
   prom_dirty_ = true;
   return job;
 }
@@ -274,12 +266,6 @@ bool Daemon::run_next_job(int me, Batch& b, std::unique_lock<std::mutex>& lock) 
 
 void Daemon::handle_batch(Job& job, Batch& b) {
   JobState& st = job.st;
-  bool any_frame = false;
-  bool refresh = false;  // a quiet job's refresh item
-  for (const Work& w : b.work) {
-    any_frame = any_frame || w.kind == Work::Kind::kFrame;
-    refresh = refresh || w.kind == Work::Kind::kRefresh;
-  }
   if (!st.begun) {
     b.lines.append(live::timeseries_header_line(job.command, st.merger.interval()));
     b.lines += '\n';
@@ -290,28 +276,19 @@ void Daemon::handle_batch(Job& job, Batch& b) {
   bool replied = false;
   Clock::time_point next_flush = Clock::now() + kReplyFlushPeriod;
   for (const Work& w : b.work) {
-    if (w.kind == Work::Kind::kRefresh) continue;
     handle_frame(job, w, b, out, replied);
     if (replied && !workers_.empty() && Clock::now() >= next_flush) {
       if (claim_wake()) wake_io();
       next_flush = Clock::now() + kReplyFlushPeriod;
     }
   }
-  // One refresh per floor: the rendering and the bucket scan cost the same
-  // whether a batch brought one sample or a thousand, so a trickling job
-  // would otherwise pay them per sample.  A batch that skips it leaves the
-  // job owing one, which the IO thread collects once the job goes quiet.
-  const std::int64_t nowm = now_ms();
-  if (refresh || st.ended || st.last_refresh_ms < 0 ||
-      nowm - st.last_refresh_ms >= kFloor.count()) {
-    refresh_job(job, b.lines, out);
-    st.last_refresh_ms = nowm;
-    st.last_emit_ms = nowm;
-  } else if (any_frame && nowm - st.last_emit_ms >= kJobEmitMs) {
-    emit_due_job(job, b.lines);
-    st.last_emit_ms = nowm;
-  }
-  append_lines(job, b.lines);
+  // The batch leaves its job current: the due points join its lines, and
+  // the exposition values go to the IO thread, so nothing is owed once it
+  // ends.  A job's points and values change only in its own batches.
+  emit_due_job(job, b);
+  out.items = live::prom_items(st.merger, static_cast<int>(st.ranks.size()), !st.ended);
+  out.ranks.assign(st.ranks.begin(), st.ranks.end());
+  append_lines(job.ts_path, b.lines, st.begun, st.write_failed);
   // In serial mode this is the IO thread, which takes the outbox right after
   // its batch loop.
   if (hand_over(std::move(out)) && !workers_.empty()) wake_io();
@@ -428,61 +405,32 @@ void Daemon::end_job(Job& job, std::string& lines, BatchOut& out) {
   out.ended = true;
 }
 
-void Daemon::refresh_job(Job& job, std::string& lines, BatchOut& out) {
-  emit_due_job(job, lines);
-  render_lines(job, out.prom_text, out.prom_ends);
-  out.refreshed = true;
-}
-
-void Daemon::emit_due_job(Job& job, std::string& lines) {
+void Daemon::emit_due_job(Job& job, Batch& b) {
   JobState& st = job.st;
-  if (st.ended) return;  // its end line followed every point
-  std::vector<int> live_ranks;
+  // An ended job's end line followed every point; a job with no rank has
+  // nothing to emit.
+  if (st.ended || st.ranks.empty()) return;
+  b.live_ranks.clear();
   for (const auto& [rank, rs] : st.ranks) {
-    if (!rs.finalized) live_ranks.push_back(static_cast<int>(rank));
+    if (!rs.finalized) b.live_ranks.push_back(static_cast<int>(rank));
   }
-  if (live_ranks.empty() && st.ranks.empty()) return;  // nothing seen yet
   std::vector<live::ClusterPoint> pts;
-  st.merger.emit_due(live_ranks, static_cast<int>(st.ranks.size()), pts);
-  for (const live::ClusterPoint& p : pts) lines.append(live::point_line(p)) += '\n';
+  st.merger.emit_due(b.live_ranks, static_cast<int>(st.ranks.size()), pts);
+  for (const live::ClusterPoint& p : pts) b.lines.append(live::point_line(p)) += '\n';
 }
 
-void Daemon::render_lines(const Job& job, std::string& text,
-                          std::vector<std::size_t>& ends) {
-  const JobState& st = job.st;
-  simx::JsonlWriter w(text);
-  const std::string label = prom_escape(job.id);
-  for (const live::PromItem& item :
-       live::prom_items(st.merger, static_cast<int>(st.ranks.size()), !st.ended)) {
-    w.lit(item.name).lit("{job=\"").lit(label).lit("\"} ").num(item.value);
-    w.lit("\n");
-    ends.push_back(text.size());
-  }
-  for (const RankMetric& m : kRankMetrics) {
-    for (const auto& [rank, rs] : st.ranks) {
-      w.lit(m.name).lit("{job=\"").lit(label).lit("\",rank=\"").num(rank);
-      w.lit("\"} ").num(rs.*m.field).lit("\n");
-    }
-    ends.push_back(text.size());
-  }
-}
-
-void Daemon::append_lines(Job& job, std::string& lines) {
-  // One checked append per batch: the file is open only while it is written.
-  // The first batch's lines begin with the header and truncate the file;
-  // a later batch appends to the file the first one made, or fails.
-  JobState& st = job.st;
+void Daemon::append_lines(const std::string& path, std::string& lines, bool& begun,
+                          bool& failed) {
+  // A stream's lines go to disk in one checked append, the file open only
+  // while it is written (the first append truncates it).  The caller owns
+  // the stream: a batch its job's, the IO thread the fleet's.
   if (lines.empty()) return;
   try {
-    simx::OutFile file(job.ts_path, st.begun ? simx::OutFile::Mode::kAppend
-                                             : simx::OutFile::Mode::kTruncate);
-    file.write(lines);
-    file.close();
+    simx::append_stream(path, lines, begun);
   } catch (const std::runtime_error&) {
     write_errors_.fetch_add(1, std::memory_order_relaxed);
-    if (!std::exchange(st.write_failed, true)) report_write_failure(job.ts_path);
+    if (!std::exchange(failed, true)) report_write_failure(path);
   }
-  st.begun = true;
   lines.clear();
 }
 
@@ -721,13 +669,12 @@ void Daemon::take_outbox(bool write) {
     for (Session* ses : replied_) flush_session(*ses);
   }
   if (taken_batches_.empty()) return;
-  const Clock::time_point now = Clock::now();
-  for (BatchOut& b : taken_batches_) apply_batch(b, now);
+  for (BatchOut& b : taken_batches_) apply_batch(b);
   taken_batches_.clear();
   prom_dirty_ = true;
 }
 
-void Daemon::apply_batch(BatchOut& b, Clock::time_point now) {
+void Daemon::apply_batch(BatchOut& b) {
   // The fleet merger is the IO thread's: no lock.
   for (const int r : b.new_ranks) fleet_live_.insert(r);
   const std::span<const std::pair<std::string, double>> regions(b.region_flops);
@@ -743,26 +690,14 @@ void Daemon::apply_batch(BatchOut& b, Clock::time_point now) {
   if (!b.folds.empty() || !b.new_ranks.empty() || !b.fin_ranks.empty()) {
     fleet_folded_ = true;
   }
+  // The job's latest values; write_prom renders them at its next rewrite.
   Job& job = *b.job;
-  if (b.refreshed) {
-    job.prom_text = std::move(b.prom_text);
-    job.prom_ends = std::move(b.prom_ends);
-  }
-  set_owes(job, !b.refreshed);
-  job.last_batch = now;
+  job.items.swap(b.items);
+  job.ranks.swap(b.ranks);
+  job.changed = true;
   if (b.ended) {
     job.ended = true;
     ++jobs_ended_;
-  }
-}
-
-void Daemon::set_owes(Job& job, bool owes) {
-  if (job.owes == owes) return;
-  job.owes = owes;
-  if (owes) {
-    ++owing_;
-  } else {
-    --owing_;
   }
 }
 
@@ -830,11 +765,10 @@ void Daemon::pump_tails() {
 
 int Daemon::wait_ms(Clock::time_point now) {
   // Each deadline counts only while its condition holds; with none pending
-  // the IO thread blocks until a socket or the eventfd wakes it.  A debt
-  // keeps the exposition deadline armed until it is paid.
+  // the IO thread blocks until a socket or the eventfd wakes it.
   Clock::time_point next = kNever;
   if (!blocked_.empty()) next = std::min(next, stall_next_);
-  if (prom_dirty_ || fleet_folded_ || owing_ > 0) next = std::min(next, prom_next_);
+  if (prom_dirty_ || fleet_folded_) next = std::min(next, prom_next_);
   const bool tailing = std::any_of(tails_.begin(), tails_.end(),
                                    [](const Tail& t) { return !t.done; });
   if (tailing) next = std::min(next, tail_next_);
@@ -847,7 +781,7 @@ int Daemon::wait_ms(Clock::time_point now) {
 
 void Daemon::run_due(Clock::time_point now) {
   if (!blocked_.empty() && now >= stall_next_) check_stalls(now);
-  if ((prom_dirty_ || fleet_folded_ || owing_ > 0) && now >= prom_next_) {
+  if ((prom_dirty_ || fleet_folded_) && now >= prom_next_) {
     refresh_outputs(now);
   }
   if (!tails_.empty() && now >= tail_next_) {
@@ -889,24 +823,12 @@ void Daemon::check_stalls(Clock::time_point now) {
 
 void Daemon::refresh_outputs(Clock::time_point now) {
   prom_next_ = now + kFloor;
-  // Collect the debts: a job that owes a refresh and ran no batch for a
-  // whole floor gets a frame-less refresh item.
-  if (owing_ > 0) {
-    for (auto& [id, job] : jobs_) {
-      if (!job->owes || now - job->last_batch < kFloor) continue;
-      set_owes(*job, false);
-      Work w;
-      w.kind = Work::Kind::kRefresh;
-      enqueue(*job, w);
-    }
-  }
   if (fleet_folded_) {
     fleet_folded_ = false;
     std::vector<live::ClusterPoint> pts;
     fleet_.emit_due(std::vector<int>(fleet_live_.begin(), fleet_live_.end()),
                     static_cast<int>(jobs_.size()), pts);
-    for (const live::ClusterPoint& p : pts) fleet_out_ << live::point_line(p) << '\n';
-    if (!pts.empty()) fleet_out_.flush();
+    append_fleet(pts, /*end=*/false);
   }
   if (prom_dirty_) {
     prom_dirty_ = false;
@@ -914,18 +836,42 @@ void Daemon::refresh_outputs(Clock::time_point now) {
   }
 }
 
+void Daemon::render_lines(Job& job) {
+  job.prom_text.clear();
+  job.prom_ends.clear();
+  simx::JsonlWriter w(job.prom_text);
+  const std::string label = prom_escape(job.id);
+  for (const live::PromItem& item : job.items) {
+    w.lit(item.name).lit("{job=\"").lit(label).lit("\"} ").num(item.value);
+    w.lit("\n");
+    job.prom_ends.push_back(job.prom_text.size());
+  }
+  for (const RankMetric& m : kRankMetrics) {
+    for (const auto& [rank, rs] : job.ranks) {
+      w.lit(m.name).lit("{job=\"").lit(label).lit("\",rank=\"").num(rank);
+      w.lit("\"} ").num(rs.*m.field).lit("\n");
+    }
+    job.prom_ends.push_back(job.prom_text.size());
+  }
+  job.changed = false;
+}
+
 void Daemon::write_prom() {
   prom_writes_.fetch_add(1, std::memory_order_relaxed);
-  // Each job's lines come rendered by its last refresh, so a rewrite only
-  // concatenates them, jobs in id order as the seed iterated its map; a job
-  // whose first batch record is not taken yet has none.  The metrics of
-  // prom_items() have a fixed order; their names are taken once.
+  // A job's lines are rendered from its values once per change, so a
+  // rewrite renders the changed jobs and concatenates every job's lines,
+  // jobs in id order as the seed iterated its map; a job whose first batch
+  // record is not taken yet has none.  The metrics of prom_items() have a
+  // fixed order; their names are taken once.
   static const std::vector<live::PromItem> kItems =
       live::prom_items(live::JobMerger(1.0), 0, /*up=*/true);
   const std::size_t items = jobs_.empty() ? 0 : kItems.size();
   std::string text;
   std::size_t bytes = 4096;
-  for (const auto& [id, job] : jobs_) bytes += job->prom_text.size();
+  for (const auto& [id, job] : jobs_) {
+    if (job->changed) render_lines(*job);
+    bytes += job->prom_text.size();
+  }
   text.reserve(bytes + 128 * (items + std::size(kRankMetrics)));
   simx::JsonlWriter w(text);
   const auto head = [&w](const char* name, const char* help, bool counter) {
@@ -969,7 +915,7 @@ void Daemon::write_prom() {
          "Sessions dropped for blowing the outbound stall budget.", true,
          stalled_disconnects_.load(std::memory_order_relaxed));
   scalar("ipm_agg_write_errors_total",
-         "Failed time-series writes: job appends and the fleet stream's close.",
+         "Failed time-series appends, the jobs' and the fleet stream's.",
          true, write_errors_.load(std::memory_order_relaxed));
   scalar("ipm_agg_worker_steals_total",
          "Batches run on a different worker than their job's previous batch.", true,
@@ -1012,21 +958,22 @@ void Daemon::drain_outbounds() {
   }
 }
 
+void Daemon::append_fleet(const std::vector<live::ClusterPoint>& pts, bool end) {
+  std::string lines;
+  if (!fleet_begun_) {
+    lines.append(live::timeseries_header_line("fleet", fleet_.interval())) += '\n';
+  }
+  for (const live::ClusterPoint& p : pts) lines.append(live::point_line(p)) += '\n';
+  if (end) lines.append(live::end_line(fleet_.intervals_emitted())) += '\n';
+  append_lines(fleet_path_, lines, fleet_begun_, fleet_write_failed_);
+}
+
 void Daemon::shutdown_flush() {
   // Every job ended through its queue, and its batch records are taken: the
-  // fleet's last emission.
+  // fleet's last emission and its end line.
   std::vector<live::ClusterPoint> pts;
   fleet_.emit_all(static_cast<int>(jobs_.size()), pts);
-  for (const live::ClusterPoint& p : pts) {
-    fleet_out_ << live::point_line(p) << '\n';
-  }
-  fleet_out_ << live::end_line(fleet_.intervals_emitted()) << '\n';
-  // The failbit is sticky: a write, flush or close that failed shows here.
-  fleet_out_.close();
-  if (!fleet_out_) {
-    write_errors_.fetch_add(1, std::memory_order_relaxed);
-    report_write_failure(fleet_path_);
-  }
+  append_fleet(pts, /*end=*/true);
 }
 
 void Daemon::run() {

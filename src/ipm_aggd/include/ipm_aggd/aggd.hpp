@@ -30,33 +30,34 @@
 // encoded in place into the outbox's reply bytes and queued at once; and at
 // the batch's end its sample folds (live::fold_sample_line, made once per
 // sample straight from the payload bytes; flat, their region flops in one
-// vector per batch) with new and finalized composite ranks, the job's freshly
-// rendered exposition lines, and whether it ended the job.  The IO thread owns the
-// sessions, the fleet merger, the fleet stream and the exposition: it takes
-// the outbox at the end of each pass (swapping its buffers too), copies each
-// reply into its session's write buffer (ids are never reused, so a reply
-// whose session is gone is dropped), then folds the fleet.  Serial mode (no
-// workers) runs the same batch loop on the IO thread at the end of each pass,
-// so a serial batch holds every frame its job received in that pass.  Warm,
-// the daemon makes well under one heap allocation per frame on either side.
-// A client that stops reading is disconnected on a bounded stall budget and
-// counted, never blocks the daemon.  A job's JSONL is its one on-disk format,
-// and no job file stays open between batches: a batch gathers its job's
-// sample, point and end lines in a buffer its Batch keeps, and puts them on
-// disk with one checked append (open, write, close) at its end.  The job's
-// first batch truncates the file and writes the header; a later append never
-// creates the file, and nothing is appended after the end line.  A failed
-// append is counted (ipm_agg_write_errors_total) and reported on stderr once
-// per job.
+// vector per batch) with new and finalized composite ranks, the job's
+// exposition values (live::prom_items and a copy of its rank states), and
+// whether it ended the job.  The IO thread owns the sessions, the fleet
+// merger, the fleet stream and the exposition: it takes the outbox at the
+// end of each pass (swapping its buffers too), copies each reply into its
+// session's write buffer (ids are never reused, so a reply whose session is
+// gone is dropped), then folds the fleet and keeps each job's latest values.
+// Serial mode (no workers) runs the same batch loop on the IO thread at the
+// end of each pass, so a serial batch holds every frame its job received in
+// that pass.  Warm, the daemon makes well under one heap allocation per
+// frame on either side.  A client that stops reading is disconnected on a
+// bounded stall budget and counted, never blocks the daemon.
 //
-// Outputs are brought up to date at most once per 1 s floor.  A batch
-// refreshes its job (due points into the JSONL, then the exposition lines)
-// once the job's last refresh is a floor old, and always when it ends the
-// job; a batch that skips the refresh leaves its job owing one (between
-// refreshes, due points still reach the JSONL every 20 ms while frames
-// arrive).  The IO thread emits fleet points and rewrites the exposition at
-// the floor, and queues a refresh item for each owing job that ran no batch
-// for a whole floor, so a quiet job's outputs catch up.
+// No time-series file stays open: a job's JSONL is its one on-disk format,
+// and a batch gathers its job's sample, point and end lines in a buffer its
+// Batch keeps and puts them on disk with one checked append (open, write,
+// close; simx::append_stream) at its end.  The fleet stream appends its
+// points at each fleet emission and its end line at shutdown, the same way.
+// A stream's first append truncates the file and writes the header; a later
+// append never creates the file, and nothing is appended after the end
+// line.  A failed append is counted (ipm_agg_write_errors_total) and
+// reported on stderr once per stream.
+//
+// Every batch leaves its job current: it emits the job's due points into
+// its lines and hands the job's exposition values over in its record, so
+// nothing is owed once it ends.  The IO thread emits fleet points and
+// rewrites the exposition at most once per 1 s floor, and renders only the
+// jobs whose values changed since its last rewrite.
 //
 // Event-driven: the IO thread sleeps in epoll_wait until a socket, the
 // worker eventfd or its nearest pending deadline (stall check, exposition
@@ -205,12 +206,10 @@ class Daemon {
     std::string job_cache_id;
   };
 
-  /// A frame to apply or a quiet job's refresh.  A frame's payload (SAMPLE
-  /// and RANK_FIN: the ones a batch reads) is bytes [off, off + len) of its
-  /// job's byte queue; its job id is the job's.
+  /// A frame to apply.  Its payload (SAMPLE and RANK_FIN: the ones a batch
+  /// reads) is bytes [off, off + len) of its job's byte queue; its job id
+  /// is the job's.
   struct Work {
-    enum class Kind { kFrame, kRefresh };
-    Kind kind = Kind::kFrame;
     live::wire::FrameType type = live::wire::FrameType::kHello;
     std::uint32_t rank = 0;
     std::uint64_t epoch = 0;
@@ -226,6 +225,9 @@ class Daemon {
     std::size_t end = 0;
   };
 
+  /// A job's rank states, in rank order.
+  using RankStates = std::vector<std::pair<std::uint32_t, RankState>>;
+
   /// What one batch produced for the IO thread besides its replies, left in
   /// the outbox at the batch's end.  Each sample arrives as the fold its
   /// job's merger added, so the fleet merger never classifies a delta.
@@ -235,12 +237,9 @@ class Daemon {
     live::RegionFlops region_flops;       ///< the folds' entries, in fold order
     std::vector<int> new_ranks;           ///< composite ranks first seen
     std::vector<int> fin_ranks;           ///< composite ranks finalized
-    /// The batch refreshed its job: the job's exposition lines, where
-    /// `prom_ends[i]` ends the lines of metric i.  Otherwise the job owes a
-    /// refresh.
-    bool refreshed = false;
-    std::string prom_text;
-    std::vector<std::size_t> prom_ends;
+    /// The job's exposition values as the batch left them.
+    std::vector<live::PromItem> items;
+    RankStates ranks;
     bool ended = false;  ///< the batch ended the job
   };
 
@@ -250,6 +249,7 @@ class Daemon {
     std::string bytes;
     live::FoldScratch scratch;
     std::string lines;  ///< the batch's JSONL lines, appended at its end
+    std::vector<int> live_ranks;  ///< emit_due_job's, reused
   };
 
   /// Batch-exclusive job state (scheduled flag: one batch of the job at a
@@ -260,8 +260,6 @@ class Daemon {
     bool begun = false;         ///< the first batch truncated the file
     bool ended = false;         ///< end line gathered: nothing follows it
     bool write_failed = false;  ///< an append failed (reported once)
-    std::int64_t last_refresh_ms = -1;  ///< last refresh_job (-1: none yet)
-    std::int64_t last_emit_ms = -1;     ///< last emit_due_job
     int worker = -1;  ///< worker that ran the previous batch (-1: none yet)
   };
 
@@ -273,15 +271,15 @@ class Daemon {
     std::vector<Work> q;     ///< guarded by work_mu_
     std::string qbytes;      ///< guarded by work_mu_: payloads of q's frames
     bool scheduled = false;  ///< guarded by work_mu_: runnable or running
-    // IO thread: the job's exposition lines as its last refresh rendered
-    // them (`prom_ends[i]` ends the lines of metric i; none before its first
-    // batch record); whether it owes a refresh, and when its last batch's
-    // output was taken.
+    // IO thread: the exposition values of the last batch record taken
+    // (none before the first), and the lines write_prom rendered from them
+    // (`prom_ends[i]` ends the lines of metric i), stale while `changed`.
+    std::vector<live::PromItem> items;
+    RankStates ranks;
+    bool changed = false;
     std::string prom_text;
     std::vector<std::size_t> prom_ends;
-    bool owes = false;
     bool ended = false;  ///< a taken batch record ended the job
-    Clock::time_point last_batch{};
     JobState st;
   };
 
@@ -298,8 +296,7 @@ class Daemon {
   void close_session(Session& ses);
   void flush_session(Session& ses);
   void take_outbox(bool write);
-  void apply_batch(BatchOut& b, Clock::time_point now);
-  void set_owes(Job& job, bool owes);
+  void apply_batch(BatchOut& b);
   void reap_closed();
   void set_write_interest(Session& ses, bool on);
   void mark_closed(Session& ses);
@@ -309,7 +306,9 @@ class Daemon {
   void run_due(Clock::time_point now);
   void check_stalls(Clock::time_point now);
   void refresh_outputs(Clock::time_point now);
+  static void render_lines(Job& job);
   void write_prom();
+  void append_fleet(const std::vector<live::ClusterPoint>& pts, bool end);
   void shutdown_flush();
   void drain_outbounds();
 
@@ -329,11 +328,9 @@ class Daemon {
   void finalize_rank(Job& job, RankState& rs, const Work& w,
                      std::string_view payload, BatchOut& out);
   void end_job(Job& job, std::string& lines, BatchOut& out);
-  void refresh_job(Job& job, std::string& lines, BatchOut& out);
-  void emit_due_job(Job& job, std::string& lines);
-  static void render_lines(const Job& job, std::string& text,
-                           std::vector<std::size_t>& ends);
-  void append_lines(Job& job, std::string& lines);
+  static void emit_due_job(Job& job, Batch& b);
+  void append_lines(const std::string& path, std::string& lines, bool& begun,
+                    bool& failed);
   void push_reply(std::uint64_t session, live::wire::FrameType type,
                   const std::string& job, std::uint32_t rank, std::uint64_t epoch,
                   std::string_view payload = {});
@@ -364,10 +361,10 @@ class Daemon {
   Batch io_batch_;  ///< the IO thread's batch buffers (serial mode)
   std::uint64_t fleet_next_base_ = 0;
   live::JobMerger fleet_;
-  std::ofstream fleet_out_;
+  bool fleet_begun_ = false;         ///< the fleet stream's header is written
+  bool fleet_write_failed_ = false;  ///< a fleet append failed (reported once)
   std::set<int> fleet_live_;  ///< composite ranks seen, not finalized
   int jobs_ended_ = 0;
-  std::size_t owing_ = 0;      ///< jobs with Job::owes
   bool prom_dirty_ = false;    ///< the exposition is out of date
   bool fleet_folded_ = false;  ///< folds added since the last fleet emission
 

@@ -2,10 +2,15 @@
 // samples to the configured SampleSink — the in-process collector below
 // (JSONL time series + Prometheus exposition, merged by JobMerger) or the
 // socket client streaming to an external `ipm_aggd` daemon (client.cpp).
+// The collector keeps no file open: each consumer pass puts the lines it
+// gathered on disk with one checked append (simx::append_stream), the
+// daemon's rule for its streams.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -13,6 +18,7 @@
 #include "ipm_live/live.hpp"
 #include "ipm_live/merge.hpp"
 #include "simcommon/jsonl.hpp"
+#include "simcommon/outfile.hpp"
 
 namespace ipm::live {
 
@@ -35,22 +41,23 @@ class CollectorSink final : public SampleSink {
   CollectorSink(const Config& cfg, const std::string& command)
       : merger_(cfg.snapshot_interval),
         ts_path_(timeseries_path(cfg)),
-        prom_path_(cfg.prom_path) {
-    out_.open(ts_path_, std::ios::trunc);
-    if (!out_) {
+        prom_path_(cfg.prom_path),
+        header_(timeseries_header_line(command, cfg.snapshot_interval) + '\n') {
+    try {  // create check: the first append writes the header
+      simx::OutFile(ts_path_, simx::OutFile::Mode::kTruncate).close();
+    } catch (const std::runtime_error&) {
       std::fprintf(stderr, "ipm: cannot open time-series file %s\n",
                    ts_path_.c_str());
-      return;
+      failed_ = true;
     }
-    out_ << timeseries_header_line(command, cfg.snapshot_interval) << '\n';
   }
 
-  [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
+  [[nodiscard]] bool ok() const { return !failed_; }
 
   bool ready() override { return true; }
 
   void consume(Sample&& s) override {
-    out_ << sample_line(s) << '\n';
+    lines_.append(sample_line(s)) += '\n';
     merger_.add_sample(s);
   }
 
@@ -62,6 +69,7 @@ class CollectorSink final : public SampleSink {
     std::vector<ClusterPoint> pts;
     merger_.emit_due(live_ranks, ranks_live, pts);
     write_points(pts, ranks_live);
+    append();  // the pass's lines
   }
 
   CollectorSummary finish(int ranks_live) override {
@@ -69,17 +77,12 @@ class CollectorSink final : public SampleSink {
     merger_.emit_all(ranks_live, pts);
     write_points(pts, ranks_live);
     if (!prom_path_.empty()) write_prom(ranks_live, /*up=*/false);
-    out_ << end_line(merger_.intervals_emitted()) << '\n';
-    out_.flush();
+    lines_.append(end_line(merger_.intervals_emitted())) += '\n';
+    append();
     CollectorSummary sum;
-    // The stream's failbit is sticky, so this also catches a failed mid-run
-    // flush.  An unwritten file is not referenced, as flush_trace does for
-    // trace files: the banner says "(unwritten)" and the XML omits it.
-    if (out_) {
-      sum.timeseries_file = ts_path_;
-    } else {
-      std::fprintf(stderr, "ipm: time-series write failed for %s\n", ts_path_.c_str());
-    }
+    // An unwritten file is not referenced, as flush_trace does for trace
+    // files: the banner says "(unwritten)" and the XML omits it.
+    if (!failed_) sum.timeseries_file = ts_path_;
     sum.interval = merger_.interval();
     sum.intervals = merger_.intervals_emitted();
     return sum;
@@ -88,9 +91,26 @@ class CollectorSink final : public SampleSink {
  private:
   void write_points(const std::vector<ClusterPoint>& pts, int ranks_live) {
     if (pts.empty()) return;
-    for (const ClusterPoint& p : pts) out_ << point_line(p) << '\n';
-    out_.flush();  // live consumers tail the file mid-run
+    for (const ClusterPoint& p : pts) lines_.append(point_line(p)) += '\n';
     if (!prom_path_.empty()) write_prom(ranks_live, /*up=*/true);
+  }
+
+  /// Puts the gathered lines on disk in one checked append, so live
+  /// consumers tail every pass; the first append, made once there is a line
+  /// to write, begins with the header.  The first failure is printed and
+  /// ends the stream: no later append, and the job references no file.
+  void append() {
+    if (!failed_ && !lines_.empty()) {
+      if (!begun_) lines_.insert(0, header_);
+      try {
+        simx::append_stream(ts_path_, lines_, begun_);
+      } catch (const std::runtime_error&) {
+        std::fprintf(stderr, "ipm: time-series write failed for %s\n",
+                     ts_path_.c_str());
+        failed_ = true;
+      }
+    }
+    lines_.clear();
   }
 
   void write_prom(int ranks_live, bool up) const {
@@ -107,7 +127,10 @@ class CollectorSink final : public SampleSink {
   JobMerger merger_;
   std::string ts_path_;
   std::string prom_path_;
-  std::ofstream out_;
+  std::string header_;  ///< the first append's first line
+  std::string lines_;   ///< gathered since the last append
+  bool begun_ = false;  ///< the first append truncated the file
+  bool failed_ = false; ///< the file could not be created or an append failed
 };
 
 struct ConsumerState {

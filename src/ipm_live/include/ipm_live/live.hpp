@@ -8,9 +8,13 @@
 // previous sample, and pushes them onto a bounded SPSC channel — the same
 // drop-counting, never-blocking discipline as the trace ring.  A process-
 // wide collector thread merges all ranks in virtual time into per-interval
-// cluster points and emits a JSONL time-series file (referenced from the
-// XML log) plus an optional Prometheus-style exposition file rewritten
-// atomically every emitted interval.
+// cluster points and writes a JSONL time-series file plus an optional
+// Prometheus-style exposition file rewritten atomically every emitted
+// interval.  The time series is written like every time-series stream here,
+// the daemon's included: one checked append (open, write, close) per
+// consumer pass, no file held open, the first append truncating the file
+// and a later one never creating it.  The XML log references the file only
+// when every append succeeded.
 //
 // Capture runs on the owning rank thread, piggybacked on Monitor::record —
 // virtual time only advances there, so that is the one place an interval

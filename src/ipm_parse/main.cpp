@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -52,8 +53,7 @@ int usage() {
 /// naming "<path>:<line>", on a complete line no time-series writer emits.
 int follow_timeseries(const std::string& path, double timeout_s) {
   using Clock = std::chrono::steady_clock;
-  const auto idle_budget = std::chrono::duration<double>(timeout_s);
-  auto deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(idle_budget);
+  Clock::time_point last_progress = Clock::now();
   std::ifstream in;
   ipm::live::TimeSeries ts;
   std::size_t lines = 0;
@@ -98,9 +98,10 @@ int follow_timeseries(const std::string& path, double timeout_s) {
     }
     if (complete) return 0;
     if (progressed) {
-      deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(idle_budget);
+      last_progress = Clock::now();
     } else {
-      if (timeout_s > 0.0 && Clock::now() >= deadline) {
+      const std::chrono::duration<double> idle = Clock::now() - last_progress;
+      if (timeout_s > 0.0 && idle.count() >= timeout_s) {
         std::fprintf(stderr, "ipm_parse: --follow: no progress on %s for %.3gs\n",
                      path.c_str(), timeout_s);
         return 1;
@@ -203,7 +204,19 @@ int main(int argc, char** argv) {
     else if (arg == "--compare") do_compare = true;
     else if (arg == "--follow") do_follow = true;
     else if (arg == "--conserve") do_conserve = true;
-    else if (arg == "--follow-timeout" && i + 1 < argc) follow_timeout = std::strtod(argv[++i], nullptr);
+    else if (arg == "--follow-timeout" && i + 1 < argc) {
+      // Seconds without progress: a finite number >= 0 (0 waits forever).
+      const char* v = argv[++i];
+      follow_timeout = -1.0;
+      try {
+        follow_timeout = simx::parse_double(v);
+      } catch (const std::runtime_error&) {
+      }
+      if (!std::isfinite(follow_timeout) || follow_timeout < 0.0) {
+        std::fprintf(stderr, "ipm_parse: invalid value '%s' for --follow-timeout\n", v);
+        return usage();
+      }
+    }
     else if (arg == "--html" || arg == "--cube" || arg == "--trace" || arg == "--follow-timeout") {
       std::fprintf(stderr, "ipm_parse: option '%s' requires a file argument\n", arg.c_str());
       return usage();

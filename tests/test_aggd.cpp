@@ -15,8 +15,9 @@
 // path is spelled, a job's exposition lines wait for its first batch,
 // no job file stays open between batches, ended or not, no job shares
 // a file with another job or with the fleet stream, a failed exposition
-// write keeps the previous exposition, and a failed time-series write, the
-// fleet's or a job's, is counted and reported.
+// write keeps the previous exposition, and a failed time-series append, the
+// fleet's or a job's, is counted and reported once per stream, and a file
+// removed mid-stream is not created again.
 // The last three guard the event-driven IO loop against lost wake-ups: an
 // idle daemon answers every round trip at once, a quiet job's outputs catch
 // up while it runs, and the daemon stops when told to.
@@ -1014,13 +1015,80 @@ TEST(Aggd, FailedFleetWriteIsReported) {
   ASSERT_EQ(d.fleet_timeseries_path(), fleet);
   ::testing::internal::CaptureStderr();
   d.stop();
-  d.run();  // the fleet stream's end line and close fail on the full device
+  d.run();  // the fleet stream's one append, header and end line, fails
   const std::string log = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(log.find("ipm_aggd: time-series write failed for " + fleet),
             std::string::npos)
       << log;
   const std::string prom = slurp(d.prom_path());
   EXPECT_NE(prom.find("\nipm_agg_write_errors_total 1\n"), std::string::npos) << prom;
+
+  // A fleet file removed after its first append: the appends after it fail,
+  // since an append never creates the file, and each one counts; stderr
+  // names the file once.  Each round of four 0.5 s samples closes two fleet
+  // intervals, so each floor's emission after a round appends points.
+  {
+    SCOPED_TRACE("fleet file removed");
+    const std::string rdir = test_dir("aggd_fleet_removed");
+    const std::string sock = "unix:" + rdir + "/agg.sock";
+    const std::string rfleet = rdir + "/fleet_timeseries.jsonl";
+    const std::string rprom = rdir + "/ipm_agg.prom";
+    ipm::aggd::Options ropt;
+    ropt.listen = sock;
+    ropt.out_dir = rdir;
+    ropt.workers = 0;
+    DaemonRunner runner(ropt);
+    ::testing::internal::CaptureStderr();
+    ASSERT_TRUE(runner.start());
+    const int fd = connect_block(sock);
+    ASSERT_GE(fd, 0);
+    Decoder dec;
+    Frame f;
+    send_all(fd, frame_bytes(FrameType::kHello, "rm", 0, 0,
+                             ipm::live::wire::hello_payload("./rm", 0.5)));
+    EXPECT_TRUE(read_frame(fd, dec, f));
+    std::uint64_t seq = 0;
+    const auto round = [&] {
+      for (int k = 0; k < 4; ++k, ++seq) {
+        const double t0 = 0.5 * static_cast<double>(seq);
+        send_all(fd, sample_bytes("rm", make_sample(0, seq, t0, t0 + 0.5, "MPI_Bcast", 1,
+                                                    64, 0.125)));
+        EXPECT_TRUE(read_frame(fd, dec, f));
+      }
+    };
+    const auto wait_until = [](auto done) {
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!done() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      return done();
+    };
+    round();
+    std::error_code ec;
+    EXPECT_TRUE(wait_until([&] { return std::filesystem::file_size(rfleet, ec) > 0; }))
+        << "no fleet append";
+    EXPECT_TRUE(std::filesystem::remove(rfleet));
+    round();
+    // The next floor's append fails and is counted; so is the shutdown's.
+    EXPECT_TRUE(wait_until([&] {
+      return slurp(rprom).find("\nipm_agg_write_errors_total 1\n") != std::string::npos;
+    })) << slurp(rprom);
+    ipm::live::net::close_fd(fd);
+    runner.d.stop();
+    runner.join();
+    const std::string rlog = ::testing::internal::GetCapturedStderr();
+    const std::string line = "ipm_aggd: time-series write failed for " + rfleet + "\n";
+    std::size_t reported = 0;
+    for (std::size_t at = rlog.find(line); at != std::string::npos;
+         at = rlog.find(line, at + 1)) {
+      ++reported;
+    }
+    EXPECT_EQ(reported, 1u) << rlog;
+    EXPECT_FALSE(std::filesystem::exists(rfleet));
+    const std::string final_prom = slurp(rprom);
+    EXPECT_NE(final_prom.find("\nipm_agg_write_errors_total 2\n"), std::string::npos)
+        << final_prom;
+  }
 
   // A job's file that cannot be written: a symlink to /dev/full, or a file
   // removed after the job's first batch, which a later append must not

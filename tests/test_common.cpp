@@ -5,6 +5,7 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -181,6 +182,14 @@ TEST(Str, ParseNumbers) {
   EXPECT_EQ(simx::parse_i64("-42"), -42);
   EXPECT_THROW((void)simx::parse_double("abc"), std::runtime_error);
   EXPECT_THROW((void)simx::parse_i64("1.5x"), std::runtime_error);
+  // The int64 range is accepted to its ends; past them strtoll reports
+  // ERANGE, and the value is rejected, not clamped.
+  EXPECT_EQ(simx::parse_i64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(simx::parse_i64("-9223372036854775808"), INT64_MIN);
+  EXPECT_THROW((void)simx::parse_i64("9223372036854775808"), std::runtime_error);
+  EXPECT_THROW((void)simx::parse_i64("99999999999999999999"), std::runtime_error);
+  EXPECT_THROW((void)simx::parse_i64("-9223372036854775809"), std::runtime_error);
+  EXPECT_EQ(simx::parse_i64("7"), 7);  // errno from the failure does not stick
 }
 
 // --- XML ----------------------------------------------------------------------

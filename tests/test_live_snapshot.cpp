@@ -11,14 +11,18 @@
 // successful capture.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 #include <tuple>
 #include <vector>
@@ -348,6 +352,61 @@ TEST(LiveSnapshot, FullDiskLeavesTheTimeSeriesUnwritten) {
   ipm::write_xml(xml, job);
   EXPECT_EQ(xml.str().find("<timeseries"), std::string::npos);
   EXPECT_EQ(xml.str().find("/dev/full"), std::string::npos);
+}
+
+/// A time-series file removed while its job runs is neither written again
+/// nor referenced: the collector's next append fails (an append never
+/// creates the file), stderr names the path once, the banner says
+/// "(unwritten)" and the XML has no <timeseries> element.
+TEST(LiveSnapshot, RemovedTimeSeriesIsReportedNotReferenced) {
+  simx::reset_default_context();
+  const std::string ts_path = ::testing::TempDir() + "/live_removed_timeseries.jsonl";
+  std::filesystem::remove(ts_path);
+  ipm::Config cfg;
+  cfg.snapshot_interval = 0.5;
+  cfg.timeseries_path = ts_path;
+  ipm::job_begin(cfg, "./live_removed");
+  mpisim::ClusterConfig cluster;
+  cluster.ranks = 2;
+  bool removed = false;
+  ::testing::internal::CaptureStderr();
+  mpisim::run_cluster(cluster, [&](int rank) {
+    MPI_Init(nullptr, nullptr);
+    for (int i = 0; i < 20; ++i) {
+      simx::host_compute(0.25);
+      MPI_Barrier(MPI_COMM_WORLD);
+      if (rank == 0 && i == 9) {
+        // Once the collector's first append (the header, at least) is on
+        // disk, the file goes away mid-run.
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        std::error_code ec;
+        while (std::filesystem::file_size(ts_path, ec) == 0 &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+        removed = std::filesystem::remove(ts_path);
+      }
+    }
+    MPI_Finalize();
+  });
+  const ipm::JobProfile job = ipm::job_end();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(removed);
+  const std::string line = "ipm: time-series write failed for " + ts_path + "\n";
+  std::size_t reported = 0;
+  for (std::size_t at = err.find(line); at != std::string::npos; at = err.find(line, at + 1)) {
+    ++reported;
+  }
+  EXPECT_EQ(reported, 1u) << err;
+  EXPECT_FALSE(std::filesystem::exists(ts_path));
+  EXPECT_TRUE(job.timeseries_file.empty()) << job.timeseries_file;
+  EXPECT_GT(job.snapshot_samples(), 0u);
+  const std::string banner = ipm::banner_string(job);
+  EXPECT_NE(banner.find(" in (unwritten) ("), std::string::npos) << banner;
+  std::ostringstream xml;
+  ipm::write_xml(xml, job);
+  EXPECT_EQ(xml.str().find("<timeseries"), std::string::npos);
+  EXPECT_EQ(xml.str().find(ts_path), std::string::npos);
 }
 
 // --- serialization + report helpers ------------------------------------------

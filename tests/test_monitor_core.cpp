@@ -5,9 +5,14 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+
+#include <unistd.h>
 
 #include "ipm/report.hpp"
 #include "simcommon/clock.hpp"
@@ -232,6 +237,50 @@ TEST(MonitorCore, ConfigFromEnv) {
   unsetenv("IPM_KTT_POLICY");
   unsetenv("IPM_HASH_BITS");
   unsetenv("IPM_LOG");
+
+  // Numeric variables: a bad value throws an error that names the variable;
+  // the ends of each range are taken as they are.
+  const auto rejected = [](const char* key, const char* value) {
+    setenv(key, value, 1);
+    std::string what;
+    try {
+      (void)ipm::config_from_env();
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    unsetenv(key);
+    return what.find(key) != std::string::npos &&
+           what.find(std::string("'") + value + "'") != std::string::npos;
+  };
+  for (const char* key : {"IPM_SNAPSHOT", "IPM_AGG_FLUSH_TIMEOUT"}) {
+    for (const char* bad : {"nan", "inf", "-inf", "-1", "-0.5", "abc", "1s", ""}) {
+      EXPECT_TRUE(rejected(key, bad)) << key << "=" << bad;
+    }
+  }
+  for (const char* key : {"IPM_HASH_BITS", "IPM_TRACE_RECORDS", "IPM_SNAPSHOT_SAMPLES",
+                          "IPM_AGG_CHAOS_KILL_EVERY"}) {
+    for (const char* bad : {"-1", "4294967296", "99999999999999999999", "1.5", "x", ""}) {
+      EXPECT_TRUE(rejected(key, bad)) << key << "=" << bad;
+    }
+  }
+  setenv("IPM_SNAPSHOT", "0", 1);
+  setenv("IPM_AGG_FLUSH_TIMEOUT", "1e300", 1);
+  setenv("IPM_HASH_BITS", "0", 1);
+  setenv("IPM_TRACE_RECORDS", "4294967295", 1);
+  setenv("IPM_SNAPSHOT_SAMPLES", "4294967295", 1);
+  setenv("IPM_AGG_CHAOS_KILL_EVERY", "0", 1);
+  const ipm::Config edge = ipm::config_from_env();
+  EXPECT_EQ(edge.snapshot_interval, 0.0);
+  EXPECT_EQ(edge.agg_flush_timeout, 1e300);
+  EXPECT_EQ(edge.table_log2_slots, 0u);
+  EXPECT_EQ(edge.trace_log2_records, 4294967295u);
+  EXPECT_EQ(edge.snapshot_log2_samples, 4294967295u);
+  EXPECT_EQ(edge.agg_chaos_kill_every, 0u);
+  for (const char* key : {"IPM_SNAPSHOT", "IPM_AGG_FLUSH_TIMEOUT", "IPM_HASH_BITS",
+                          "IPM_TRACE_RECORDS", "IPM_SNAPSHOT_SAMPLES",
+                          "IPM_AGG_CHAOS_KILL_EVERY"}) {
+    unsetenv(key);
+  }
 }
 
 ipm::JobProfile sample_job() {
@@ -246,6 +295,25 @@ ipm::JobProfile sample_job() {
   simx::host_compute(10.0);
   ipm::rank_finalize();
   return ipm::job_end();
+}
+
+/// The XML log is the run's result: a write the disk refuses throws an
+/// error naming the path instead of leaving a truncated file behind a
+/// successful return.
+TEST(Report, XmlLogOnAFullDiskThrows) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "/dev/full not available";
+  const ipm::JobProfile job = sample_job();
+  const std::string path = ::testing::TempDir() + "/full_disk_profile.xml";
+  std::filesystem::remove(path);
+  std::filesystem::create_symlink("/dev/full", path);
+  std::string what;
+  try {
+    ipm::write_xml_file(path, job);
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  std::filesystem::remove(path);
+  EXPECT_NE(what.find(path), std::string::npos) << "no error naming the log: " << what;
 }
 
 TEST(Report, XmlRoundTripPreservesEverything) {
